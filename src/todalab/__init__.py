@@ -1,13 +1,10 @@
 """Verification laboratory for entire solutions of the SU(n+1) Toda system."""
 
-from .cartan import CartanData, cartan_matrix, row_sum_check, to_lower, to_upper
-from .cpoly import ComplexPoly, derivative, eval_poly, monic_from_coeffs
+from .cartan import CartanData, cartan_matrix
+from .cpoly import ComplexPoly, derivative, eval_poly
 from .solution import (
     PositivityError,
-    SolutionEval,
     SolutionParams,
-    det_k,
-    eval_all,
     load_params,
     normalize_lambdas,
     sample_params,
@@ -16,18 +13,11 @@ from .solution import (
 __all__ = [
     "CartanData",
     "cartan_matrix",
-    "row_sum_check",
-    "to_lower",
-    "to_upper",
     "ComplexPoly",
     "derivative",
     "eval_poly",
-    "monic_from_coeffs",
     "PositivityError",
-    "SolutionEval",
     "SolutionParams",
-    "det_k",
-    "eval_all",
     "load_params",
     "normalize_lambdas",
     "sample_params",

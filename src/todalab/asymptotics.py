@@ -26,6 +26,8 @@ __all__ = [
     "FourierCoeffs",
     "ExpansionCheck",
     "TIntegralResult",
+    "circle",
+    "polar_panels",
     "fourier_coeffs",
     "leading_coefficient_check",
     "first_frequency_check",
@@ -34,6 +36,16 @@ __all__ = [
     "t_integral",
     "constant_term_prediction",
 ]
+
+# Radius pair and samples per circle shared by the large-radius probes.
+R_PAIR = (200.0, 400.0)
+SAMPLES = 256
+# Frequencies extracted by fourier_coeffs: 0, 1 and 2.
+MAX_FREQUENCY = 2
+# t_integral: partial-integral radii, samples per circle, nodes per radial panel.
+T_RADII = (50.0, 100.0, 200.0, 400.0)
+T_SAMPLES = 128
+T_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -56,27 +68,46 @@ class ExpansionCheck:
     rel_error: float
     notes: dict = field(default_factory=dict)
 
-    def to_row(self) -> dict:
-        return {
-            "measured": self.richardson,
-            "predicted": self.predicted,
-            "rel_error": self.rel_error,
-        }
+
+def circle(r, M: int) -> np.ndarray:
+    """M equispaced points on the circle of radius r, starting on the real axis.
+
+    For an array of radii the result has one row of M points per radius.
+    """
+    theta = 2.0 * np.pi * np.arange(M) / M
+    return np.multiply.outer(r, np.exp(1j * theta))
 
 
-def fourier_coeffs(component, r: float, M: int = 256, max_frequency: int = 2) -> FourierCoeffs:
+def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
+    """Running totals of int 2 pi r g(r) dr over the panels between `bounds`.
+
+    `ring_mean` maps an array of radii to the angular means g(r); each
+    panel uses Gauss-Legendre nodes, and one total is returned per panel.
+    """
+    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
+    totals = []
+    total = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        r_nodes = mid + half * x_gl
+        g = ring_mean(r_nodes)
+        total += float(np.sum(w_gl * 2.0 * np.pi * r_nodes * g) * half)
+        totals.append(total)
+    return totals
+
+
+def fourier_coeffs(component, r: float, M: int = SAMPLES) -> FourierCoeffs:
     """Trapezoid DFT of a real field component on the circle of radius r.
 
     `component` maps an array of complex points to real values.
     """
-    if M < 8 * max_frequency:
+    if M < 8 * MAX_FREQUENCY:
         raise ValueError("need at least 8 samples per extracted frequency")
-    theta = 2.0 * np.pi * np.arange(M) / M
-    vals = np.asarray(component(r * np.exp(1j * theta)), dtype=float)
+    vals = np.asarray(component(circle(r, M)), dtype=float)
     spec = np.fft.rfft(vals)
     a0 = float(spec[0].real) / M
-    a_cos = tuple(2.0 * float(spec[k].real) / M for k in range(1, max_frequency + 1))
-    b_sin = tuple(-2.0 * float(spec[k].imag) / M for k in range(1, max_frequency + 1))
+    a_cos = tuple(2.0 * float(spec[k].real) / M for k in range(1, MAX_FREQUENCY + 1))
+    b_sin = tuple(-2.0 * float(spec[k].imag) / M for k in range(1, MAX_FREQUENCY + 1))
     return FourierCoeffs(r=r, samples=M, a0=a0, a_cos=a_cos, b_sin=b_sin)
 
 
@@ -92,9 +123,7 @@ def _upper_component(sp: SolutionParams, m: int):
     return lambda z: upper_components(sp, z)[m - 1]
 
 
-def leading_coefficient_check(
-    sp: SolutionParams, m: int, r: float, M: int = 256
-) -> ExpansionCheck:
+def leading_coefficient_check(sp: SolutionParams, m: int, r: float) -> ExpansionCheck:
     """Angular mean of e^{-U^m} r^{-2m(n+1-m)} against its predicted constant.
 
     The notes record the same mean taken with the exponent variant
@@ -105,9 +134,7 @@ def leading_coefficient_check(
     if not 1 <= m <= n:
         raise IndexError(f"m={m} out of range 1..{n}")
     power = 2 * m * (n + 1 - m)
-    theta = 2.0 * np.pi * np.arange(M) / M
-    z = r * np.exp(1j * theta)
-    log_vals = -upper_components(sp, z)[m - 1] - power * math.log(r)
+    log_vals = -upper_components(sp, circle(r, SAMPLES))[m - 1] - power * math.log(r)
     measured = float(np.mean(np.exp(log_vals)))
     fact = 1.0
     for j in range(m):
@@ -132,15 +159,13 @@ def leading_coefficient_check(
     )
 
 
-def first_frequency_check(
-    sp: SolutionParams, m: int, r_pair=(200.0, 400.0), M: int = 256
-) -> dict:
+def first_frequency_check(sp: SolutionParams, m: int) -> dict:
     """r * (frequency-1 coefficients of -U^m) against 2m alpha_m, 2m beta_m."""
     comp = _upper_component(sp, m)
     neg = lambda z: -comp(z)
     cos_vals, sin_vals = [], []
-    for r in r_pair:
-        fc = fourier_coeffs(neg, r, M)
+    for r in R_PAIR:
+        fc = fourier_coeffs(neg, r)
         cos_vals.append(fc.a_cos[0] * r)
         sin_vals.append(fc.b_sin[0] * r)
     c = sp.first_frequency_coeff(m)
@@ -149,11 +174,11 @@ def first_frequency_check(
         ("alpha", cos_vals, 2.0 * m * c.real),
         ("beta", sin_vals, 2.0 * m * c.imag),
     ):
-        rich = _richardson(r_pair, vals)
+        rich = _richardson(R_PAIR, vals)
         denom = abs(pred) if pred != 0 else 1.0
         out[key] = ExpansionCheck(
             measured=tuple(vals),
-            radii=tuple(float(r) for r in r_pair),
+            radii=R_PAIR,
             richardson=rich,
             predicted=pred,
             rel_error=abs(rich - pred) / denom,
@@ -174,9 +199,7 @@ def kernel_signature_check(
     sp: SolutionParams,
     which: str,
     m: int,
-    r_pair=(200.0, 400.0),
     step: float = 1e-4,
-    M: int = 256,
 ) -> ExpansionCheck:
     """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules."""
     kind, j = parse_direction(which)
@@ -185,17 +208,17 @@ def kernel_signature_check(
     fld = param_derivative_field(sp, which, step)
     comp = lambda z: fld.upper(z)[m - 1]
     vals = []
-    for r in r_pair:
-        fc = fourier_coeffs(comp, r, M)
+    for r in R_PAIR:
+        fc = fourier_coeffs(comp, r)
         coeff = fc.a_cos[1] if kind == "alpha2" else fc.b_sin[1]
         vals.append(coeff * r * r)
     pred = second_frequency_prediction(m, j)
-    rich = _richardson(r_pair, vals)
+    rich = _richardson(R_PAIR, vals)
     scale = float(m * (m + 1))  # reference magnitude for the off-diagonal contract
     denom = abs(pred) if pred != 0 else scale
     return ExpansionCheck(
         measured=tuple(vals),
-        radii=tuple(float(r) for r in r_pair),
+        radii=R_PAIR,
         richardson=rich,
         predicted=pred,
         rel_error=abs(rich - pred) / denom,
@@ -245,9 +268,7 @@ def constant_term_prediction(sp: SolutionParams, i: int, use_table: bool = True)
     return -(b1 * math.log(2.0) + b2 + 2.0 * b3)
 
 
-def constant_term_probe(
-    sp: SolutionParams, i: int, r_pair=(200.0, 400.0), M: int = 256
-) -> ExpansionCheck:
+def constant_term_probe(sp: SolutionParams, i: int) -> ExpansionCheck:
     """Measure lim (U_i + 4 log r) and compare with the tabulated prediction.
 
     The tabulated closed forms are reported, not asserted: the measured
@@ -257,17 +278,16 @@ def constant_term_probe(
     if not 1 <= i <= sp.n:
         raise IndexError(f"component {i} out of range 1..{sp.n}")
     vals = []
-    for r in r_pair:
-        theta = 2.0 * np.pi * np.arange(M) / M
-        z = r * np.exp(1j * theta)
-        vals.append(float(np.mean(lower_components(sp, z)[i - 1])) + 4.0 * math.log(r))
-    rich = _richardson(r_pair, vals)
+    for r in R_PAIR:
+        u_i = lower_components(sp, circle(r, SAMPLES))[i - 1]
+        vals.append(float(np.mean(u_i)) + 4.0 * math.log(r))
+    rich = _richardson(R_PAIR, vals)
     pred_table = constant_term_prediction(sp, i, use_table=True)
     pred_sum = constant_term_prediction(sp, i, use_table=False)
     denom = max(abs(pred_table), 1.0)
     return ExpansionCheck(
         measured=tuple(vals),
-        radii=tuple(float(r) for r in r_pair),
+        radii=R_PAIR,
         richardson=rich,
         predicted=pred_table,
         rel_error=abs(rich - pred_table) / denom,
@@ -292,10 +312,7 @@ def t_integral(
     l: int,
     which: str = "alpha",
     m: int | None = None,
-    radii=(50.0, 100.0, 200.0, 400.0),
     step: float = 1e-4,
-    M: int = 128,
-    nodes_per_panel: int = 16,
 ) -> TIntegralResult:
     """Integral over the plane of -dU^m/d(alpha_{l,2} or beta_{l,2}).
 
@@ -316,34 +333,15 @@ def t_integral(
     direction = f"{'alpha2' if which == 'alpha' else 'beta2'}_{l}"
     fld = param_derivative_field(sp, direction, step)
 
-    theta = 2.0 * np.pi * np.arange(M) / M
-    phase = np.exp(1j * theta)
-
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        z = np.multiply.outer(r_nodes, phase)
-        return np.mean(fld.upper(z)[m - 1], axis=1)
+        return np.mean(fld.upper(circle(r_nodes, T_SAMPLES))[m - 1], axis=1)
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
-    radii = sorted(float(R) for R in radii)
-    # Panel boundaries refine geometrically inward from the smallest radius.
-    bounds = [0.0]
-    inner = radii[0]
-    scale_points = [inner / 2**k for k in range(5, -1, -1)]
-    bounds.extend(scale_points)
-    bounds.extend(radii[1:])
-
-    partials = []
-    total = 0.0
-    next_radius = iter(radii)
-    target = next(next_radius, None)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes = mid + half * x_gl
-        g = ring_mean(r_nodes)
-        total += float(np.sum(w_gl * 2.0 * np.pi * r_nodes * g) * half)
-        if target is not None and abs(hi - target) < 1e-12:
-            partials.append((hi, total))
-            target = next(next_radius, None)
+    # Panel boundaries refine geometrically inward from the smallest radius,
+    # so the last len(T_RADII) panels end exactly on T_RADII.
+    inner = T_RADII[0]
+    bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
+    totals = polar_panels(ring_mean, bounds, T_NODES)
+    partials = list(zip(T_RADII, totals[-len(T_RADII):]))
     values = [v for _, v in partials]
     diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
     # Successive differences must keep shrinking by 1.5x per radius

@@ -3,7 +3,7 @@
 The matrix A is tridiagonal with 2 on the diagonal and -1 off it; the
 inverse has the closed form A^{-1}[i][j] = j(n+1-i)/(n+1) for i >= j
 (1-based), extended by symmetry.  Everything here is exact Fraction
-arithmetic; floats appear only at the boundary (to_upper / to_lower).
+arithmetic; floats appear only at the boundary (a_float).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["CartanData", "cartan_matrix", "row_sum_check", "to_upper", "to_lower"]
+__all__ = ["CartanData", "cartan_matrix"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class CartanData:
 
     def a_float(self) -> np.ndarray:
         return np.array(self.a, dtype=float)
-
-    def a_inv_float(self) -> np.ndarray:
-        return np.array(self.a_inv, dtype=float)
 
 
 def cartan_matrix(n: int) -> CartanData:
@@ -56,27 +53,3 @@ def cartan_matrix(n: int) -> CartanData:
             if s != (1 if i == j else 0):
                 raise AssertionError(f"A*A^-1 != I at ({i},{j}): {s}")
     return CartanData(n=n, a=a, a_inv=a_inv)
-
-
-def row_sum_check(n: int, i: int) -> Fraction:
-    """4 * sum_j A^{-1}[i][j] (1-based i); equals 2i(n+1-i) exactly."""
-    cd = cartan_matrix(n)
-    if not 1 <= i <= n:
-        raise IndexError(f"row index {i} out of range 1..{n}")
-    return 4 * sum(cd.a_inv[i - 1])
-
-
-def to_upper(u, cd: CartanData) -> np.ndarray:
-    """Lower-index components to upper: A^{-1} u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != cd.n:
-        raise ValueError(f"expected length {cd.n}, got {u.shape[0]}")
-    return cd.a_inv_float() @ u
-
-
-def to_lower(v, cd: CartanData) -> np.ndarray:
-    """Upper-index components to lower: A v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != cd.n:
-        raise ValueError(f"expected length {cd.n}, got {v.shape[0]}")
-    return cd.a_float() @ v

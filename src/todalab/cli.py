@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import sys
@@ -26,31 +27,29 @@ __all__ = ["main", "run", "emit_plot_data"]
 
 
 def _config_from_args(args) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
+    """RunConfig defaults, overlaid by the --config file, then by the CLI options set."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    settings = {}
+    if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
-    overrides = {
-        "suites": args.suite or base.get("suites") or list(KNOWN_SUITES),
-        "params_file": getattr(args, "params_file", None) or base.get("params_file"),
-        "n": args.n if args.n is not None else base.get("n", 2),
-        "count": args.count if args.count is not None else base.get("count", 2),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "magnitude": args.magnitude if args.magnitude is not None else base.get("magnitude", 0.3),
-        "dilation": args.dilation if args.dilation is not None else base.get("dilation", 3.0),
-        "radius": args.radius if args.radius is not None else base.get("radius", 1000.0),
-        "grid_h": args.grid_h if args.grid_h is not None else base.get("grid_h", 1e-2),
-        "out_dir": args.out if args.out is not None else base.get("out_dir", "reports"),
-        "tolerances": base.get("tolerances", {}),
-    }
-    return RunConfig(**overrides)
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        unknown = sorted(set(settings) - fields)
+        if unknown:
+            raise ValueError(f"unknown key(s) in {args.config}: {', '.join(unknown)}")
+    options = {**vars(args), "suites": args.suite, "out_dir": args.out}
+    settings.update(
+        {name: value for name, value in options.items() if name in fields and value is not None}
+    )
+    return RunConfig(**settings)
 
 
 def run(cfg: RunConfig) -> int:
     """Run suites per config; write reports; return process exit code."""
+    cases, details = run_suites(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cases, details = run_suites(cfg)
     summary = {
         "config": cfg.to_json(),
         "cases": [
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = _config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.command == "show-params":

@@ -15,11 +15,9 @@ import numpy as np
 
 __all__ = [
     "ComplexPoly",
-    "monic_from_coeffs",
     "derivative",
     "eval_poly",
     "log_abs_eval",
-    "leading_terms",
     "poly_det",
 ]
 
@@ -54,9 +52,6 @@ class ComplexPoly:
             out[k] += v
         return ComplexPoly.from_coeffs(out)
 
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
         if self.is_zero() or other.is_zero():
             return ComplexPoly(())
@@ -68,27 +63,6 @@ class ComplexPoly:
 
     def scale(self, s: complex) -> "ComplexPoly":
         return ComplexPoly.from_coeffs(s * c for c in self.coeffs)
-
-    def __call__(self, z):
-        return eval_poly(self, z)
-
-
-def monic_from_coeffs(i: int, c) -> ComplexPoly:
-    """Monic degree-i polynomial z^i + sum_{j<i} c_{ij} z^j.
-
-    `c` maps either j or (i, j) to the coefficient; missing entries are 0.
-    """
-    if i < 1:
-        raise ValueError(f"degree must be >= 1, got {i}")
-    coeffs = [0j] * i + [1 + 0j]
-    for key, val in c.items():
-        j = key[1] if isinstance(key, tuple) else key
-        if isinstance(key, tuple) and key[0] != i:
-            raise ValueError(f"coefficient index {key} does not match degree {i}")
-        if not 0 <= j < i:
-            raise ValueError(f"coefficient index j={j} invalid for degree {i}")
-        coeffs[j] = complex(val)
-    return ComplexPoly(tuple(coeffs))
 
 
 def derivative(p: ComplexPoly, order: int = 1) -> ComplexPoly:
@@ -134,18 +108,6 @@ def log_abs_eval(p: ComplexPoly, z):
                     np.abs(eval_poly(rev, 1.0 / zo))
                 )
     return float(out[0]) if scalar else out
-
-
-def leading_terms(p: ComplexPoly, count: int) -> ComplexPoly:
-    """Keep only the `count` highest-degree terms (lower ones zeroed)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if p.is_zero() or count == 0:
-        return ComplexPoly(())
-    cut = max(len(p.coeffs) - count, 0)
-    return ComplexPoly.from_coeffs(
-        (0j,) * cut + p.coeffs[cut:]
-    )
 
 
 def poly_det(rows: list) -> ComplexPoly:

@@ -119,15 +119,12 @@ class IdentitySweepReport:
     def all_pass(self) -> bool:
         return not self.failures
 
-    def to_rows(self) -> list:
-        return [dict(c) for c in self.cases]
 
-
-def verify_identity_sweep(m_max: int, n_list=None) -> IdentitySweepReport:
+def verify_identity_sweep(m_max: int) -> IdentitySweepReport:
     """Check both determinant identities exactly over a sweep of (m, n).
 
     The determinant is a polynomial in n of degree at most m(m-1)/2; the
-    default sweep uses enough distinct n values that constancy across the
+    sweep uses enough distinct n values that constancy across the
     sweep is a complete proof of n-independence.
     """
     if m_max < 1 or m_max > 12:
@@ -135,7 +132,7 @@ def verify_identity_sweep(m_max: int, n_list=None) -> IdentitySweepReport:
     report = IdentitySweepReport(m_max=m_max, n_values={}, degree_bounds={})
     for m in range(1, m_max + 1):
         bound = m * (m - 1) // 2
-        ns = list(n_list) if n_list is not None else list(range(m, m + max(bound + 2, 10)))
+        ns = list(range(m, m + max(bound + 2, 10)))
         report.n_values[m] = ns
         report.degree_bounds[m] = bound
         for n in ns:

@@ -10,30 +10,35 @@ power-law tail correction is the cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import circle, polar_panels
 from .solution import SolutionParams, lower_components, upper_components
 
-__all__ = ["MassReport", "mass_flux", "mass_quadrature", "mass_report", "predicted_mass"]
+__all__ = ["mass_flux", "mass_quadrature", "predicted_mass"]
+
+# mass_flux: samples on the circle and radial step as a fraction of R.
+FLUX_SAMPLES = 512
+FLUX_STEP_FRAC = 1e-3
+# mass_quadrature: outer radius, samples per circle, nodes per radial panel.
+R_MAX = 200.0
+QUAD_SAMPLES = 256
+QUAD_NODES = 24
 
 
 def predicted_mass(n: int, i: int) -> float:
     return 4.0 * math.pi * i * (n + 1 - i)
 
 
-def mass_flux(
-    sp: SolutionParams, i: int, R: float, M: int = 512, step_frac: float = 1e-3
-) -> float:
+def mass_flux(sp: SolutionParams, i: int, R: float) -> float:
     """-oint_{|z|=R} dU^i/dr, radial central difference + angular trapezoid."""
     if not 1 <= i <= sp.n:
         raise IndexError(f"component {i} out of range 1..{sp.n}")
-    theta = 2.0 * np.pi * np.arange(M) / M
-    phase = np.exp(1j * theta)
-    s = step_frac * R
-    u_out = upper_components(sp, (R + s) * phase)[i - 1]
-    u_in = upper_components(sp, (R - s) * phase)[i - 1]
+    s = FLUX_STEP_FRAC * R
+    u_out = upper_components(sp, circle(R + s, FLUX_SAMPLES))[i - 1]
+    u_in = upper_components(sp, circle(R - s, FLUX_SAMPLES))[i - 1]
     dudr = (u_out - u_in) / (2.0 * s)
     return float(-R * 2.0 * np.pi * np.mean(dudr))
 
@@ -47,13 +52,7 @@ class QuadratureResult:
     tail_fit_stable: bool
 
 
-def mass_quadrature(
-    sp: SolutionParams,
-    i: int,
-    R_max: float = 200.0,
-    M: int = 256,
-    nodes_per_panel: int = 24,
-) -> QuadratureResult:
+def mass_quadrature(sp: SolutionParams, i: int) -> QuadratureResult:
     """Polar quadrature of e^{U_i} over B_{R_max} plus a pi C / R_max^2 tail.
 
     C is fitted as the average of e^{U_i} r^4 on the two outermost
@@ -62,78 +61,23 @@ def mass_quadrature(
     """
     if not 1 <= i <= sp.n:
         raise IndexError(f"component {i} out of range 1..{sp.n}")
-    theta = 2.0 * np.pi * np.arange(M) / M
-    phase = np.exp(1j * theta)
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        z = np.multiply.outer(np.asarray(r_nodes, dtype=float), phase)
-        return np.mean(np.exp(lower_components(sp, z)[i - 1]), axis=1)
+        u_i = lower_components(sp, circle(r_nodes, QUAD_SAMPLES))[i - 1]
+        return np.mean(np.exp(u_i), axis=1)
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
     # Geometric panels resolve the O(1) core and the r^-4 tail alike.
-    bounds = [0.0] + [R_max / 2**k for k in range(8, -1, -1)]
-    bulk = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes = mid + half * x_gl
-        g = ring_mean(r_nodes)
-        bulk += float(np.sum(w_gl * 2.0 * np.pi * r_nodes * g) * half)
-    c_outer = float(ring_mean(np.array([R_max]))[0]) * R_max**4
-    c_inner = float(ring_mean(np.array([0.8 * R_max]))[0]) * (0.8 * R_max) ** 4
+    bounds = [0.0] + [R_MAX / 2**k for k in range(8, -1, -1)]
+    bulk = polar_panels(ring_mean, bounds, QUAD_NODES)[-1]
+    c_outer = float(ring_mean(np.array([R_MAX]))[0]) * R_MAX**4
+    c_inner = float(ring_mean(np.array([0.8 * R_MAX]))[0]) * (0.8 * R_MAX) ** 4
     c_fit = 0.5 * (c_outer + c_inner)
     stable = abs(c_outer - c_inner) <= 0.10 * max(abs(c_fit), 1e-300)
-    tail = math.pi * c_fit / R_max**2
+    tail = math.pi * c_fit / R_MAX**2
     return QuadratureResult(
         value=bulk + tail,
         bulk=bulk,
         tail=tail,
         tail_coefficient=c_fit,
         tail_fit_stable=stable,
-    )
-
-
-@dataclass(frozen=True)
-class MassReport:
-    i: int
-    flux_value: float
-    quadrature_value: float
-    predicted: float
-    flux_radius: float
-    quadrature_radius: float
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def flux_rel_error(self) -> float:
-        return abs(self.flux_value / self.predicted - 1.0)
-
-    @property
-    def route_agreement(self) -> float:
-        return abs(self.flux_value / self.quadrature_value - 1.0)
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "flux_value": self.flux_value,
-            "quadrature_value": self.quadrature_value,
-            "predicted": self.predicted,
-            "flux_rel_error": self.flux_rel_error,
-            "route_agreement": self.route_agreement,
-            "flux_radius": self.flux_radius,
-            "quadrature_radius": self.quadrature_radius,
-        }
-
-
-def mass_report(
-    sp: SolutionParams, i: int, R_flux: float = 1000.0, R_quad: float = 200.0
-) -> MassReport:
-    flux = mass_flux(sp, i, R_flux)
-    quad = mass_quadrature(sp, i, R_quad)
-    return MassReport(
-        i=i,
-        flux_value=flux,
-        quadrature_value=quad.value,
-        predicted=predicted_mass(sp.n, i),
-        flux_radius=R_flux,
-        quadrature_radius=R_quad,
-        notes={"tail_fit_stable": quad.tail_fit_stable, "tail": quad.tail},
     )

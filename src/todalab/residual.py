@@ -28,9 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square evaluation grid in the complex plane."""
+    """Square evaluation grid centred on the origin of the complex plane."""
 
-    center: complex = 0j
     half_width: float = 2.0
     points_per_side: int = 201
 
@@ -45,20 +44,19 @@ class GridSpec:
         return 2.0 * self.half_width / (self.points_per_side - 1)
 
     @staticmethod
-    def from_h(h: float, center: complex = 0j, half_width: float = 2.0) -> "GridSpec":
+    def from_h(h: float, half_width: float = 2.0) -> "GridSpec":
         pps = int(round(2.0 * half_width / h)) + 1
         if pps % 2 == 0:
             pps += 1
-        return GridSpec(center=center, half_width=half_width, points_per_side=pps)
+        return GridSpec(half_width=half_width, points_per_side=pps)
 
     def mesh(self) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width, self.points_per_side)
         x, y = np.meshgrid(axis, axis, indexing="ij")
-        return self.center + x + 1j * y
+        return x + 1j * y
 
     def refined(self) -> "GridSpec":
         return GridSpec(
-            center=self.center,
             half_width=self.half_width,
             points_per_side=2 * self.points_per_side - 1,
         )
@@ -74,14 +72,6 @@ class ResidualReport:
     @property
     def max_residual(self) -> float:
         return max(self.max_abs_residual)
-
-    def to_json(self) -> dict:
-        return {
-            "component_max_residual": list(self.max_abs_residual),
-            "h": self.h,
-            "max_residual": self.max_residual,
-            "order_estimate": self.convergence_order,
-        }
 
 
 def _laplacian(field: np.ndarray, h: float) -> np.ndarray:
@@ -122,37 +112,31 @@ class DerivativeField:
     """Central-difference derivative of the solution family in one parameter.
 
     Sign convention: lower(z)[i] approximates -dU_i/d(which); upper(z)[m]
-    approximates -dU^{m+1}/d(which).  which=None gives the zero field.
+    approximates -dU^{m+1}/d(which).
     """
 
     base: SolutionParams
-    which: str | None
+    which: str
     step: float
     plus: SolutionParams
     minus: SolutionParams
 
     def lower(self, z) -> np.ndarray:
-        if self.which is None:
-            return np.zeros((self.base.n,) + np.shape(np.asarray(z)))
         return -(lower_components(self.plus, z) - lower_components(self.minus, z)) / (
             2.0 * self.step
         )
 
     def upper(self, z) -> np.ndarray:
-        if self.which is None:
-            return np.zeros((self.base.n,) + np.shape(np.asarray(z)))
         return -(upper_components(self.plus, z) - upper_components(self.minus, z)) / (
             2.0 * self.step
         )
 
 
 def param_derivative_field(
-    sp: SolutionParams, which: str | None, step: float = 1e-4
+    sp: SolutionParams, which: str, step: float = 1e-4
 ) -> DerivativeField:
     if step <= 0:
         raise ValueError("step must be positive")
-    if which is None:
-        return DerivativeField(base=sp, which=None, step=step, plus=sp, minus=sp)
     return DerivativeField(
         base=sp,
         which=which,
@@ -175,7 +159,7 @@ def _linearized_residual_once(
 
 
 def linearized_residual(
-    sp: SolutionParams, which: str | None, step: float, g: GridSpec
+    sp: SolutionParams, which: str, step: float, g: GridSpec
 ) -> ResidualReport:
     """Residual of the linearized system on a parameter-derivative field."""
     field = param_derivative_field(sp, which, step)

@@ -20,6 +20,7 @@ evaluation of (f^{p,q}) is kept as an independent cross-check route.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -34,17 +35,14 @@ from .cpoly import ComplexPoly, derivative, eval_poly, log_abs_eval, poly_det
 __all__ = [
     "PositivityError",
     "SolutionParams",
-    "SolutionEval",
     "lambda_product_target",
     "normalize_lambdas",
     "sample_params",
     "mixed_derivative",
-    "det_k",
     "det_k_lu",
     "log_det_k",
     "upper_components",
     "lower_components",
-    "eval_all",
     "perturbed",
     "parse_direction",
     "kernel_directions",
@@ -77,8 +75,8 @@ def normalize_lambdas(raw, n: int):
     raw = [float(x) for x in raw]
     if len(raw) != n + 1:
         raise ValueError(f"expected {n + 1} lambdas, got {len(raw)}")
-    if any(x <= 0 for x in raw):
-        raise ValueError("lambdas must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in raw):
+        raise ValueError("lambdas must be positive and finite")
     target = lambda_product_target(n)
     log_t = (math.log(target) - sum(math.log(x) for x in raw)) / (n + 1)
     t = math.exp(log_t)
@@ -97,13 +95,17 @@ class SolutionParams:
         n = self.n
         if n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.lambdas) != n + 1 or any(x <= 0 for x in self.lambdas):
-            raise ValueError("need n+1 positive lambdas")
+        if len(self.lambdas) != n + 1 or not all(
+            math.isfinite(x) and x > 0 for x in self.lambdas
+        ):
+            raise ValueError("need n+1 positive finite lambdas")
         if len(self.polys) != n:
             raise ValueError("need n polynomials")
         for i, p in enumerate(self.polys, start=1):
             if p.degree != i or p.coeffs[-1] != 1:
                 raise ValueError(f"P_{i} must be monic of degree {i}")
+            if not all(cmath.isfinite(c) for c in p.coeffs):
+                raise ValueError(f"P_{i} has a non-finite coefficient")
         prod = math.prod(self.lambdas)
         target = lambda_product_target(n)
         if abs(prod / target - 1.0) > 1e-10:
@@ -123,25 +125,8 @@ class SolutionParams:
             raise IndexError(f"m={m} out of range 1..{self.n}")
         return self.c(self.n + 1 - m, self.n - m)
 
-    def second_frequency_coeff(self, m: int) -> complex:
-        """alpha_{m,2} + i beta_{m,2} = c_{n+2-m, n-m}, m = 2..n."""
-        if not 2 <= m <= self.n:
-            raise IndexError(f"m={m} out of range 2..{self.n}")
-        return self.c(self.n + 2 - m, self.n - m)
-
     def cartan(self) -> CartanData:
         return cartan_matrix(self.n)
-
-
-@dataclass(frozen=True)
-class SolutionEval:
-    """All solution components at one point."""
-
-    z: complex
-    u_upper: tuple[float, ...]
-    u_lower: tuple[float, ...]
-    exp_lower: tuple[float, ...]
-    logdet_scale: tuple[float, ...]  # log det_k(f), k = 1..n+1
 
 
 def sample_params(
@@ -157,8 +142,10 @@ def sample_params(
     Sampled coefficient magnitudes stay in [magnitude/4, magnitude] so
     relative comparisons against them are well conditioned.
     """
-    if dilation <= 0:
-        raise ValueError("dilation must be positive")
+    if not (math.isfinite(dilation) and dilation > 0):
+        raise ValueError("dilation must be positive and finite")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError("magnitude must be finite and >= 0")
     rng = np.random.default_rng(seed)
     raw = dilation ** (-2.0 * np.arange(n + 1)) * np.exp(
         magnitude * rng.uniform(-1.0, 1.0, size=n + 1)
@@ -244,15 +231,6 @@ def log_det_k(sp: SolutionParams, k: int, z):
     return float(out[0]) if scalar else out
 
 
-def det_k(sp: SolutionParams, k: int, z) -> tuple[float, int]:
-    """Gram determinant in log-scaled form: (log magnitude, sign).
-
-    The sign is +1 by construction (sum of nonnegative terms); a
-    breakdown surfaces as PositivityError.
-    """
-    return log_det_k(sp, k, z), +1
-
-
 def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
     """Cross-check route: scaled LU on the raw matrix (f^{p,q}).
 
@@ -285,21 +263,6 @@ def lower_components(sp: SolutionParams, z) -> np.ndarray:
     upper = upper_components(sp, z)
     a = sp.cartan().a_float()
     return np.tensordot(a, upper, axes=(1, 0))
-
-
-def eval_all(sp: SolutionParams, z: complex) -> SolutionEval:
-    z = complex(z)
-    upper = upper_components(sp, z)[:, 0]
-    a = sp.cartan().a_float()
-    lower = a @ upper
-    scales = tuple(log_det_k(sp, k, z) for k in range(1, sp.n + 2))
-    return SolutionEval(
-        z=z,
-        u_upper=tuple(float(x) for x in upper),
-        u_lower=tuple(float(x) for x in lower),
-        exp_lower=tuple(float(math.exp(x)) for x in lower),
-        logdet_scale=scales,
-    )
 
 
 # -- parameter directions --------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .asymptotics import (
     constant_term_probe,
@@ -73,22 +73,19 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in KNOWN_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {list(KNOWN_SUITES)}")
+        for name in ("radius", "grid_h", "dilation", "param_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
         self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
     def to_json(self) -> dict:
-        return {
-            "suites": list(self.suites),
-            "params_file": self.params_file,
-            "n": self.n,
-            "count": self.count,
-            "seed": self.seed,
-            "magnitude": self.magnitude,
-            "dilation": self.dilation,
-            "radius": self.radius,
-            "grid_h": self.grid_h,
-            "param_step": self.param_step,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+        """Every field except out_dir, which does not change any result."""
+        doc = asdict(self)
+        del doc["out_dir"]
+        return doc
 
 
 def build_param_sets(cfg: RunConfig) -> list:
@@ -173,11 +170,11 @@ def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
             )
             cases.append(
                 Case("linearized", f"{label}-{which}-residual", rep.max_residual,
-                     0.0, tol["linearized_max_residual"], ok_res, dt)
+                     0.0, tol["linearized_max_residual"], ok_res, dt / 2)
             )
             cases.append(
                 Case("linearized", f"{label}-{which}-order", rep.convergence_order,
-                     tol["pde_order_center"], tol["pde_order_slack"], ok_ord, 0.0)
+                     tol["pde_order_center"], tol["pde_order_slack"], ok_ord, dt / 2)
             )
             details.append({"label": label, "which": which, "h": rep.h,
                             "max_residual": rep.max_residual})
@@ -206,7 +203,7 @@ def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
                 cases.append(
                     Case("asymptotics", f"{label}-freq1-{key}-m{m}", ck.richardson,
                          ck.predicted, tol["first_frequency_rel"],
-                         ck.rel_error <= tol["first_frequency_rel"], dt)
+                         ck.rel_error <= tol["first_frequency_rel"], dt / len(ffc))
                 )
                 for r, v in zip(ck.radii, ck.measured):
                     details.append({"label": label, "check": "freq1", "m": m,
@@ -309,7 +306,10 @@ SUITES = {
 
 
 def run_suites(cfg: RunConfig) -> tuple[list, dict]:
-    """Run the configured suites; returns (cases, {suite: detail rows})."""
+    """Run the configured suites; returns (cases, {suite: detail rows}).
+
+    Raises ValueError when the configuration selects no case at all.
+    """
     param_sets = build_param_sets(cfg)
     cases: list = []
     details: dict = {}
@@ -317,4 +317,8 @@ def run_suites(cfg: RunConfig) -> tuple[list, dict]:
         suite_cases, suite_details = SUITES[name](cfg, param_sets)
         cases.extend(suite_cases)
         details[name] = suite_details
+    if not cases:
+        raise ValueError(
+            f"suites {cfg.suites} select no case for {len(param_sets)} parameter set(s)"
+        )
     return cases, details

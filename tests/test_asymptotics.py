@@ -33,7 +33,7 @@ def test_fourier_coeffs_exact_on_trig_polynomial():
 
 def test_fourier_coeffs_rejects_undersampling():
     with pytest.raises(ValueError):
-        fourier_coeffs(lambda z: np.zeros_like(z, dtype=float), 1.0, M=8, max_frequency=2)
+        fourier_coeffs(lambda z: np.zeros_like(z, dtype=float), 1.0, M=8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

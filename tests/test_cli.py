@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, report layout, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -115,3 +116,59 @@ def test_run_config_defaults_and_param_sets():
     assert [label for label, _ in sets] == ["n2-seed5", "n2-seed6", "n2-seed7"]
     with pytest.raises(ValueError):
         RunConfig(suites=["bogus"])
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radus": 5}))
+    code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "radus" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_param_step_reaches_summary(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["identities"], "param_step": 0.5}))
+    out = tmp_path / "rep"
+    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["param_step"] == 0.5
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "pde", "--count", "0"],
+    ["--suite", "t-integrals", "--n", "1"],
+])
+def test_run_without_cases_exits_2(tmp_path, args):
+    out = tmp_path / "rep"
+    assert run_cli(["verify", *args, "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_nan_lambda_params_file_exits_2(tmp_path):
+    pfile = tmp_path / "p.json"
+    pfile.write_text('{"n": 1, "lambdas": [NaN, 1.0], "coeffs": []}')
+    code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
+                    "--out", str(tmp_path / "rep")])
+    assert code == 2
+
+
+def test_negative_radius_exits_2(tmp_path):
+    code = run_cli(["verify", "--suite", "mass", "--n", "1", "--count", "1",
+                    "--radius", "-1000", "--out", str(tmp_path / "rep")])
+    assert code == 2
+
+
+def test_case_runtimes_split_across_cases(tmp_path):
+    out = tmp_path / "rep"
+    t0 = time.perf_counter()
+    code = run_cli(["verify", "--suite", "asymptotics", "--suite", "linearized",
+                    "--n", "1", "--count", "1", "--grid-h", "0.04", "--out", str(out)])
+    wall = time.perf_counter() - t0
+    assert code == 0
+    runtimes = json.loads((out / "metadata.json").read_text())["runtimes"]
+    assert any(key.endswith("-order") for key in runtimes)
+    assert any("-freq1-" in key for key in runtimes)
+    assert all(dt > 0 for dt in runtimes.values())
+    assert sum(runtimes.values()) <= wall

@@ -9,9 +9,7 @@ from todalab.cpoly import (
     ComplexPoly,
     derivative,
     eval_poly,
-    leading_terms,
     log_abs_eval,
-    monic_from_coeffs,
     poly_det,
 )
 
@@ -36,17 +34,6 @@ def test_degree_of_zero_poly():
     assert ComplexPoly(()).degree == -1
 
 
-def test_monic_from_coeffs():
-    p = monic_from_coeffs(3, {0: 2.0, (3, 1): 1j})
-    assert p.coeffs == (2 + 0j, 1j, 0j, 1 + 0j)
-    with pytest.raises(ValueError):
-        monic_from_coeffs(3, {3: 1.0})
-    with pytest.raises(ValueError):
-        monic_from_coeffs(3, {(2, 1): 1.0})
-    with pytest.raises(ValueError):
-        monic_from_coeffs(0, {})
-
-
 def test_derivative_exact():
     p = ComplexPoly.from_coeffs([1, 2, 3])  # 1 + 2z + 3z^2
     assert derivative(p).coeffs == (2 + 0j, 6 + 0j)
@@ -67,7 +54,7 @@ def test_ring_ops_match_pointwise(p, q, z):
     tol = 1e-6 * (1 + abs(z)) ** 12
     assert abs(eval_poly(p + q, z) - (eval_poly(p, z) + eval_poly(q, z))) <= tol
     assert abs(eval_poly(p * q, z) - eval_poly(p, z) * eval_poly(q, z)) <= tol
-    assert abs(eval_poly(p - q, z) - (eval_poly(p, z) - eval_poly(q, z))) <= tol
+    assert abs(eval_poly(p.scale(-1), z) + eval_poly(p, z)) <= tol
 
 
 @given(p=poly_strategy())
@@ -79,7 +66,7 @@ def test_derivative_linearity_vs_product_rule(p):
 
 
 def test_log_abs_eval_matches_direct_at_moderate_radius():
-    p = monic_from_coeffs(4, {0: 1.5, 2: -2j})
+    p = ComplexPoly.from_coeffs([1.5, 0, -2j, 0, 1])
     z = 3.0 * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
     direct = np.log(np.abs(eval_poly(p, z)))
     assert np.allclose(log_abs_eval(p, z), direct, atol=1e-12)
@@ -88,7 +75,7 @@ def test_log_abs_eval_matches_direct_at_moderate_radius():
 def test_log_abs_eval_large_radius_no_overflow():
     # Degree 100 at |z| = 1e3: |p| ~ 1e300, log form must stay finite and
     # agree with the analytic value log|z^100 + 1| ~ 100 log|z|.
-    p = monic_from_coeffs(100, {0: 1.0})
+    p = ComplexPoly.from_coeffs([1.0] + [0.0] * 99 + [1.0])
     val = log_abs_eval(p, 1e3 + 0j)
     assert np.isfinite(val)
     assert val == pytest.approx(100 * np.log(1e3), rel=1e-12)
@@ -96,13 +83,6 @@ def test_log_abs_eval_large_radius_no_overflow():
 
 def test_log_abs_eval_zero_poly_is_minus_inf():
     assert log_abs_eval(ComplexPoly(()), 1.0 + 0j) == -np.inf
-
-
-def test_leading_terms():
-    p = ComplexPoly.from_coeffs([1, 2, 3, 4])
-    assert leading_terms(p, 2).coeffs == (0j, 0j, 3 + 0j, 4 + 0j)
-    assert leading_terms(p, 0).is_zero()
-    assert leading_terms(p, 10).coeffs == p.coeffs
 
 
 def test_poly_det_2x2():
@@ -115,7 +95,7 @@ def test_poly_det_2x2():
 
 def test_poly_det_wronskian_vandermonde():
     # Wronskian of (1, z, z^2, z^3) is the constant prod k! = 0!1!2!3! = 12.
-    fam = [monic_from_coeffs(k, {}) if k else ComplexPoly.from_coeffs([1]) for k in range(4)]
+    fam = [ComplexPoly.from_coeffs([0] * k + [1]) for k in range(4)]
     rows = [[derivative(p, order) for p in fam] for order in range(4)]
     d = poly_det(rows)
     assert d.coeffs == (12 + 0j,)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from todalab.mass import mass_flux, mass_quadrature, mass_report, predicted_mass
+from todalab.mass import mass_flux, mass_quadrature, predicted_mass
 from todalab.solution import sample_params
 
 
@@ -59,17 +59,6 @@ def test_sum_rule():
     for i in range(3):
         s = sum(a[i][j] * masses[j] for j in range(3))
         assert s == pytest.approx(8.0 * math.pi, rel=0.01)
-
-
-def test_mass_report_fields():
-    sp = sample_params(1, 1, 0.2)
-    rep = mass_report(sp, 1)
-    assert rep.predicted == pytest.approx(4.0 * math.pi)
-    assert rep.flux_rel_error < 0.01
-    assert rep.route_agreement < 0.005
-    doc = rep.to_json()
-    assert doc["i"] == 1
-    assert doc["flux_value"] == rep.flux_value
 
 
 def test_component_index_validation():

@@ -70,22 +70,6 @@ def test_pde_residual_second_order(n, seed):
     assert max(rep.max_abs_residual_refined) < rep.max_residual
 
 
-def test_residual_report_to_json():
-    sp = sample_params(1, 0, 0.0)
-    rep = pde_residual(sp, GridSpec.from_h(0.1))
-    doc = rep.to_json()
-    assert doc["h"] == pytest.approx(0.1)
-    assert doc["max_residual"] == rep.max_residual
-
-
-def test_derivative_field_zero_direction():
-    sp = sample_params(2, 0, 0.3)
-    fld = param_derivative_field(sp, None)
-    z = np.zeros((3, 3), dtype=complex)
-    assert np.all(fld.lower(z) == 0)
-    assert np.all(fld.upper(z) == 0)
-
-
 def test_derivative_field_sign_convention():
     # For the Liouville-type n=1 family, -dU^1/d(alpha_1) at c=0 is the
     # closed form 2 lambda_1 x / f with f = lambda_0 + lambda_1 |z|^2.
@@ -124,7 +108,7 @@ def test_linearized_residual_large_for_non_kernel_field():
 
     from todalab.residual import _linearized_residual_once
 
-    fld = ConstField(base=sp, which=None, step=1.0, plus=sp, minus=sp)
+    fld = ConstField(base=sp, which="alpha_1", step=1.0, plus=sp, minus=sp)
     res = _linearized_residual_once(sp, fld, g)
     assert res[0] > 1.0
 

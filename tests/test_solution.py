@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from todalab.cpoly import ComplexPoly
 from todalab.solution import (
     SolutionParams,
-    det_k,
     det_k_lu,
-    eval_all,
     kernel_directions,
     lambda_product_target,
     load_params,
@@ -98,9 +96,7 @@ def test_liouville_upper_component_closed_form():
 def test_liouville_top_determinant_is_quarter():
     sp = liouville_params()
     for z in (0j, 2 + 1j, 100 + 0j):
-        logd, sign = det_k(sp, 2, z)
-        assert sign == 1
-        assert logd == pytest.approx(math.log(0.25), abs=1e-12)
+        assert log_det_k(sp, 2, z) == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_liouville_lower_component_is_standard_bubble():
@@ -119,10 +115,9 @@ def test_minor_route_agrees_with_lu_at_moderate_radius(n, seed):
     sp = sample_params(n, seed, 0.4)
     for z in (0.3 + 0.2j, 1 + 1j, 2 - 3j):
         for k in range(1, n + 2):
-            log_m, s_m = det_k(sp, k, z)
             log_lu, s_lu = det_k_lu(sp, k, z)
-            assert s_m == s_lu == 1
-            assert log_m == pytest.approx(log_lu, abs=1e-9)
+            assert s_lu == 1
+            assert log_det_k(sp, k, z) == pytest.approx(log_lu, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -151,16 +146,12 @@ def test_log_det_vectorized_matches_scalar():
     vec = log_det_k(sp, 2, z)
     for zi, vi in zip(z, vec):
         assert vi == pytest.approx(log_det_k(sp, 2, complex(zi)), rel=1e-12)
-
-
-def test_eval_all_consistency():
-    sp = sample_params(2, 2, 0.3)
-    ev = eval_all(sp, 1 + 1j)
+    # U^k = -(k(k-1) log 2 + log det_k) and U_i = sum_j a_ij U^j, pointwise.
     a = sp.cartan().a_float()
-    lower = a @ np.array(ev.u_upper)
-    assert np.allclose(ev.u_lower, lower, atol=1e-12)
-    assert np.allclose(ev.exp_lower, np.exp(lower), rtol=1e-12)
-    assert len(ev.logdet_scale) == sp.n + 1
+    lower = lower_components(sp, z)
+    for col, zi in enumerate(z):
+        upper = [-(k * (k - 1) * LOG2 + log_det_k(sp, k, complex(zi))) for k in (1, 2)]
+        assert np.allclose(lower[:, col], a @ np.array(upper), atol=1e-12)
 
 
 # -- parameter directions ---------------------------------------------------
@@ -192,7 +183,8 @@ def test_perturbed_shifts_expected_coefficient():
         delta = perturbed(sp, f"beta_{m}", d).first_frequency_coeff(m) - sp.first_frequency_coeff(m)
         assert delta == pytest.approx(1j * d)
     for m in (2, 3):
-        delta = perturbed(sp, f"alpha2_{m}", d).second_frequency_coeff(m) - sp.second_frequency_coeff(m)
+        i, j = sp.n + 2 - m, sp.n - m  # alpha_{m,2} + i beta_{m,2} = c_{n+2-m, n-m}
+        delta = perturbed(sp, f"alpha2_{m}", d).c(i, j) - sp.c(i, j)
         assert delta == pytest.approx(d)
 
 
