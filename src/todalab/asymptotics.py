@@ -195,17 +195,12 @@ def second_frequency_prediction(m: int, j: int) -> float:
     return 0.0
 
 
-def kernel_signature_check(
-    sp: SolutionParams,
-    which: str,
-    m: int,
-    step: float = 1e-4,
-) -> ExpansionCheck:
+def kernel_signature_check(sp: SolutionParams, which: str, m: int) -> ExpansionCheck:
     """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules."""
     kind, j = parse_direction(which)
     if kind not in {"alpha2", "beta2"}:
         raise ValueError("kernel_signature_check expects a second-frequency direction")
-    fld = param_derivative_field(sp, which, step)
+    fld = param_derivative_field(sp, which)
     comp = lambda z: fld.upper(z)[m - 1]
     vals = []
     for r in R_PAIR:
@@ -312,7 +307,6 @@ def t_integral(
     l: int,
     which: str = "alpha",
     m: int | None = None,
-    step: float = 1e-4,
 ) -> TIntegralResult:
     """Integral over the plane of -dU^m/d(alpha_{l,2} or beta_{l,2}).
 
@@ -331,7 +325,7 @@ def t_integral(
     if which not in {"alpha", "beta"}:
         raise ValueError("which must be 'alpha' or 'beta'")
     direction = f"{'alpha2' if which == 'alpha' else 'beta2'}_{l}"
-    fld = param_derivative_field(sp, direction, step)
+    fld = param_derivative_field(sp, direction)
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
         return np.mean(fld.upper(circle(r_nodes, T_SAMPLES))[m - 1], axis=1)
@@ -344,15 +338,8 @@ def t_integral(
     partials = list(zip(T_RADII, totals[-len(T_RADII):]))
     values = [v for _, v in partials]
     diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-    # Successive differences must keep shrinking by 1.5x per radius
-    # doubling, except once they are already at the noise floor of the
-    # central-difference field (then the sequence is Cauchy far below
-    # any meaningful tolerance and counts as converged).
-    floor = 1e-5 * (abs(values[-1]) + 1e-6)
-    converged = all(
-        d2 <= d1 / 1.5 or max(d1, d2) <= floor
-        for d1, d2 in zip(diffs[:-1], diffs[1:])
-    )
+    # Successive differences must keep shrinking by 1.5x per radius doubling.
+    converged = all(d2 <= d1 / 1.5 for d1, d2 in zip(diffs[:-1], diffs[1:]))
     return TIntegralResult(
         value=values[-1],
         partials=tuple(partials),

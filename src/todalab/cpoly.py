@@ -77,14 +77,18 @@ def derivative(p: ComplexPoly, order: int = 1) -> ComplexPoly:
     return ComplexPoly.from_coeffs(coeffs)
 
 
-def eval_poly(p: ComplexPoly, z):
-    """Horner evaluation; z may be a scalar or ndarray."""
-    if p.is_zero():
-        return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
+def eval_poly(p: ComplexPoly, z, out=None):
+    """Horner evaluation; z may be a scalar or ndarray.
+
+    The loop updates one array in place: `out` when given (a complex array
+    of z's shape), else a new one.
+    """
     z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, p.coeffs[-1], dtype=complex)
+    acc = np.empty(z.shape, dtype=complex) if out is None else out
+    acc.fill(p.coeffs[-1] if p.coeffs else 0j)
     for c in reversed(p.coeffs[:-1]):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc if acc.shape else complex(acc)
 
 

@@ -5,7 +5,9 @@ exactly; here the Laplacian is discretized with the 5-point stencil, so
 the residual is pure discretization error and must shrink at second
 order under h-halving.  Differentiating the solution family in one of
 its parameters yields elements of the kernel of the linearized operator
-Delta phi_i + sum_j a_ij e^{U_j} phi_j.
+Delta phi_i + sum_j a_ij e^{U_j} phi_j.  Those derivatives are exact
+(Jacobi's formula on the Wronskian minors), so the linearized residual
+is pure discretization error too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solution import SolutionParams, lower_components, perturbed, upper_components
+from .solution import (
+    SolutionParams,
+    kernel_directions,
+    log_det_k_tangent,
+    lower_components,
+    upper_components,
+)
 
 __all__ = [
     "GridSpec",
@@ -109,68 +117,74 @@ def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """Central-difference derivative of the solution family in one parameter.
+    """Exact derivative of the solution family in one parameter direction.
 
-    Sign convention: lower(z)[i] approximates -dU_i/d(which); upper(z)[m]
-    approximates -dU^{m+1}/d(which).
+    Sign convention: lower(z)[i] is -dU_i/d(which); upper(z)[m] is
+    -dU^{m+1}/d(which) = d log det_{m+1}/d(which).  `base_upper` (the upper
+    components of the base solution at z) may be passed in when the caller
+    already holds it, so that many directions share one base evaluation.
     """
 
     base: SolutionParams
     which: str
-    step: float
-    plus: SolutionParams
-    minus: SolutionParams
 
-    def lower(self, z) -> np.ndarray:
-        return -(lower_components(self.plus, z) - lower_components(self.minus, z)) / (
-            2.0 * self.step
-        )
+    def upper(self, z, base_upper=None) -> np.ndarray:
+        if base_upper is None:
+            base_upper = upper_components(self.base, z)
+        return log_det_k_tangent(self.base, self.which, z, base_upper)
 
-    def upper(self, z) -> np.ndarray:
-        return -(upper_components(self.plus, z) - upper_components(self.minus, z)) / (
-            2.0 * self.step
-        )
+    def lower(self, z, base_upper=None) -> np.ndarray:
+        a = self.base.cartan().a_float()
+        return np.tensordot(a, self.upper(z, base_upper), axes=(1, 0))
 
 
-def param_derivative_field(
-    sp: SolutionParams, which: str, step: float = 1e-4
-) -> DerivativeField:
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return DerivativeField(
-        base=sp,
-        which=which,
-        step=step,
-        plus=perturbed(sp, which, step),
-        minus=perturbed(sp, which, -step),
-    )
+def param_derivative_field(sp: SolutionParams, which: str) -> DerivativeField:
+    """The exact tangent field of the family at `sp` along `which`."""
+    return DerivativeField(base=sp, which=which)
 
 
-def _linearized_residual_once(
-    sp: SolutionParams, field: DerivativeField, g: GridSpec
-) -> np.ndarray:
+def _linearized_residual_once(sp: SolutionParams, fields, g: GridSpec) -> list:
+    """Max interior residual per component for each field, on one grid.
+
+    The base solution is evaluated once; only z, its upper components and
+    the interior weights e^{U_j} are kept across the fields.
+    """
     z = g.mesh()
-    phi = field.lower(z)
-    weights = np.exp(lower_components(sp, z))[:, 1:-1, 1:-1]
     a = sp.cartan().a_float()
-    coupling = np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
-    res = _laplacian(phi, g.h) + coupling
+    upper = upper_components(sp, z)
+    weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
+    return [_max_residual(field.lower(z, upper), weights, a, g.h) for field in fields]
+
+
+def _max_residual(phi: np.ndarray, weights: np.ndarray, a: np.ndarray, h: float):
+    """Max interior |Delta_h phi_i + sum_j a_ij e^{U_j} phi_j| per component.
+
+    Scales the interior of phi by the weights in place.
+    """
+    res = _laplacian(phi, h)
+    interior = phi[:, 1:-1, 1:-1]
+    interior *= weights
+    res += np.einsum("ij,jxy->ixy", a, interior)
     return np.max(np.abs(res), axis=(1, 2))
 
 
-def linearized_residual(
-    sp: SolutionParams, which: str, step: float, g: GridSpec
-) -> ResidualReport:
-    """Residual of the linearized system on a parameter-derivative field."""
-    field = param_derivative_field(sp, which, step)
-    coarse = _linearized_residual_once(sp, field, g)
-    fine = _linearized_residual_once(sp, field, g.refined())
-    peak = float(np.max(coarse))
-    peak_fine = float(np.max(fine))
-    order = float(np.log2(peak / peak_fine)) if peak > 0 and peak_fine > 0 else 2.0
-    return ResidualReport(
-        max_abs_residual=tuple(float(x) for x in coarse),
-        h=g.h,
-        max_abs_residual_refined=tuple(float(x) for x in fine),
-        convergence_order=order,
-    )
+def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
+    """Residual of the linearized system on parameter-derivative fields.
+
+    Returns {direction: ResidualReport} over kernel_directions(sp.n); one
+    base evaluation per grid serves every direction.
+    """
+    fields = [param_derivative_field(sp, which) for which in kernel_directions(sp.n)]
+    coarse = _linearized_residual_once(sp, fields, g)
+    fine = _linearized_residual_once(sp, fields, g.refined())
+    reports = {}
+    for field, res, res_fine in zip(fields, coarse, fine):
+        peak, peak_fine = float(np.max(res)), float(np.max(res_fine))
+        order = float(np.log2(peak / peak_fine)) if peak > 0 and peak_fine > 0 else 2.0
+        reports[field.which] = ResidualReport(
+            max_abs_residual=tuple(float(x) for x in res),
+            h=g.h,
+            max_abs_residual_refined=tuple(float(x) for x in res_fine),
+            convergence_order=order,
+        )
+    return reports

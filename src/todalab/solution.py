@@ -44,6 +44,7 @@ __all__ = [
     "upper_components",
     "lower_components",
     "perturbed",
+    "log_det_k_tangent",
     "parse_direction",
     "kernel_directions",
     "params_to_json",
@@ -289,17 +290,16 @@ def kernel_directions(n: int) -> list[str]:
     return out
 
 
-def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
-    """New parameter set shifted by delta along one direction."""
+def _coefficient_slot(n: int, which: str) -> tuple[int, int, complex]:
+    """(i, j, unit): a coefficient direction moves c_ij by unit * delta.
+
+    For a loglambda_I direction, i is the lambda index I and j is -1.
+    """
     kind, m = parse_direction(which)
-    n = sp.n
     if kind == "loglambda":
         if not 0 <= m <= n:
             raise IndexError(f"lambda index {m} out of range 0..{n}")
-        raw = list(sp.lambdas)
-        raw[m] *= math.exp(delta)
-        lambdas, _ = normalize_lambdas(raw, n)
-        return SolutionParams(n=n, lambdas=lambdas, polys=sp.polys)
+        return m, -1, 0j
     if kind in {"alpha", "beta"}:
         if not 1 <= m <= n:
             raise IndexError(f"m={m} out of range 1..{n} for {kind}")
@@ -308,12 +308,92 @@ def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
         if not 2 <= m <= n:
             raise IndexError(f"m={m} out of range 2..{n} for {kind}")
         i, j = n + 2 - m, n - m
-    shift = delta if kind in {"alpha", "alpha2"} else 1j * delta
+    return i, j, (1 + 0j if kind in {"alpha", "alpha2"} else 1j)
+
+
+def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
+    """New parameter set shifted by delta along one direction."""
+    n = sp.n
+    i, j, unit = _coefficient_slot(n, which)
+    if j < 0:
+        raw = list(sp.lambdas)
+        raw[i] *= math.exp(delta)
+        lambdas, _ = normalize_lambdas(raw, n)
+        return SolutionParams(n=n, lambdas=lambdas, polys=sp.polys)
+    shift = unit * delta
     polys = list(sp.polys)
     coeffs = list(polys[i - 1].coeffs)
     coeffs[j] += shift
     polys[i - 1] = ComplexPoly(tuple(coeffs))
     return SolutionParams(n=n, lambdas=sp.lambdas, polys=tuple(polys))
+
+
+@lru_cache(maxsize=256)
+def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
+    """For each k = 1..n, (offset, ((W_S, V_S), ...)) with
+
+        d log det_k / d(which) = offset + e^{U^k} sum_S Re(conj(W_S) V_S).
+
+    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2 gives
+    d log det_k = sum_S lambda_S 2 Re(conj(W_S) dW_S) / det_k, and
+    1/det_k = 2^{k(k-1)} e^{U^k}, so V_S = 2^{k(k-1)+1} lambda_S dW_S.
+    W_S is multilinear in its columns, so along c_ij, dW_S is W_S with
+    column i replaced by the derivatives of unit * z^j; only subsets S
+    containing i contribute.  A loglambda_I direction moves only the
+    weights, d log lambda_S = [I in S] - k/(n+1), which is dW_S = W_S / 2
+    on the subsets containing I plus the offset -k/(n+1).
+    """
+    n = sp.n
+    i, j, unit = _coefficient_slot(n, which)
+    derivs = _derivative_table(sp)
+    if j >= 0:
+        shift = ComplexPoly.from_coeffs([0j] * j + [unit])
+        column = [derivative(shift, p) for p in range(n + 1)]
+    out = []
+    for k, minors in enumerate(_wronskian_minors(sp)[:n], start=1):
+        terms = []
+        subsets = itertools.combinations(range(n + 1), k)
+        for subset, (log_lam, w) in zip(subsets, minors):
+            if i not in subset:
+                continue
+            if j < 0:
+                dw = w.scale(0.5)
+            else:
+                rows = [
+                    [column[p] if t == i else derivs[t][p] for t in subset]
+                    for p in range(k)
+                ]
+                dw = poly_det(rows)
+            if not dw.is_zero():
+                weight = 2.0 ** (k * (k - 1) + 1) * math.exp(log_lam)
+                terms.append((w, dw.scale(weight)))
+        out.append((-k / (n + 1) if j < 0 else 0.0, tuple(terms)))
+    return tuple(out)
+
+
+def log_det_k_tangent(sp: SolutionParams, which: str, z, upper) -> np.ndarray:
+    """Exact d log det_k / d(which) at the points z (an array), for k = 1..n.
+
+    `upper` stacks the upper components U^k of `sp` at z along axis 0, so
+    every direction evaluated on one set of points can share them.
+    Results are stacked the same way.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((sp.n,) + z.shape)
+    w = np.empty(z.shape, dtype=complex)
+    v = np.empty(z.shape, dtype=complex)
+    exp_u = np.empty(z.shape)
+    for acc, u_k, (offset, terms) in zip(out, upper, _tangent_minors(sp, which)):
+        acc.fill(0.0)
+        for w_poly, v_poly in terms:
+            eval_poly(w_poly, z, out=w)
+            eval_poly(v_poly, z, out=v)
+            np.conjugate(w, out=w)
+            w *= v
+            acc += w.real
+        acc *= np.exp(u_k, out=exp_u)
+        acc += offset
+    return out
 
 
 # -- JSON parameter schema -------------------------------------------------

@@ -8,9 +8,8 @@ Contract 7 (linearized kernel) uses dilation-3 parameter sets: the
 parameter family is dilation covariant, so widening the bubble core is a
 gauge choice inside the classified family, and it keeps the fourth
 derivatives that drive the 5-point stencil error within reach of
-h = 1e-2.  Order estimates are skipped for directions whose residual
-already sits at the parameter-difference noise floor (3e-5, thirty times
-below the pass level), where grid refinement measures noise.
+h = 1e-2.  The parameter-derivative fields are exact, so every direction
+must also show second-order decay.
 """
 
 import math
@@ -32,7 +31,6 @@ from todalab.residual import GridSpec, linearized_residual, pde_residual
 from todalab.solution import SolutionParams, kernel_directions, sample_params
 
 GRID = GridSpec.from_h(1e-2)
-NOISE_FLOOR = 3e-5
 
 
 def _report(name: str, passed: bool, detail: str) -> bool:
@@ -132,7 +130,7 @@ def test_06_second_frequency_kernel_signatures():
         for j in range(2, n + 1):
             for kind in ("alpha2", "beta2"):
                 for m in range(1, n + 1):
-                    ck = kernel_signature_check(sp, f"{kind}_{j}", m, step=1e-4)
+                    ck = kernel_signature_check(sp, f"{kind}_{j}", m)
                     raw = ck.measured[-1]  # value at r = 400
                     denom = abs(ck.predicted) if ck.predicted else m * (m + 1)
                     worst = max(worst, abs(raw - ck.predicted) / denom)
@@ -140,7 +138,7 @@ def test_06_second_frequency_kernel_signatures():
     assert _report(
         "second-frequency-kernel-signatures",
         ok,
-        f"worst signature error {worst:.1e} at r=400, step 1e-4",
+        f"worst signature error {worst:.1e} at r=400, exact fields",
     )
 
 
@@ -150,18 +148,18 @@ def test_07_linearized_kernel():
     for n in (1, 2, 3):
         for seed in range(2):
             sp = sample_params(n, seed, 0.3, dilation=3.0)
-            for which in kernel_directions(n):
-                rep = linearized_residual(sp, which, 1e-4, GRID)
+            reports = linearized_residual(sp, GRID)
+            assert list(reports) == kernel_directions(n)
+            for which, rep in reports.items():
                 worst_res = max(worst_res, rep.max_residual)
-                noise_limited = rep.max_residual <= NOISE_FLOOR
-                if not noise_limited and not 1.5 <= rep.convergence_order <= 2.5:
+                if not 1.5 <= rep.convergence_order <= 2.5:
                     bad_orders.append((n, seed, which, rep.convergence_order))
     ok = worst_res <= 1e-3 and not bad_orders
     assert _report(
         "linearized-kernel",
         ok,
         f"worst residual {worst_res:.1e} at h=1e-2, "
-        f"{len(bad_orders)} resolved directions off second order",
+        f"{len(bad_orders)} directions off second order",
     )
 
 
@@ -190,7 +188,7 @@ def test_09_t_integral_finiteness():
         sp = sample_params(n, 0, 0.3)
         for l in range(2, n + 1):
             for which in ("alpha", "beta"):
-                res = t_integral(sp, l, which, step=1e-4)
+                res = t_integral(sp, l, which)
                 all_ok = all_ok and res.converged and np.isfinite(res.value)
                 values.append(res.value)
     assert _report(

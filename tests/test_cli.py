@@ -127,13 +127,32 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-def test_config_param_step_reaches_summary(tmp_path):
+def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suites": ["identities"], "param_step": 0.5}))
-    out = tmp_path / "rep"
-    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["param_step"] == 0.5
+    cfg.write_text(json.dumps({"suites": ["identities"],
+                               "tolerances": {"mass_flux_rell": 1.0}}))
+    code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "mass_flux_rell" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("settings,name", [
+    ({"n": 2.5}, "n"),
+    ({"count": True}, "count"),
+    ({"seed": "0"}, "seed"),
+    ({"radius": "1e3"}, "radius"),
+    ({"tolerances": {"mass_flux_rel": "x"}}, "mass_flux_rel"),
+    ({"tolerances": {"mass_flux_rel": False}}, "mass_flux_rel"),
+])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["mass"], "count": 1, **settings}))
+    code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -172,3 +191,9 @@ def test_case_runtimes_split_across_cases(tmp_path):
     assert any("-freq1-" in key for key in runtimes)
     assert all(dt > 0 for dt in runtimes.values())
     assert sum(runtimes.values()) <= wall
+    # One linearized call serves both n=1 directions: its time is split
+    # evenly over their residual and order cases.
+    linearized = [dt for key, dt in runtimes.items()
+                  if key.endswith(("-residual", "-order"))]
+    assert len(linearized) == 2 * 2
+    assert len(set(linearized)) == 1

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab.residual import (
     DerivativeField,
@@ -12,7 +15,17 @@ from todalab.residual import (
     param_derivative_field,
     pde_residual,
 )
-from todalab.solution import sample_params
+from todalab.solution import (
+    kernel_directions,
+    log_det_k,
+    parse_direction,
+    perturbed,
+    sample_params,
+)
+
+
+def all_directions(n):
+    return kernel_directions(n) + [f"loglambda_{i}" for i in range(n + 1)]
 
 
 def test_gridspec_h_and_mesh():
@@ -75,23 +88,89 @@ def test_derivative_field_sign_convention():
     # closed form 2 lambda_1 x / f with f = lambda_0 + lambda_1 |z|^2.
     sp = sample_params(1, 0, 0.0)
     lam0, lam1 = sp.lambdas
-    fld = param_derivative_field(sp, "alpha_1", 1e-5)
+    fld = param_derivative_field(sp, "alpha_1")
     for z in (0.5 + 0.25j, 1 - 2j):
         f = lam0 + lam1 * abs(z) ** 2
         expect = 2.0 * lam1 * z.real / f
         got = float(fld.upper(np.array([z]))[0][0])
-        assert got == pytest.approx(expect, rel=1e-6)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_param_derivative_field_rejects_bad_step():
-    sp = sample_params(1, 0, 0.0)
-    with pytest.raises(ValueError):
-        param_derivative_field(sp, "alpha_1", step=0.0)
+def _mp_log_det(sp, k, z, which, h):
+    """log det_k at z from the k x k Gram matrix of f, in mpmath, with the
+    parameters moved by h along `which` (an independent route: no minors)."""
+    n = sp.n
+    lambdas = [mp.mpf(x) for x in sp.lambdas]
+    polys = [[mp.mpc(1)]] + [[mp.mpc(c) for c in p.coeffs] for p in sp.polys]
+    kind, m = parse_direction(which)
+    if kind == "loglambda":
+        # lambda_m moves by e^h, then all by the common factor that keeps the product.
+        lambdas = [lam * mp.exp(h * ((i == m) - mp.mpf(1) / (n + 1)))
+                   for i, lam in enumerate(lambdas)]
+    else:
+        i = n + 1 - m if kind in ("alpha", "beta") else n + 2 - m
+        polys[i][n - m] += h if kind in ("alpha", "alpha2") else 1j * h
+    z = mp.mpc(z)
+
+    def deriv(coeffs, p):
+        acc = mp.mpc(0)
+        for e in range(len(coeffs) - 1, p - 1, -1):
+            acc = acc * z + coeffs[e] * mp.ff(e, p)
+        return acc
+
+    vals = [[deriv(c, p) for p in range(k)] for c in polys]
+    gram = mp.matrix(k, k)
+    for p in range(k):
+        for q in range(k):
+            gram[p, q] = mp.fsum(lam * v[p] * mp.conj(v[q]) for lam, v in zip(lambdas, vals))
+    return mp.log(mp.re(mp.det(gram)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derivative_field_matches_mpmath_central_difference(n):
+    # A 120-digit central difference with step 1e-40 has an error near
+    # 1e-80, so the comparison sees only the double-precision tangent,
+    # out to radii where a double-precision difference is useless.
+    sp = sample_params(n, 1, 0.5, dilation=1.0)
+    zs = np.array([0.5 * np.exp(0.7j), 1e2 * np.exp(2.1j), 1e3 * np.exp(-1.3j)])
+    with mp.workdps(120):
+        h = mp.mpf("1e-40")
+        for which in all_directions(n):
+            got = param_derivative_field(sp, which).upper(zs)
+            for k in range(1, n + 1):
+                for z, value in zip(zs, got[k - 1]):
+                    ref = (_mp_log_det(sp, k, z, which, h)
+                           - _mp_log_det(sp, k, z, which, -h)) / (2 * h)
+                    assert value == pytest.approx(float(ref), rel=1e-11), (which, k, z)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    magnitude=st.floats(min_value=0.0, max_value=0.8),
+    dilation=st.floats(min_value=1.0, max_value=3.0),
+    radius=st.floats(min_value=0.0, max_value=2.0),
+    angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_derivative_field_matches_double_central_difference(
+    n, seed, magnitude, dilation, radius, angle, data
+):
+    sp = sample_params(n, seed, magnitude, dilation=dilation)
+    which = data.draw(st.sampled_from(all_directions(n)))
+    z = np.array([radius * complex(math.cos(angle), math.sin(angle))])
+    got = param_derivative_field(sp, which).upper(z)[:, 0]
+    h = 1e-5
+    plus, minus = perturbed(sp, which, h), perturbed(sp, which, -h)
+    for k in range(1, n + 1):
+        fd = (log_det_k(plus, k, z[0]) - log_det_k(minus, k, z[0])) / (2 * h)
+        assert abs(got[k - 1] - fd) <= 1e-8 * (1.0 + abs(fd))
 
 
 def test_linearized_residual_small_for_kernel_fields():
     sp = sample_params(1, 0, 0.0)
-    rep = linearized_residual(sp, "alpha_1", 1e-4, GridSpec.from_h(2e-2))
+    rep = linearized_residual(sp, GridSpec.from_h(2e-2))["alpha_1"]
     assert rep.max_residual < 5e-3
     assert rep.h == pytest.approx(2e-2)
 
@@ -103,17 +182,17 @@ def test_linearized_residual_large_for_non_kernel_field():
     g = GridSpec.from_h(2e-2)
 
     class ConstField(DerivativeField):
-        def lower(self, z):
+        def lower(self, z, base_upper=None):
             return np.ones((1,) + np.shape(np.asarray(z)))
 
     from todalab.residual import _linearized_residual_once
 
-    fld = ConstField(base=sp, which="alpha_1", step=1.0, plus=sp, minus=sp)
-    res = _linearized_residual_once(sp, fld, g)
+    fld = ConstField(base=sp, which="alpha_1")
+    (res,) = _linearized_residual_once(sp, [fld], g)
     assert res[0] > 1.0
 
 
 def test_linearized_order_estimate_for_resolved_direction():
     sp = sample_params(2, 0, 0.3, dilation=2.0)
-    rep = linearized_residual(sp, "alpha_1", 1e-4, GridSpec.from_h(2e-2))
+    rep = linearized_residual(sp, GridSpec.from_h(2e-2))["alpha_1"]
     assert 1.5 <= rep.convergence_order <= 2.5
