@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .residual import param_derivative_field
-from .solution import SolutionParams, lower_components, parse_direction, upper_components
+from .solution import SolutionParams, lower_components, upper_components
 
 __all__ = [
     "FourierCoeffs",
@@ -54,9 +54,9 @@ class FourierCoeffs:
 
     r: float
     samples: int
-    a0: float
-    a_cos: tuple[float, ...]  # a_1, a_2, ...
-    b_sin: tuple[float, ...]
+    a0: np.ndarray
+    a_cos: tuple[np.ndarray, ...]  # a_1, a_2, ...
+    b_sin: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ def circle(r, M: int) -> np.ndarray:
 def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
     """Running totals of int 2 pi r g(r) dr over the panels between `bounds`.
 
-    `ring_mean` maps an array of radii to the angular means g(r); each
-    panel uses Gauss-Legendre nodes, and one total is returned per panel.
+    `ring_mean` maps an array of radii to the angular means g(r), or to a
+    stack of rows of them (..., radii); each panel uses Gauss-Legendre
+    nodes, and one total (of the stack's leading shape) is returned per panel.
     """
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
     totals = []
@@ -91,98 +92,106 @@ def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         r_nodes = mid + half * x_gl
         g = ring_mean(r_nodes)
-        total += float(np.sum(w_gl * 2.0 * np.pi * r_nodes * g) * half)
+        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
         totals.append(total)
     return totals
 
 
 def fourier_coeffs(component, r: float, M: int = SAMPLES) -> FourierCoeffs:
-    """Trapezoid DFT of a real field component on the circle of radius r.
+    """Trapezoid DFT of a real field on the circle of radius r.
 
-    `component` maps an array of complex points to real values.
+    `component` maps an array of M complex points to M real values, or to
+    a stack of rows of them (..., M); every coefficient then has the
+    stack's leading shape.
     """
     if M < 8 * MAX_FREQUENCY:
         raise ValueError("need at least 8 samples per extracted frequency")
     vals = np.asarray(component(circle(r, M)), dtype=float)
     spec = np.fft.rfft(vals)
-    a0 = float(spec[0].real) / M
-    a_cos = tuple(2.0 * float(spec[k].real) / M for k in range(1, MAX_FREQUENCY + 1))
-    b_sin = tuple(-2.0 * float(spec[k].imag) / M for k in range(1, MAX_FREQUENCY + 1))
+    a0 = spec[..., 0].real / M
+    a_cos = tuple(2.0 * spec[..., k].real / M for k in range(1, MAX_FREQUENCY + 1))
+    b_sin = tuple(-2.0 * spec[..., k].imag / M for k in range(1, MAX_FREQUENCY + 1))
     return FourierCoeffs(r=r, samples=M, a0=a0, a_cos=a_cos, b_sin=b_sin)
 
 
-def _richardson(radii, values) -> float:
-    """Limit of v(r) = v_inf + C/r from the two largest radii."""
-    (r1, v1), (r2, v2) = sorted(zip(radii, values))[-2:]
-    return (r2 * v2 - r1 * v1) / (r2 - r1)
+def _extrapolated(vals, predicted: float, denom: float, **notes) -> ExpansionCheck:
+    """Limit of v(r) = v_inf + C/r from the values on R_PAIR, against `predicted`."""
+    vals = tuple(float(v) for v in vals)
+    (r1, v1), (r2, v2) = zip(R_PAIR, vals)
+    rich = (r2 * v2 - r1 * v1) / (r2 - r1)
+    return ExpansionCheck(
+        measured=vals,
+        radii=R_PAIR,
+        richardson=rich,
+        predicted=predicted,
+        rel_error=abs(rich - predicted) / denom,
+        notes=notes,
+    )
 
 
-def _upper_component(sp: SolutionParams, m: int):
-    if not 1 <= m <= sp.n:
-        raise IndexError(f"m={m} out of range 1..{sp.n}")
-    return lambda z: upper_components(sp, z)[m - 1]
+def _second_frequency_fields(sp: SolutionParams) -> list:
+    """[(kind, l, tangent field along kind_l)] for kind alpha2, beta2 and l = 2..n."""
+    return [
+        (kind, l, param_derivative_field(sp, f"{kind}_{l}"))
+        for kind in ("alpha2", "beta2")
+        for l in range(2, sp.n + 1)
+    ]
 
 
-def leading_coefficient_check(sp: SolutionParams, m: int, r: float) -> ExpansionCheck:
+def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
     """Angular mean of e^{-U^m} r^{-2m(n+1-m)} against its predicted constant.
 
-    The notes record the same mean taken with the exponent variant
+    Returns one check per m = 1..n from one evaluation on the circle.  The
+    notes record the same mean taken with the exponent variant
     2m(n+2-m), which is off by the factor r^{2m} and serves to
     discriminate the two exponents empirically.
     """
     n = sp.n
-    if not 1 <= m <= n:
-        raise IndexError(f"m={m} out of range 1..{n}")
-    power = 2 * m * (n + 1 - m)
-    log_vals = -upper_components(sp, circle(r, SAMPLES))[m - 1] - power * math.log(r)
-    measured = float(np.mean(np.exp(log_vals)))
-    fact = 1.0
-    for j in range(m):
-        fact *= math.factorial(j)
-    predicted = (
-        2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m : n + 1]) * fact**2
-    )
-    alt_power = 2 * m * (n + 2 - m)
-    measured_alt = float(np.mean(np.exp(log_vals - (alt_power - power) * math.log(r))))
-    return ExpansionCheck(
-        measured=(measured,),
-        radii=(r,),
-        richardson=measured,
-        predicted=predicted,
-        rel_error=abs(measured / predicted - 1.0),
-        notes={
-            "exponent": power,
-            "exponent_variant": alt_power,
-            "variant_mean": measured_alt,
-            "variant_rel_error": abs(measured_alt / predicted - 1.0),
-        },
-    )
-
-
-def first_frequency_check(sp: SolutionParams, m: int) -> dict:
-    """r * (frequency-1 coefficients of -U^m) against 2m alpha_m, 2m beta_m."""
-    comp = _upper_component(sp, m)
-    neg = lambda z: -comp(z)
-    cos_vals, sin_vals = [], []
-    for r in R_PAIR:
-        fc = fourier_coeffs(neg, r)
-        cos_vals.append(fc.a_cos[0] * r)
-        sin_vals.append(fc.b_sin[0] * r)
-    c = sp.first_frequency_coeff(m)
-    out = {}
-    for key, vals, pred in (
-        ("alpha", cos_vals, 2.0 * m * c.real),
-        ("beta", sin_vals, 2.0 * m * c.imag),
-    ):
-        rich = _richardson(R_PAIR, vals)
-        denom = abs(pred) if pred != 0 else 1.0
-        out[key] = ExpansionCheck(
-            measured=tuple(vals),
-            radii=R_PAIR,
-            richardson=rich,
-            predicted=pred,
-            rel_error=abs(rich - pred) / denom,
+    checks = []
+    for m, u_m in enumerate(upper_components(sp, circle(r, SAMPLES)), start=1):
+        power = 2 * m * (n + 1 - m)
+        log_vals = -u_m - power * math.log(r)
+        measured = float(np.mean(np.exp(log_vals)))
+        fact = math.prod(math.factorial(j) for j in range(m))
+        predicted = (
+            2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m : n + 1]) * fact**2
         )
+        alt_power = 2 * m * (n + 2 - m)
+        measured_alt = float(np.mean(np.exp(log_vals - (alt_power - power) * math.log(r))))
+        checks.append(ExpansionCheck(
+            measured=(measured,),
+            radii=(r,),
+            richardson=measured,
+            predicted=predicted,
+            rel_error=abs(measured / predicted - 1.0),
+            notes={
+                "exponent": power,
+                "exponent_variant": alt_power,
+                "variant_mean": measured_alt,
+                "variant_rel_error": abs(measured_alt / predicted - 1.0),
+            },
+        ))
+    return checks
+
+
+def first_frequency_check(sp: SolutionParams) -> list:
+    """r * (frequency-1 coefficients of -U^m) against 2m alpha_m, 2m beta_m.
+
+    Returns {"alpha": check, "beta": check} for each m = 1..n.
+    """
+    fcs = [fourier_coeffs(lambda z: -upper_components(sp, z), r) for r in R_PAIR]
+    cos_vals = [fc.a_cos[0] * r for fc, r in zip(fcs, R_PAIR)]
+    sin_vals = [fc.b_sin[0] * r for fc, r in zip(fcs, R_PAIR)]
+    out = []
+    for m in range(1, sp.n + 1):
+        c = sp.first_frequency_coeff(m)
+        out.append({
+            key: _extrapolated([v[m - 1] for v in vals], pred, abs(pred) or 1.0)
+            for key, vals, pred in (
+                ("alpha", cos_vals, 2.0 * m * c.real),
+                ("beta", sin_vals, 2.0 * m * c.imag),
+            )
+        })
     return out
 
 
@@ -195,30 +204,35 @@ def second_frequency_prediction(m: int, j: int) -> float:
     return 0.0
 
 
-def kernel_signature_check(sp: SolutionParams, which: str, m: int) -> ExpansionCheck:
-    """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules."""
-    kind, j = parse_direction(which)
-    if kind not in {"alpha2", "beta2"}:
-        raise ValueError("kernel_signature_check expects a second-frequency direction")
-    fld = param_derivative_field(sp, which)
-    comp = lambda z: fld.upper(z)[m - 1]
-    vals = []
-    for r in R_PAIR:
-        fc = fourier_coeffs(comp, r)
-        coeff = fc.a_cos[1] if kind == "alpha2" else fc.b_sin[1]
-        vals.append(coeff * r * r)
-    pred = second_frequency_prediction(m, j)
-    rich = _richardson(R_PAIR, vals)
-    scale = float(m * (m + 1))  # reference magnitude for the off-diagonal contract
-    denom = abs(pred) if pred != 0 else scale
-    return ExpansionCheck(
-        measured=tuple(vals),
-        radii=R_PAIR,
-        richardson=rich,
-        predicted=pred,
-        rel_error=abs(rich - pred) / denom,
-        notes={"m": m, "j": j, "kind": kind},
-    )
+def kernel_signature_check(sp: SolutionParams) -> dict:
+    """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules.
+
+    Returns {which: (check for m = 1..n)} over the second-frequency
+    directions alpha2_j, beta2_j; each circle evaluates the base solution
+    once for every direction.
+    """
+    fields = _second_frequency_fields(sp)
+    if not fields:
+        return {}
+
+    def tangents(z):
+        base = upper_components(sp, z)
+        return np.stack([fld.upper(z, base) for _, _, fld in fields])
+
+    fcs = [fourier_coeffs(tangents, r) for r in R_PAIR]
+    out = {}
+    for index, (kind, j, fld) in enumerate(fields):
+        vals = [(fc.a_cos[1] if kind == "alpha2" else fc.b_sin[1])[index] * r * r
+                for fc, r in zip(fcs, R_PAIR)]
+        checks = []
+        for m in range(1, sp.n + 1):
+            pred = second_frequency_prediction(m, j)
+            denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
+            checks.append(
+                _extrapolated([v[m - 1] for v in vals], pred, denom, m=m, j=j, kind=kind)
+            )
+        out[fld.which] = tuple(checks)
+    return out
 
 
 # -- constant term of U_i --------------------------------------------------
@@ -263,32 +277,26 @@ def constant_term_prediction(sp: SolutionParams, i: int, use_table: bool = True)
     return -(b1 * math.log(2.0) + b2 + 2.0 * b3)
 
 
-def constant_term_probe(sp: SolutionParams, i: int) -> ExpansionCheck:
+def constant_term_probe(sp: SolutionParams) -> list:
     """Measure lim (U_i + 4 log r) and compare with the tabulated prediction.
 
-    The tabulated closed forms are reported, not asserted: the measured
+    Returns one check per i = 1..n from one evaluation per circle.  The
+    tabulated closed forms are reported, not asserted: the measured
     value is the ground truth here, and the notes carry both the table
     prediction and the direct row-sum prediction for comparison.
     """
-    if not 1 <= i <= sp.n:
-        raise IndexError(f"component {i} out of range 1..{sp.n}")
-    vals = []
-    for r in R_PAIR:
-        u_i = lower_components(sp, circle(r, SAMPLES))[i - 1]
-        vals.append(float(np.mean(u_i)) + 4.0 * math.log(r))
-    rich = _richardson(R_PAIR, vals)
-    pred_table = constant_term_prediction(sp, i, use_table=True)
-    pred_sum = constant_term_prediction(sp, i, use_table=False)
-    denom = max(abs(pred_table), 1.0)
-    return ExpansionCheck(
-        measured=tuple(vals),
-        radii=R_PAIR,
-        richardson=rich,
-        predicted=pred_table,
-        rel_error=abs(rich - pred_table) / denom,
-        notes={"prediction_from_sums": pred_sum,
-               "table_matches_sums": abs(pred_table - pred_sum) < 1e-9},
-    )
+    means = [np.mean(lower_components(sp, circle(r, SAMPLES)), axis=1) for r in R_PAIR]
+    checks = []
+    for i in range(1, sp.n + 1):
+        vals = [float(mean[i - 1]) + 4.0 * math.log(r) for mean, r in zip(means, R_PAIR)]
+        pred_table = constant_term_prediction(sp, i, use_table=True)
+        pred_sum = constant_term_prediction(sp, i, use_table=False)
+        checks.append(_extrapolated(
+            vals, pred_table, max(abs(pred_table), 1.0),
+            prediction_from_sums=pred_sum,
+            table_matches_sums=abs(pred_table - pred_sum) < 1e-9,
+        ))
+    return checks
 
 
 # -- plane integrals of second-frequency derivative fields -----------------
@@ -302,47 +310,39 @@ class TIntegralResult:
     converged: bool
 
 
-def t_integral(
-    sp: SolutionParams,
-    l: int,
-    which: str = "alpha",
-    m: int | None = None,
-) -> TIntegralResult:
-    """Integral over the plane of -dU^m/d(alpha_{l,2} or beta_{l,2}).
+def t_integral(sp: SolutionParams, ratio: float) -> dict:
+    """Integrals over the plane of -dU^{l-1}/d(which), which = alpha2_l, beta2_l.
 
-    Defined for l = 2..n with component index m in {l-1, l} (default l-1).
-    Integration is angular-first: the frequency-2 leading term has zero
-    mean on every circle, so the radial integrand decays fast enough for
-    the partial integrals over B_R to form a Cauchy sequence.
+    Returns {which: TIntegralResult} for l = 2..n; each radial panel
+    evaluates the base solution once for every direction.  Integration is
+    angular-first: the frequency-2 leading term has zero mean on every
+    circle, so the radial integrand decays fast enough for the partial
+    integrals over B_R to form a Cauchy sequence.  A result converges when
+    each successive difference is at most 1/ratio of the one before.
     """
-    n = sp.n
-    if not 2 <= l <= n:
-        raise ValueError(f"l={l} out of range 2..{n}")
-    if m is None:
-        m = l - 1
-    if m not in (l - 1, l):
-        raise ValueError(f"component m={m} must be l-1 or l")
-    if which not in {"alpha", "beta"}:
-        raise ValueError("which must be 'alpha' or 'beta'")
-    direction = f"{'alpha2' if which == 'alpha' else 'beta2'}_{l}"
-    fld = param_derivative_field(sp, direction)
+    fields = _second_frequency_fields(sp)
+    if not fields:
+        return {}
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        return np.mean(fld.upper(circle(r_nodes, T_SAMPLES))[m - 1], axis=1)
+        z = circle(r_nodes, T_SAMPLES)
+        base = upper_components(sp, z)
+        # Component l-1 of each field is row l-2 of its stack.
+        return np.stack([np.mean(f.upper(z, base)[l - 2], axis=1) for _, l, f in fields])
 
     # Panel boundaries refine geometrically inward from the smallest radius,
     # so the last len(T_RADII) panels end exactly on T_RADII.
     inner = T_RADII[0]
     bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
-    totals = polar_panels(ring_mean, bounds, T_NODES)
-    partials = list(zip(T_RADII, totals[-len(T_RADII):]))
-    values = [v for _, v in partials]
-    diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-    # Successive differences must keep shrinking by 1.5x per radius doubling.
-    converged = all(d2 <= d1 / 1.5 for d1, d2 in zip(diffs[:-1], diffs[1:]))
-    return TIntegralResult(
-        value=values[-1],
-        partials=tuple(partials),
-        diffs=diffs,
-        converged=converged,
-    )
+    totals = polar_panels(ring_mean, bounds, T_NODES)[-len(T_RADII):]
+    out = {}
+    for index, (_, _, fld) in enumerate(fields):
+        values = [float(total[index]) for total in totals]
+        diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
+        out[fld.which] = TIntegralResult(
+            value=values[-1],
+            partials=tuple(zip(T_RADII, values)),
+            diffs=diffs,
+            converged=all(d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:])),
+        )
+    return out

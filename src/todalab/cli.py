@@ -5,7 +5,8 @@ Subcommands:
   plot-data    reshape suite detail CSVs into plot-ready tables
   show-params  print normalized parameter sets for a config
 
-Exit codes: 0 all cases pass, 1 any case fails, 2 configuration error.
+Exit codes: 0 all cases pass, 1 any case fails, 2 configuration error or
+numerical breakdown (a non-positive Gram determinant or mass integral).
 Reports are byte-identical across reruns of the same config; timestamps
 and runtimes live in a separate metadata file.
 """
@@ -20,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .solution import params_to_json
+from .solution import PositivityError, params_to_json
 from .suites import KNOWN_SUITES, RunConfig, build_param_sets, run_suites
 
 __all__ = ["main", "run", "emit_plot_data"]
@@ -176,6 +177,9 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except PositivityError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import circle, polar_panels
-from .solution import SolutionParams, lower_components, upper_components
+from .solution import PositivityError, SolutionParams, lower_components, upper_components
 
 __all__ = ["mass_flux", "mass_quadrature", "predicted_mass"]
 
@@ -32,15 +32,13 @@ def predicted_mass(n: int, i: int) -> float:
     return 4.0 * math.pi * i * (n + 1 - i)
 
 
-def mass_flux(sp: SolutionParams, i: int, R: float) -> float:
-    """-oint_{|z|=R} dU^i/dr, radial central difference + angular trapezoid."""
-    if not 1 <= i <= sp.n:
-        raise IndexError(f"component {i} out of range 1..{sp.n}")
+def mass_flux(sp: SolutionParams, R: float) -> list:
+    """-oint_{|z|=R} dU^i/dr, i = 1..n: radial central difference + angular trapezoid."""
     s = FLUX_STEP_FRAC * R
-    u_out = upper_components(sp, circle(R + s, FLUX_SAMPLES))[i - 1]
-    u_in = upper_components(sp, circle(R - s, FLUX_SAMPLES))[i - 1]
+    u_out = upper_components(sp, circle(R + s, FLUX_SAMPLES))
+    u_in = upper_components(sp, circle(R - s, FLUX_SAMPLES))
     dudr = (u_out - u_in) / (2.0 * s)
-    return float(-R * 2.0 * np.pi * np.mean(dudr))
+    return [float(x) for x in -R * 2.0 * np.pi * np.mean(dudr, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -52,32 +50,32 @@ class QuadratureResult:
     tail_fit_stable: bool
 
 
-def mass_quadrature(sp: SolutionParams, i: int) -> QuadratureResult:
-    """Polar quadrature of e^{U_i} over B_{R_max} plus a pi C / R_max^2 tail.
+def mass_quadrature(sp: SolutionParams) -> list:
+    """Polar quadrature of e^{U_i} over B_{R_max} plus a pi C / R_max^2 tail, i = 1..n.
 
     C is fitted as the average of e^{U_i} r^4 on the two outermost
     circles (decay e^{U_i} ~ C r^{-4}); the fit is flagged unstable if
-    the two circle averages differ by more than 10%.
+    the two circle averages differ by more than 10%.  An integral that is
+    not positive (e^{U_i} underflowed) raises PositivityError.
     """
-    if not 1 <= i <= sp.n:
-        raise IndexError(f"component {i} out of range 1..{sp.n}")
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        u_i = lower_components(sp, circle(r_nodes, QUAD_SAMPLES))[i - 1]
-        return np.mean(np.exp(u_i), axis=1)
+        u = lower_components(sp, circle(r_nodes, QUAD_SAMPLES))
+        return np.mean(np.exp(u), axis=-1)
 
     # Geometric panels resolve the O(1) core and the r^-4 tail alike.
     bounds = [0.0] + [R_MAX / 2**k for k in range(8, -1, -1)]
     bulk = polar_panels(ring_mean, bounds, QUAD_NODES)[-1]
-    c_outer = float(ring_mean(np.array([R_MAX]))[0]) * R_MAX**4
-    c_inner = float(ring_mean(np.array([0.8 * R_MAX]))[0]) * (0.8 * R_MAX) ** 4
+    c_outer = ring_mean(np.array([R_MAX]))[:, 0] * R_MAX**4
+    c_inner = ring_mean(np.array([0.8 * R_MAX]))[:, 0] * (0.8 * R_MAX) ** 4
     c_fit = 0.5 * (c_outer + c_inner)
-    stable = abs(c_outer - c_inner) <= 0.10 * max(abs(c_fit), 1e-300)
-    tail = math.pi * c_fit / R_MAX**2
-    return QuadratureResult(
-        value=bulk + tail,
-        bulk=bulk,
-        tail=tail,
-        tail_coefficient=c_fit,
-        tail_fit_stable=stable,
-    )
+    stable = np.abs(c_outer - c_inner) <= 0.10 * np.maximum(np.abs(c_fit), 1e-300)
+    tail = np.pi * c_fit / R_MAX**2
+    value = bulk + tail
+    for i, v in enumerate(value, start=1):
+        if not v > 0:
+            raise PositivityError(f"mass integral of e^(U_{i}) is {v}, not positive")
+    return [
+        QuadratureResult(float(v), float(b), float(t), float(c), bool(ok))
+        for v, b, t, c, ok in zip(value, bulk, tail, c_fit, stable)
+    ]

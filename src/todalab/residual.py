@@ -102,16 +102,20 @@ def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> np.ndarray:
     return np.max(np.abs(res), axis=(1, 2))
 
 
-def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
-    """Max interior residual of Delta_h U_i + sum_j a_ij e^{U_j}, with order estimate."""
-    coarse = _pde_residual_once(sp, g)
-    fine = _pde_residual_once(sp, g.refined())
-    order = float(np.log2(np.max(coarse) / np.max(fine)))
+def _residual_report(coarse: np.ndarray, fine: np.ndarray, h: float) -> ResidualReport:
+    """Peaks at h and h/2 and their order; a zero peak fails every order check."""
     return ResidualReport(
         max_abs_residual=tuple(float(x) for x in coarse),
-        h=g.h,
+        h=h,
         max_abs_residual_refined=tuple(float(x) for x in fine),
-        convergence_order=order,
+        convergence_order=float(np.log2(np.max(coarse) / np.max(fine))),
+    )
+
+
+def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
+    """Max interior residual of Delta_h U_i + sum_j a_ij e^{U_j}, with order estimate."""
+    return _residual_report(
+        _pde_residual_once(sp, g), _pde_residual_once(sp, g.refined()), g.h
     )
 
 
@@ -177,14 +181,7 @@ def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     fields = [param_derivative_field(sp, which) for which in kernel_directions(sp.n)]
     coarse = _linearized_residual_once(sp, fields, g)
     fine = _linearized_residual_once(sp, fields, g.refined())
-    reports = {}
-    for field, res, res_fine in zip(fields, coarse, fine):
-        peak, peak_fine = float(np.max(res)), float(np.max(res_fine))
-        order = float(np.log2(peak / peak_fine)) if peak > 0 and peak_fine > 0 else 2.0
-        reports[field.which] = ResidualReport(
-            max_abs_residual=tuple(float(x) for x in res),
-            h=g.h,
-            max_abs_residual_refined=tuple(float(x) for x in res_fine),
-            convergence_order=order,
-        )
-    return reports
+    return {
+        field.which: _residual_report(res, res_fine, g.h)
+        for field, res, res_fine in zip(fields, coarse, fine)
+    }

@@ -222,11 +222,13 @@ def log_det_k(sp: SolutionParams, k: int, z):
     minors = _wronskian_minors(sp)[k - 1]
     z = np.asarray(z, dtype=complex)
     scalar = z.shape == ()
-    terms = np.stack(
-        [log_lam + 2.0 * np.atleast_1d(log_abs_eval(w, z)) for log_lam, w in minors]
-    )
-    peak = np.max(terms, axis=0)
-    out = peak + np.log(np.sum(np.exp(terms - peak), axis=0))
+    # Overflow and NaN are caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.stack(
+            [log_lam + 2.0 * np.atleast_1d(log_abs_eval(w, z)) for log_lam, w in minors]
+        )
+        peak = np.max(terms, axis=0)
+        out = peak + np.log(np.sum(np.exp(terms - peak), axis=0))
     if not np.all(np.isfinite(out)):
         raise PositivityError("det_k evaluation produced non-finite values")
     return float(out[0]) if scalar else out

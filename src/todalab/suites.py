@@ -91,6 +91,8 @@ class RunConfig:
             raise ValueError(f"unknown tolerance key(s): {', '.join(unknown)}")
         for name, value in self.tolerances.items():
             _check_real(f"tolerance {name}", value)
+            if value <= 0:
+                raise ValueError(f"tolerance {name} must be positive, got {value}")
         self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
     def to_json(self) -> dict:
@@ -199,55 +201,52 @@ def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
     return cases, details
 
 
+def _expansion_case(case_id: str, ck, tol: float, runtime: float) -> Case:
+    return Case("asymptotics", case_id, ck.richardson, ck.predicted, tol,
+                ck.rel_error <= tol, runtime)
+
+
+def _expansion_rows(label: str, check: str, m: int, which: str, ck) -> list:
+    """One detail row per radius the check measured."""
+    return [{"label": label, "check": check, "m": m, "which": which, "r": r,
+             "measured": v, "predicted": ck.predicted, "rel_err": ck.rel_error}
+            for r, v in zip(ck.radii, ck.measured)]
+
+
 def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
     tol = cfg.tolerances
     for label, sp in param_sets:
         n = sp.n
+        # Each probe is timed once for all components; each of its cases
+        # gets an even share of the time.
+        leading, dt_leading = _timed(lambda: leading_coefficient_check(sp, cfg.radius))
+        freq1, dt_freq1 = _timed(lambda: first_frequency_check(sp))
+        freq2, dt_freq2 = _timed(lambda: kernel_signature_check(sp))
+        const, dt_const = _timed(lambda: constant_term_probe(sp))
         for m in range(1, n + 1):
-            ck, dt = _timed(lambda: leading_coefficient_check(sp, m, cfg.radius))
-            cases.append(
-                Case("asymptotics", f"{label}-leading-m{m}", ck.richardson,
-                     ck.predicted, tol["leading_coefficient_rel"],
-                     ck.rel_error <= tol["leading_coefficient_rel"], dt)
-            )
-            details.append({"label": label, "check": "leading", "m": m,
-                            "which": "", "r": cfg.radius, "measured": ck.richardson,
-                            "predicted": ck.predicted, "rel_err": ck.rel_error})
-            ffc, dt = _timed(lambda: first_frequency_check(sp, m))
-            for key, ck in ffc.items():
-                cases.append(
-                    Case("asymptotics", f"{label}-freq1-{key}-m{m}", ck.richardson,
-                         ck.predicted, tol["first_frequency_rel"],
-                         ck.rel_error <= tol["first_frequency_rel"], dt / len(ffc))
-                )
-                for r, v in zip(ck.radii, ck.measured):
-                    details.append({"label": label, "check": "freq1", "m": m,
-                                    "which": key, "r": r, "measured": v,
-                                    "predicted": ck.predicted,
-                                    "rel_err": ck.rel_error})
+            ck = leading[m - 1]
+            cases.append(_expansion_case(f"{label}-leading-m{m}", ck,
+                                         tol["leading_coefficient_rel"], dt_leading / n))
+            details += _expansion_rows(label, "leading", m, "", ck)
+            for key, ck in freq1[m - 1].items():
+                cases.append(_expansion_case(f"{label}-freq1-{key}-m{m}", ck,
+                                             tol["first_frequency_rel"],
+                                             dt_freq1 / (2 * n)))
+                details += _expansion_rows(label, "freq1", m, key, ck)
             for j in range(2, n + 1):
                 for kind in ("alpha2", "beta2"):
-                    ck, dt = _timed(
-                        lambda: kernel_signature_check(sp, f"{kind}_{j}", m)
-                    )
-                    cases.append(
-                        Case("asymptotics", f"{label}-freq2-{kind}_{j}-m{m}",
-                             ck.richardson, ck.predicted,
-                             tol["kernel_signature_rel"],
-                             ck.rel_error <= tol["kernel_signature_rel"], dt)
-                    )
-                    for r, v in zip(ck.radii, ck.measured):
-                        details.append({"label": label, "check": "freq2", "m": m,
-                                        "which": f"{kind}_{j}", "r": r,
-                                        "measured": v, "predicted": ck.predicted,
-                                        "rel_err": ck.rel_error})
+                    which = f"{kind}_{j}"
+                    ck = freq2[which][m - 1]
+                    cases.append(_expansion_case(f"{label}-freq2-{which}-m{m}", ck,
+                                                 tol["kernel_signature_rel"],
+                                                 dt_freq2 / (n * len(freq2))))
+                    details += _expansion_rows(label, "freq2", m, which, ck)
         # Constant-term probe: measured vs tabulated closed forms, report-only.
-        for i in range(1, n + 1):
-            ck, dt = _timed(lambda: constant_term_probe(sp, i))
+        for i, ck in enumerate(const, start=1):
             cases.append(
                 Case("asymptotics", f"{label}-const-term-i{i}-info", ck.richardson,
-                     ck.predicted, None, True, dt)
+                     ck.predicted, None, True, dt_const / n)
             )
             details.append({"label": label, "check": "const-term", "m": i,
                             "which": "table", "r": max(ck.radii),
@@ -261,20 +260,18 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
     tol = cfg.tolerances
     for label, sp in param_sets:
         n = sp.n
-        fluxes = []
-        for i in range(1, n + 1):
-            flux, dt_f = _timed(lambda: mass_flux(sp, i, cfg.radius))
-            quad, dt_q = _timed(lambda: mass_quadrature(sp, i))
-            fluxes.append(flux)
+        fluxes, dt_f = _timed(lambda: mass_flux(sp, cfg.radius))
+        quads, dt_q = _timed(lambda: mass_quadrature(sp))
+        for i, (flux, quad) in enumerate(zip(fluxes, quads), start=1):
             pred = predicted_mass(n, i)
             rel = abs(flux / pred - 1.0)
             agree = abs(flux / quad.value - 1.0)
             cases.append(Case("mass", f"{label}-flux-i{i}", flux, pred,
                               tol["mass_flux_rel"], rel <= tol["mass_flux_rel"],
-                              dt_f))
+                              dt_f / n))
             cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
                               tol["mass_route_agreement"],
-                              agree <= tol["mass_route_agreement"], dt_q))
+                              agree <= tol["mass_route_agreement"], dt_q / n))
             details.append({"label": label, "i": i, "flux": flux,
                             "quadrature": quad.value, "predicted": pred,
                             "tail_fit_stable": quad.tail_fit_stable})
@@ -290,16 +287,15 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
 
 def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
+    ratio = cfg.tolerances["t_integral_ratio"]
     for label, sp in param_sets:
-        if sp.n < 2:
-            continue
+        results, dt = _timed(lambda: t_integral(sp, ratio))
         for l in range(2, sp.n + 1):
             for which in ("alpha", "beta"):
-                res, dt = _timed(lambda: t_integral(sp, l, which))
+                res = results[f"{which}2_{l}"]
                 cases.append(
                     Case("t-integrals", f"{label}-l{l}-{which}", res.value,
-                         res.value, cfg.tolerances["t_integral_ratio"],
-                         res.converged, dt)
+                         res.value, ratio, res.converged, dt / len(results))
                 )
                 for R, v in res.partials:
                     details.append({"label": label, "l": l, "which": which,

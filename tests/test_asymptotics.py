@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from todalab import solution
 from todalab.asymptotics import (
+    R_PAIR,
     constant_term_prediction,
     constant_term_probe,
     first_frequency_check,
@@ -15,6 +17,7 @@ from todalab.asymptotics import (
     second_frequency_prediction,
     t_integral,
 )
+from todalab.mass import mass_flux, mass_quadrature
 from todalab.solution import sample_params
 
 
@@ -39,8 +42,9 @@ def test_fourier_coeffs_rejects_undersampling():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_leading_coefficient_radial_case(n):
     sp = sample_params(n, 0, 0.0)
-    for m in range(1, n + 1):
-        ck = leading_coefficient_check(sp, m, r=1e3)
+    checks = leading_coefficient_check(sp, r=1e3)
+    assert len(checks) == n
+    for ck in checks:
         assert ck.rel_error < 0.01
         # The competing exponent 2m(n+2-m) misses by the factor r^{2m}.
         assert ck.notes["variant_rel_error"] > 0.99
@@ -50,15 +54,16 @@ def test_leading_coefficient_prediction_value():
     # n=1 radial: e^{-U^1} = f = lambda_0 + lambda_1 r^2, so
     # mean(f r^{-2}) -> lambda_1 directly.
     sp = sample_params(1, 0, 0.0)
-    ck = leading_coefficient_check(sp, 1, r=1e3)
+    (ck,) = leading_coefficient_check(sp, r=1e3)
     assert ck.predicted == pytest.approx(sp.lambdas[1])
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (3, 1)])
 def test_first_frequency_both_projections(n, seed):
     sp = sample_params(n, seed, 0.4)
-    for m in range(1, n + 1):
-        out = first_frequency_check(sp, m)
+    checks = first_frequency_check(sp)
+    assert len(checks) == n
+    for m, out in enumerate(checks, start=1):
         c = sp.first_frequency_coeff(m)
         assert out["alpha"].predicted == pytest.approx(2.0 * m * c.real)
         assert out["beta"].predicted == pytest.approx(2.0 * m * c.imag)
@@ -76,24 +81,28 @@ def test_second_frequency_prediction_table():
 
 def test_kernel_signature_check_n2():
     sp = sample_params(2, 0, 0.3)
-    for m in (1, 2):
-        for which in ("alpha2_2", "beta2_2"):
-            ck = kernel_signature_check(sp, which, m)
+    checks = kernel_signature_check(sp)
+    assert list(checks) == ["alpha2_2", "beta2_2"]
+    for which, per_m in checks.items():
+        assert len(per_m) == 2
+        for m, ck in enumerate(per_m, start=1):
+            assert ck.notes == {"m": m, "j": 2, "kind": which[:-2]}
             assert ck.rel_error < 0.03
 
 
-def test_kernel_signature_rejects_first_frequency_direction():
-    sp = sample_params(2, 0, 0.3)
-    with pytest.raises(ValueError):
-        kernel_signature_check(sp, "alpha_1", 1)
+def test_second_frequency_probes_have_nothing_to_check_at_n1():
+    sp = sample_params(1, 0, 0.3)
+    assert kernel_signature_check(sp) == {}
+    assert t_integral(sp, ratio=1.5) == {}
 
 
 def test_constant_term_probe_measures_sums_not_table():
     # The direct Cartan row sums predict the measured constant; the
     # tabulated closed forms are carried along for comparison only.
     sp = sample_params(2, 0, 0.2)
-    for i in (1, 2):
-        ck = constant_term_probe(sp, i)
+    checks = constant_term_probe(sp)
+    assert len(checks) == 2
+    for ck in checks:
         pred_sum = ck.notes["prediction_from_sums"]
         assert abs(ck.richardson - pred_sum) < 0.05 * max(abs(pred_sum), 1.0)
 
@@ -107,27 +116,38 @@ def test_constant_term_prediction_routes_exist():
 
 def test_t_integral_converges_n2():
     sp = sample_params(2, 0, 0.3)
-    for which in ("alpha", "beta"):
-        res = t_integral(sp, 2, which)
+    results = t_integral(sp, ratio=1.5)
+    assert list(results) == ["alpha2_2", "beta2_2"]
+    for res in results.values():
         assert res.converged
         assert len(res.partials) == 4
         assert math.isfinite(res.value)
 
 
-def test_t_integral_validation():
-    sp = sample_params(2, 0, 0.3)
-    with pytest.raises(ValueError):
-        t_integral(sp, 3)
-    with pytest.raises(ValueError):
-        t_integral(sp, 2, "gamma")
-    with pytest.raises(ValueError):
-        t_integral(sp, 2, "alpha", m=5)
 
+def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
+    # upper_components calls log_det_k once for each k = 1..n, so one base
+    # evaluation costs n calls however many components and directions a
+    # probe checks.
+    calls = []
+    original = solution.log_det_k
 
-def test_t_integral_component_choices_agree_in_kind():
-    # Both admissible components m in {l-1, l} must give finite,
-    # converged integrals for the same direction.
-    sp = sample_params(2, 1, 0.3)
-    a = t_integral(sp, 2, "alpha", m=1)
-    b = t_integral(sp, 2, "alpha", m=2)
-    assert a.converged and b.converged
+    def counted(sp, k, z):
+        calls.append(k)
+        return original(sp, k, z)
+
+    monkeypatch.setattr(solution, "log_det_k", counted)
+    n = 3
+    sp = sample_params(n, 0, 0.3)
+    for probe, evaluations in (
+        (lambda: leading_coefficient_check(sp, r=1e3), 1),
+        (lambda: first_frequency_check(sp), len(R_PAIR)),
+        (lambda: kernel_signature_check(sp), len(R_PAIR)),
+        (lambda: constant_term_probe(sp), len(R_PAIR)),
+        (lambda: mass_flux(sp, R=1e3), 2),  # circles at R -+ the radial step
+        (lambda: mass_quadrature(sp), 9 + 2),  # 9 radial panels, 2 tail circles
+        (lambda: t_integral(sp, ratio=1.5), 9),  # 9 radial panels
+    ):
+        calls.clear()
+        probe()
+        assert len(calls) == n * evaluations

@@ -110,6 +110,19 @@ def test_failing_tolerance_exits_1(tmp_path):
     assert summary["failed"] >= 1
 
 
+def test_t_integral_ratio_tolerance_decides_verdict(tmp_path):
+    # No partial-integral sequence shrinks by 1e9 per radius doubling.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "suites": ["t-integrals"], "n": 2, "count": 1,
+        "tolerances": {"t_integral_ratio": 1e9},
+    }))
+    out = tmp_path / "rep"
+    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] == summary["total"] == 2
+
+
 def test_run_config_defaults_and_param_sets():
     cfg = RunConfig(suites=["identities"], n=2, count=3, seed=5)
     sets = build_param_sets(cfg)
@@ -144,6 +157,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     ({"radius": "1e3"}, "radius"),
     ({"tolerances": {"mass_flux_rel": "x"}}, "mass_flux_rel"),
     ({"tolerances": {"mass_flux_rel": False}}, "mass_flux_rel"),
+    # A non-positive shrink ratio would pass every T-integral.
+    ({"tolerances": {"t_integral_ratio": -1.5}}, "t_integral_ratio"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"
@@ -171,6 +186,26 @@ def test_nan_lambda_params_file_exits_2(tmp_path):
     code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
                     "--out", str(tmp_path / "rep")])
     assert code == 2
+
+
+@pytest.mark.parametrize("params", [
+    # |P_i|^2 overflows: log_det_k finds a non-finite det_k.
+    {"n": 2, "lambdas": [1, 1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e200},
+                                              {"i": 2, "j": 0, "re": 1e200},
+                                              {"i": 2, "j": 1, "re": 1e200}]},
+    # e^{U_1} underflows to 0 everywhere: the quadrature mass is 0.
+    {"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e300}]},
+])
+def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(params))
+    out = tmp_path / "rep"
+    code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
+                    "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_negative_radius_exits_2(tmp_path):

@@ -22,23 +22,22 @@ def test_predicted_mass_values():
 def test_liouville_flux_exact_reference():
     # Radial n=1 case integrates in closed form to 4 pi.
     sp = sample_params(1, 0, 0.0)
-    flux = mass_flux(sp, 1, R=1e3)
+    (flux,) = mass_flux(sp, R=1e3)
     assert flux == pytest.approx(4.0 * math.pi, rel=1e-3)
 
 
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 0), (3, 2)])
 def test_flux_hits_quantized_values(n, seed):
     sp = sample_params(n, seed, 0.3)
-    for i in range(1, n + 1):
-        flux = mass_flux(sp, i, R=1e3)
+    fluxes = mass_flux(sp, R=1e3)
+    assert len(fluxes) == n
+    for i, flux in enumerate(fluxes, start=1):
         assert abs(flux / predicted_mass(n, i) - 1.0) < 0.01
 
 
 def test_quadrature_agrees_with_flux():
     sp = sample_params(2, 1, 0.3)
-    for i in (1, 2):
-        flux = mass_flux(sp, i, R=1e3)
-        quad = mass_quadrature(sp, i)
+    for flux, quad in zip(mass_flux(sp, R=1e3), mass_quadrature(sp), strict=True):
         assert abs(flux / quad.value - 1.0) < 0.005
         assert quad.tail_fit_stable
         assert quad.tail > 0
@@ -46,7 +45,7 @@ def test_quadrature_agrees_with_flux():
 
 def test_quadrature_tail_is_small_fraction():
     sp = sample_params(1, 0, 0.0)
-    quad = mass_quadrature(sp, 1)
+    (quad,) = mass_quadrature(sp)
     assert quad.tail < 0.01 * quad.value
     assert quad.value == pytest.approx(quad.bulk + quad.tail)
 
@@ -54,16 +53,9 @@ def test_quadrature_tail_is_small_fraction():
 def test_sum_rule():
     # sum_j a_ij * mass_j = 8 pi for every row i.
     sp = sample_params(3, 0, 0.3)
-    masses = [mass_flux(sp, i, R=1e3) for i in range(1, 4)]
+    masses = mass_flux(sp, R=1e3)
     a = sp.cartan().a_float()
     for i in range(3):
         s = sum(a[i][j] * masses[j] for j in range(3))
         assert s == pytest.approx(8.0 * math.pi, rel=0.01)
 
-
-def test_component_index_validation():
-    sp = sample_params(2, 0, 0.2)
-    with pytest.raises(IndexError):
-        mass_flux(sp, 3, R=100.0)
-    with pytest.raises(IndexError):
-        mass_quadrature(sp, 0)
