@@ -327,8 +327,7 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
         z = circle(r_nodes, T_SAMPLES)
         base = upper_components(sp, z)
-        # Component l-1 of each field is row l-2 of its stack.
-        return np.stack([np.mean(f.upper(z, base)[l - 2], axis=1) for _, l, f in fields])
+        return np.stack([np.mean(f.upper(z, base, k=l - 1), axis=1) for _, l, f in fields])
 
     # Panel boundaries refine geometrically inward from the smallest radius,
     # so the last len(T_RADII) panels end exactly on T_RADII.

@@ -2,9 +2,7 @@
 
 Degrees stay small (at most the system size n), so a dense coefficient
 tuple is the whole representation.  Evaluation is vectorized over numpy
-arrays; `log_abs_eval` evaluates log|p(z)| in a form that stays accurate
-and overflow-free for |z| up to ~1e3 and degrees up to ~100 by switching
-to the reversed polynomial in 1/z outside the unit disk.
+arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ __all__ = [
     "ComplexPoly",
     "derivative",
     "eval_poly",
-    "log_abs_eval",
     "poly_det",
 ]
 
@@ -90,28 +87,6 @@ def eval_poly(p: ComplexPoly, z, out=None):
         acc *= z
         acc += c
     return acc if acc.shape else complex(acc)
-
-
-def log_abs_eval(p: ComplexPoly, z):
-    """log|p(z)|, stable for large |z| via the reversed polynomial in 1/z."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    z = np.atleast_1d(z)
-    out = np.full(z.shape, -np.inf)
-    if not p.is_zero():
-        d = p.degree
-        inner = np.abs(z) <= 1.0
-        if inner.any():
-            with np.errstate(divide="ignore"):
-                out[inner] = np.log(np.abs(eval_poly(p, z[inner])))
-        if (~inner).any():
-            zo = z[~inner]
-            rev = ComplexPoly.from_coeffs(tuple(reversed(p.coeffs)))
-            with np.errstate(divide="ignore"):
-                out[~inner] = d * np.log(np.abs(zo)) + np.log(
-                    np.abs(eval_poly(rev, 1.0 / zo))
-                )
-    return float(out[0]) if scalar else out
 
 
 def poly_det(rows: list) -> ComplexPoly:

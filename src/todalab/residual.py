@@ -132,10 +132,10 @@ class DerivativeField:
     base: SolutionParams
     which: str
 
-    def upper(self, z, base_upper=None) -> np.ndarray:
+    def upper(self, z, base_upper=None, k=None) -> np.ndarray:
         if base_upper is None:
             base_upper = upper_components(self.base, z)
-        return log_det_k_tangent(self.base, self.which, z, base_upper)
+        return log_det_k_tangent(self.base, self.which, z, base_upper, k)
 
     def lower(self, z, base_upper=None) -> np.ndarray:
         a = self.base.cartan().a_float()

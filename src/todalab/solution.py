@@ -14,8 +14,8 @@ over Wronskian minors W_S of the holomorphic family (1, P_1, ..., P_n).
 Every term is nonnegative, so the sum has no cancellation and stays
 accurate at radii ~1e3 where direct elimination on (f^{p,q}) loses all
 significant digits for k >= 3.  The minors are fixed polynomials computed
-once per parameter set; magnitudes are handled in log form.  A scaled-LU
-evaluation of (f^{p,q}) is kept as an independent cross-check route.
+once per parameter set and summed directly under one common scale factor.
+A scaled-LU evaluation of (f^{p,q}) is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import CartanData, cartan_matrix
-from .cpoly import ComplexPoly, derivative, eval_poly, log_abs_eval, poly_det
+from .cpoly import ComplexPoly, derivative, eval_poly, poly_det
 
 __all__ = [
     "PositivityError",
@@ -51,8 +51,6 @@ __all__ = [
     "params_from_json",
     "load_params",
 ]
-
-LOG2 = math.log(2.0)
 
 
 class PositivityError(ArithmeticError):
@@ -197,10 +195,12 @@ def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
 
 @lru_cache(maxsize=256)
 def _wronskian_minors(sp: SolutionParams) -> tuple:
-    """For each k = 1..n+1, the list of (log lambda-product, W_S) minors.
+    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k.
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
-    with P_0 = 1; each W_S is a polynomial in z alone.
+    with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
+    for each S, D_k is the top minor degree, `const` sums lambda_S |W_S|^2
+    over constant minors, and `scaled` is sqrt(lambda_S) W_S for the others.
     """
     derivs = _derivative_table(sp)
     out = []
@@ -209,29 +209,52 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
         for subset in itertools.combinations(range(sp.n + 1), k):
             rows = [[derivs[i][p] for i in subset] for p in range(k)]
             w = poly_det(rows)
-            log_lam = sum(math.log(sp.lambdas[i]) for i in subset)
-            minors.append((log_lam, w))
-        out.append(tuple(minors))
+            minors.append((subset, math.prod(sp.lambdas[i] for i in subset), w))
+        const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
+        scaled = tuple(w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0)
+        out.append((tuple(minors), max(w.degree for *_, w in minors), const, scaled))
     return tuple(out)
+
+
+def _log_dets(sp: SolutionParams, ks, z) -> np.ndarray:
+    """log det_k(f) at the points z for each k in ks, stacked along axis 0.
+
+    det_k = rho^(2 D_k) sum_S lambda_S |q_S(z / rho)|^2, rho = max(1, max |z|),
+    with q_S(w) = sum_j c_j rho^(j - D_k) w^j for W_S = sum_j c_j z^j.  As
+    |w| <= 1, |q_S| <= sum_j |c_j|, so the nonnegative terms need no logs:
+    each k takes one Horner pass per non-constant minor and one log.  One
+    rho serves all points; |z| spanning >150/D_k decades raises PositivityError.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    rho = max(1.0, float(np.max(np.abs(z))))
+    w = z / rho
+    q = np.empty_like(w)
+    out = np.empty((len(ks),) + z.shape)
+    # Overflow and NaN are caught by the range check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for acc, k in zip(out, ks):
+            _, degree, const, scaled = _wronskian_minors(sp)[k - 1]
+            scale = [rho ** (j - degree) for j in range(degree + 1)]
+            acc.fill(const * scale[0] ** 2)
+            for p in scaled:
+                eval_poly(ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale))), w, q)
+                acc += q.real**2
+                acc += q.imag**2
+            # Below ~1e-290 the squared terms approach subnormal numbers and
+            # lose digits; NaN fails every comparison.
+            if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
+                raise PositivityError(f"det_k is not finite and positive at scale {rho:.3g}")
+            np.log(acc, out=acc)
+            acc += 2.0 * degree * math.log(rho)
+    return out
 
 
 def log_det_k(sp: SolutionParams, k: int, z):
     """log det_k(f) at z (scalar or array), k = 1..n+1."""
     if not 1 <= k <= sp.n + 1:
         raise ValueError(f"k={k} out of range 1..{sp.n + 1}")
-    minors = _wronskian_minors(sp)[k - 1]
-    z = np.asarray(z, dtype=complex)
-    scalar = z.shape == ()
-    # Overflow and NaN are caught by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.stack(
-            [log_lam + 2.0 * np.atleast_1d(log_abs_eval(w, z)) for log_lam, w in minors]
-        )
-        peak = np.max(terms, axis=0)
-        out = peak + np.log(np.sum(np.exp(terms - peak), axis=0))
-    if not np.all(np.isfinite(out)):
-        raise PositivityError("det_k evaluation produced non-finite values")
-    return float(out[0]) if scalar else out
+    out = _log_dets(sp, (k,), z)[0]
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
@@ -255,10 +278,10 @@ def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
 
 def upper_components(sp: SolutionParams, z) -> np.ndarray:
     """U^k for k = 1..n, stacked along axis 0; z scalar or array."""
-    return np.stack(
-        [-(k * (k - 1) * LOG2 + np.atleast_1d(log_det_k(sp, k, z)))
-         for k in range(1, sp.n + 1)]
-    )
+    out = _log_dets(sp, range(1, sp.n + 1), z)
+    for k, row in enumerate(out, start=1):
+        row += k * (k - 1) * math.log(2.0)
+    return np.negative(out, out=out)
 
 
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
@@ -352,10 +375,9 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
         shift = ComplexPoly.from_coeffs([0j] * j + [unit])
         column = [derivative(shift, p) for p in range(n + 1)]
     out = []
-    for k, minors in enumerate(_wronskian_minors(sp)[:n], start=1):
+    for k, (minors, *_) in enumerate(_wronskian_minors(sp)[:n], start=1):
         terms = []
-        subsets = itertools.combinations(range(n + 1), k)
-        for subset, (log_lam, w) in zip(subsets, minors):
+        for subset, lam, w in minors:
             if i not in subset:
                 continue
             if j < 0:
@@ -367,25 +389,29 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
                 ]
                 dw = poly_det(rows)
             if not dw.is_zero():
-                weight = 2.0 ** (k * (k - 1) + 1) * math.exp(log_lam)
+                weight = 2.0 ** (k * (k - 1) + 1) * lam
                 terms.append((w, dw.scale(weight)))
         out.append((-k / (n + 1) if j < 0 else 0.0, tuple(terms)))
     return tuple(out)
 
 
-def log_det_k_tangent(sp: SolutionParams, which: str, z, upper) -> np.ndarray:
+def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.ndarray:
     """Exact d log det_k / d(which) at the points z (an array), for k = 1..n.
 
     `upper` stacks the upper components U^k of `sp` at z along axis 0, so
     every direction evaluated on one set of points can share them.
-    Results are stacked the same way.
+    Results are stacked the same way; a given k returns only its row.
     """
+    if k is not None and not 1 <= k <= sp.n:
+        raise ValueError(f"k={k} out of range 1..{sp.n}")
+    rows = range(sp.n) if k is None else (k - 1,)
     z = np.asarray(z, dtype=complex)
-    out = np.empty((sp.n,) + z.shape)
+    out = np.empty((len(rows),) + z.shape)
     w = np.empty(z.shape, dtype=complex)
     v = np.empty(z.shape, dtype=complex)
     exp_u = np.empty(z.shape)
-    for acc, u_k, (offset, terms) in zip(out, upper, _tangent_minors(sp, which)):
+    for acc, row in zip(out, rows):
+        offset, terms = _tangent_minors(sp, which)[row]
         acc.fill(0.0)
         for w_poly, v_poly in terms:
             eval_poly(w_poly, z, out=w)
@@ -393,9 +419,9 @@ def log_det_k_tangent(sp: SolutionParams, which: str, z, upper) -> np.ndarray:
             np.conjugate(w, out=w)
             w *= v
             acc += w.real
-        acc *= np.exp(u_k, out=exp_u)
+        acc *= np.exp(upper[row], out=exp_u)
         acc += offset
-    return out
+    return out if k is None else out[0]
 
 
 # -- JSON parameter schema -------------------------------------------------

@@ -126,17 +126,17 @@ def test_t_integral_converges_n2():
 
 
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
-    # upper_components calls log_det_k once for each k = 1..n, so one base
-    # evaluation costs n calls however many components and directions a
-    # probe checks.
+    # Every base evaluation goes through the det_k kernel, which returns
+    # all k in one call, however many components and directions a probe
+    # checks.
     calls = []
-    original = solution.log_det_k
+    original = solution._log_dets
 
-    def counted(sp, k, z):
-        calls.append(k)
-        return original(sp, k, z)
+    def counted(sp, ks, z):
+        calls.append(tuple(ks))
+        return original(sp, ks, z)
 
-    monkeypatch.setattr(solution, "log_det_k", counted)
+    monkeypatch.setattr(solution, "_log_dets", counted)
     n = 3
     sp = sample_params(n, 0, 0.3)
     for probe, evaluations in (
@@ -150,4 +150,4 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     ):
         calls.clear()
         probe()
-        assert len(calls) == n * evaluations
+        assert calls == [tuple(range(1, n + 1))] * evaluations

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, stable log-magnitude evaluation, Wronskian dets."""
+"""Polynomial arithmetic, evaluation, Wronskian dets."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from todalab.cpoly import (
     ComplexPoly,
     derivative,
     eval_poly,
-    log_abs_eval,
     poly_det,
 )
 
@@ -63,26 +62,6 @@ def test_derivative_linearity_vs_product_rule(p):
     lhs = derivative(p * q)
     rhs = derivative(p) * q + p * derivative(q)
     assert lhs.coeffs == pytest.approx(rhs.coeffs)
-
-
-def test_log_abs_eval_matches_direct_at_moderate_radius():
-    p = ComplexPoly.from_coeffs([1.5, 0, -2j, 0, 1])
-    z = 3.0 * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
-    direct = np.log(np.abs(eval_poly(p, z)))
-    assert np.allclose(log_abs_eval(p, z), direct, atol=1e-12)
-
-
-def test_log_abs_eval_large_radius_no_overflow():
-    # Degree 100 at |z| = 1e3: |p| ~ 1e300, log form must stay finite and
-    # agree with the analytic value log|z^100 + 1| ~ 100 log|z|.
-    p = ComplexPoly.from_coeffs([1.0] + [0.0] * 99 + [1.0])
-    val = log_abs_eval(p, 1e3 + 0j)
-    assert np.isfinite(val)
-    assert val == pytest.approx(100 * np.log(1e3), rel=1e-12)
-
-
-def test_log_abs_eval_zero_poly_is_minus_inf():
-    assert log_abs_eval(ComplexPoly(()), 1.0 + 0j) == -np.inf
 
 
 def test_poly_det_2x2():

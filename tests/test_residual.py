@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from gram_oracle import mp_log_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from todalab.residual import (
 from todalab.solution import (
     kernel_directions,
     log_det_k,
-    parse_direction,
     perturbed,
     sample_params,
 )
@@ -96,36 +96,6 @@ def test_derivative_field_sign_convention():
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-def _mp_log_det(sp, k, z, which, h):
-    """log det_k at z from the k x k Gram matrix of f, in mpmath, with the
-    parameters moved by h along `which` (an independent route: no minors)."""
-    n = sp.n
-    lambdas = [mp.mpf(x) for x in sp.lambdas]
-    polys = [[mp.mpc(1)]] + [[mp.mpc(c) for c in p.coeffs] for p in sp.polys]
-    kind, m = parse_direction(which)
-    if kind == "loglambda":
-        # lambda_m moves by e^h, then all by the common factor that keeps the product.
-        lambdas = [lam * mp.exp(h * ((i == m) - mp.mpf(1) / (n + 1)))
-                   for i, lam in enumerate(lambdas)]
-    else:
-        i = n + 1 - m if kind in ("alpha", "beta") else n + 2 - m
-        polys[i][n - m] += h if kind in ("alpha", "alpha2") else 1j * h
-    z = mp.mpc(z)
-
-    def deriv(coeffs, p):
-        acc = mp.mpc(0)
-        for e in range(len(coeffs) - 1, p - 1, -1):
-            acc = acc * z + coeffs[e] * mp.ff(e, p)
-        return acc
-
-    vals = [[deriv(c, p) for p in range(k)] for c in polys]
-    gram = mp.matrix(k, k)
-    for p in range(k):
-        for q in range(k):
-            gram[p, q] = mp.fsum(lam * v[p] * mp.conj(v[q]) for lam, v in zip(lambdas, vals))
-    return mp.log(mp.re(mp.det(gram)))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_derivative_field_matches_mpmath_central_difference(n):
     # A 120-digit central difference with step 1e-40 has an error near
@@ -139,9 +109,25 @@ def test_derivative_field_matches_mpmath_central_difference(n):
             got = param_derivative_field(sp, which).upper(zs)
             for k in range(1, n + 1):
                 for z, value in zip(zs, got[k - 1]):
-                    ref = (_mp_log_det(sp, k, z, which, h)
-                           - _mp_log_det(sp, k, z, which, -h)) / (2 * h)
+                    ref = (mp_log_det(sp, k, z, which, h)
+                           - mp_log_det(sp, k, z, which, -h)) / (2 * h)
                     assert value == pytest.approx(float(ref), rel=1e-11), (which, k, z)
+
+
+def test_derivative_field_single_row_matches_full_stack():
+    # upper(z, k=k) runs the same polynomials on the same points as the
+    # full stack, so its row must agree bit for bit.
+    n = 3
+    sp = sample_params(n, 2, 0.5)
+    z = 40.0 * np.exp(1j * np.linspace(0.0, 6.0, 9))
+    for which in all_directions(n):
+        fld = param_derivative_field(sp, which)
+        full = fld.upper(z)
+        for k in range(1, n + 1):
+            assert np.array_equal(fld.upper(z, k=k), full[k - 1])
+        for k in (0, n + 1):
+            with pytest.raises(ValueError):
+                fld.upper(z, k=k)
 
 
 @given(

@@ -3,8 +3,10 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from gram_oracle import mp_log_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +130,34 @@ def test_top_determinant_is_constant(n):
     expected = -n * (n + 1) * LOG2
     for z in (0j, 1 + 2j, 30 - 40j, 1e3 + 0j):
         assert log_det_k(sp, n + 1, z) == pytest.approx(expected, abs=1e-9)
+
+
+def _assert_matches_gram_oracle(sp, ks, z):
+    # 30 guard digits on top of the n(n+1) log10|z| digits that cancel in
+    # the Gram determinant; h = 0 keeps the parameters of sp.
+    digits = 30 + math.ceil(sp.n * (sp.n + 1) * math.log10(np.max(np.abs(z))))
+    with mp.workdps(digits):
+        for k in ks:
+            got = log_det_k(sp, k, z)
+            for zi, value in zip(z, got):
+                ref = float(mp_log_det(sp, k, zi, "alpha_1", 0))
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (k, zi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_log_det_matches_mpmath_gram_determinant(n):
+    sp = sample_params(n, 1, 0.5)
+    for r in (1e2, 1e3):
+        z = r * np.exp(1j * (0.1 + 2.0 * np.pi * np.arange(8) / 8))
+        _assert_matches_gram_oracle(sp, range(1, n + 2), z)
+
+
+def test_log_det_scaled_evaluation_at_radius_1e100():
+    # |P_2(z)|^2 ~ 1e400 overflows double precision; the common scale
+    # factor must keep det_k finite and accurate.
+    sp = sample_params(2, 1, 0.5)
+    z = 1e100 * np.exp(1j * (0.1 + 2.0 * np.pi * np.arange(8) / 8))
+    _assert_matches_gram_oracle(sp, (1, 2), z)
 
 
 def test_mixed_derivative_hermitian_symmetry():
