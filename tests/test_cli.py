@@ -1,12 +1,13 @@
 """Command-line driver: exit codes, report layout, determinism."""
 
+import functools
 import json
 import time
 
 import pytest
 
 from todalab.cli import main
-from todalab.suites import RunConfig, build_param_sets
+from todalab.suites import DEFAULT_TOLERANCES, RunConfig, build_param_sets, run_suites
 
 
 def run_cli(args):
@@ -121,6 +122,46 @@ def test_t_integral_ratio_tolerance_decides_verdict(tmp_path):
     assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] == summary["total"] == 2
+
+
+# The suite each tolerance key decides, and a value no passing case meets.
+TOLERANCE_SUITES = {
+    "pde_order_center": "pde",
+    "pde_order_slack": "pde",
+    "linearized_max_residual": "linearized",
+    "mass_flux_rel": "mass",
+    "mass_route_agreement": "mass",
+    "mass_sum_rule_rel": "mass",
+    "first_frequency_rel": "asymptotics",
+    "kernel_signature_rel": "asymptotics",
+    "leading_coefficient_rel": "asymptotics",
+    "t_integral_ratio": "t-integrals",
+}
+EXTREME_TOLERANCES = {"pde_order_center": 10.0, "t_integral_ratio": 1e300}
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_cases(suite: str, key: str | None = None) -> dict:
+    tolerances = {key: EXTREME_TOLERANCES.get(key, 1e-300)} if key else {}
+    cfg = RunConfig(suites=[suite], n=2, count=1, grid_h=0.04, tolerances=tolerances)
+    return {c.case_id: c.passed for c in run_suites(cfg)[0]}
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_every_tolerance_key_decides_a_verdict(key):
+    suite = TOLERANCE_SUITES[key]
+    default, extreme = _suite_cases(suite), _suite_cases(suite, key)
+    assert any(default[case_id] and not passed for case_id, passed in extreme.items())
+
+
+def test_every_asymptotics_verdict_is_decided(tmp_path):
+    out = tmp_path / "rep"
+    assert run_cli(["verify", "--suite", "asymptotics", "--n", "2", "--count", "1",
+                    "--out", str(out)]) == 0
+    cases = json.loads((out / "summary.json").read_text())["cases"]
+    assert any("-const-term-" in c["case_id"] for c in cases)
+    assert all(c["tolerance"] is not None for c in cases)
+    assert not any(c["case_id"].endswith("-info") for c in cases)
 
 
 def test_run_config_defaults_and_param_sets():
