@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residual import param_derivative_field
-from .solution import SolutionParams, lower_components, upper_components
+from .solution import SolutionParams, log_det_k_tangent, lower_components, upper_components
 
 __all__ = [
     "FourierCoeffs",
@@ -99,20 +98,18 @@ def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
     return totals
 
 
-def fourier_coeffs(component, r: float, M: int = SAMPLES) -> FourierCoeffs:
-    """Trapezoid DFT of a real field on the circle of radius r.
+def fourier_coeffs(component, r: float) -> FourierCoeffs:
+    """Trapezoid DFT of a real field on SAMPLES points of the circle of radius r.
 
-    `component` maps an array of M complex points to M real values, or to
-    a stack of rows of them (..., M); every coefficient then has the
-    stack's leading shape.
+    `component` maps an array of SAMPLES complex points to SAMPLES real
+    values, or to a stack of rows of them (..., SAMPLES); every coefficient
+    then has the stack's leading shape.
     """
-    if M < 8 * MAX_FREQUENCY:
-        raise ValueError("need at least 8 samples per extracted frequency")
-    vals = np.asarray(component(circle(r, M)), dtype=float)
+    vals = np.asarray(component(circle(r, SAMPLES)), dtype=float)
     spec = np.fft.rfft(vals)
-    a0 = spec[..., 0].real / M
-    a_cos = tuple(2.0 * spec[..., k].real / M for k in range(1, MAX_FREQUENCY + 1))
-    b_sin = tuple(-2.0 * spec[..., k].imag / M for k in range(1, MAX_FREQUENCY + 1))
+    a0 = spec[..., 0].real / SAMPLES
+    a_cos = tuple(2.0 * spec[..., k].real / SAMPLES for k in range(1, MAX_FREQUENCY + 1))
+    b_sin = tuple(-2.0 * spec[..., k].imag / SAMPLES for k in range(1, MAX_FREQUENCY + 1))
     return FourierCoeffs(a0=a0, a_cos=a_cos, b_sin=b_sin)
 
 
@@ -123,13 +120,9 @@ def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
                           abs(measured - predicted) / float(denom), notes)
 
 
-def _second_frequency_fields(sp: SolutionParams) -> list:
-    """[(kind, l, tangent field along kind_l)] for kind alpha2, beta2 and l = 2..n."""
-    return [
-        (kind, l, param_derivative_field(sp, f"{kind}_{l}"))
-        for kind in ("alpha2", "beta2")
-        for l in range(2, sp.n + 1)
-    ]
+def _second_frequency_directions(n: int) -> list:
+    """[(kind, l, "kind_l")] for kind alpha2, beta2 and l = 2..n."""
+    return [(kind, l, f"{kind}_{l}") for kind in ("alpha2", "beta2") for l in range(2, n + 1)]
 
 
 def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
@@ -198,17 +191,17 @@ def kernel_signature_check(sp: SolutionParams) -> dict:
     directions alpha2_j, beta2_j; each circle evaluates the base solution
     once for every direction.
     """
-    fields = _second_frequency_fields(sp)
-    if not fields:
+    directions = _second_frequency_directions(sp.n)
+    if not directions:
         return {}
 
     def tangents(z):
         base = upper_components(sp, z)
-        return np.stack([fld.upper(z, base) for _, _, fld in fields])
+        return np.stack([log_det_k_tangent(sp, which, z, base) for *_, which in directions])
 
     fc = fourier_coeffs(tangents, R_FAR)
     out = {}
-    for index, (kind, j, fld) in enumerate(fields):
+    for index, (kind, j, which) in enumerate(directions):
         coeff = (fc.a_cos[1] if kind == "alpha2" else fc.b_sin[1])[index]
         checks = []
         for m in range(1, sp.n + 1):
@@ -217,7 +210,7 @@ def kernel_signature_check(sp: SolutionParams) -> dict:
             checks.append(
                 _check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom, m=m, j=j, kind=kind)
             )
-        out[fld.which] = tuple(checks)
+        out[which] = tuple(checks)
     return out
 
 
@@ -272,14 +265,17 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     integrals over B_R to form a Cauchy sequence.  A result converges when
     each successive difference is at most 1/ratio of the one before.
     """
-    fields = _second_frequency_fields(sp)
-    if not fields:
+    directions = _second_frequency_directions(sp.n)
+    if not directions:
         return {}
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
         z = circle(r_nodes, T_SAMPLES)
         base = upper_components(sp, z)
-        return np.stack([np.mean(f.upper(z, base, k=l - 1), axis=1) for _, l, f in fields])
+        return np.stack([
+            np.mean(log_det_k_tangent(sp, which, z, base, k=l - 1), axis=1)
+            for _, l, which in directions
+        ])
 
     # Panel boundaries refine geometrically inward from the smallest radius,
     # so the last len(T_RADII) panels end exactly on T_RADII.
@@ -287,10 +283,10 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
     totals = polar_panels(ring_mean, bounds, T_NODES)[-len(T_RADII):]
     out = {}
-    for index, (_, _, fld) in enumerate(fields):
+    for index, (*_, which) in enumerate(directions):
         values = [float(total[index]) for total in totals]
         diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-        out[fld.which] = TIntegralResult(
+        out[which] = TIntegralResult(
             value=values[-1],
             partials=tuple(zip(T_RADII, values)),
             diffs=diffs,

@@ -102,13 +102,12 @@ def emit_plot_data(report_dir) -> list:
     out_path = plots / "error_vs_radius.csv"
     with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "which", "r", "measured", "predicted", "rel_err"])
+        columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
+        writer.writerow(columns)
         if asym.exists() and asym.stat().st_size:
             with asym.open() as src:
                 for row in csv.DictReader(src):
-                    writer.writerow([row["m"], row["which"], row["r"],
-                                     row["measured"], row["predicted"],
-                                     row["rel_err"]])
+                    writer.writerow([row[name] for name in columns])
     written.append(out_path)
 
     out_path = plots / "residual_vs_h.csv"
@@ -168,12 +167,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "show-params":
-        for label, sp in build_param_sets(cfg):
-            print(label)
-            print(json.dumps(params_to_json(sp), indent=2, sort_keys=True))
-        return 0
     try:
+        if args.command == "show-params":
+            for label, sp in build_param_sets(cfg):
+                print(label)
+                print(json.dumps(params_to_json(sp), indent=2, sort_keys=True))
+            return 0
         return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

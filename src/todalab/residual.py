@@ -27,9 +27,7 @@ from .solution import (
 __all__ = [
     "GridSpec",
     "ResidualReport",
-    "DerivativeField",
     "pde_residual",
-    "param_derivative_field",
     "linearized_residual",
 ]
 
@@ -51,12 +49,13 @@ class GridSpec:
     def h(self) -> float:
         return 2.0 * self.half_width / (self.points_per_side - 1)
 
-    @staticmethod
-    def from_h(h: float, half_width: float = 2.0) -> "GridSpec":
-        pps = int(round(2.0 * half_width / h)) + 1
+    @classmethod
+    def from_h(cls, h: float) -> "GridSpec":
+        """The default-width grid whose spacing is h, rounded to an odd point count."""
+        pps = int(round(2.0 * cls.half_width / h)) + 1
         if pps % 2 == 0:
             pps += 1
-        return GridSpec(half_width=half_width, points_per_side=pps)
+        return cls(points_per_side=pps)
 
     def mesh(self) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width, self.points_per_side)
@@ -119,45 +118,22 @@ def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
     )
 
 
-@dataclass(frozen=True)
-class DerivativeField:
-    """Exact derivative of the solution family in one parameter direction.
+def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> list:
+    """Max interior residual per component for each direction's field, on one grid.
 
-    Sign convention: lower(z)[i] is -dU_i/d(which); upper(z)[m] is
-    -dU^{m+1}/d(which) = d log det_{m+1}/d(which).  `base_upper` (the upper
-    components of the base solution at z) may be passed in when the caller
-    already holds it, so that many directions share one base evaluation.
-    """
-
-    base: SolutionParams
-    which: str
-
-    def upper(self, z, base_upper=None, k=None) -> np.ndarray:
-        if base_upper is None:
-            base_upper = upper_components(self.base, z)
-        return log_det_k_tangent(self.base, self.which, z, base_upper, k)
-
-    def lower(self, z, base_upper=None) -> np.ndarray:
-        a = self.base.cartan().a_float()
-        return np.tensordot(a, self.upper(z, base_upper), axes=(1, 0))
-
-
-def param_derivative_field(sp: SolutionParams, which: str) -> DerivativeField:
-    """The exact tangent field of the family at `sp` along `which`."""
-    return DerivativeField(base=sp, which=which)
-
-
-def _linearized_residual_once(sp: SolutionParams, fields, g: GridSpec) -> list:
-    """Max interior residual per component for each field, on one grid.
-
+    The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
     The base solution is evaluated once; only z, its upper components and
-    the interior weights e^{U_j} are kept across the fields.
+    the interior weights e^{U_j} are kept across the directions.
     """
     z = g.mesh()
     a = sp.cartan().a_float()
     upper = upper_components(sp, z)
     weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-    return [_max_residual(field.lower(z, upper), weights, a, g.h) for field in fields]
+    return [
+        _max_residual(np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0)),
+                      weights, a, g.h)
+        for which in directions
+    ]
 
 
 def _max_residual(phi: np.ndarray, weights: np.ndarray, a: np.ndarray, h: float):
@@ -178,10 +154,10 @@ def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     Returns {direction: ResidualReport} over kernel_directions(sp.n); one
     base evaluation per grid serves every direction.
     """
-    fields = [param_derivative_field(sp, which) for which in kernel_directions(sp.n)]
-    coarse = _linearized_residual_once(sp, fields, g)
-    fine = _linearized_residual_once(sp, fields, g.refined())
+    directions = kernel_directions(sp.n)
+    coarse = _linearized_residual_once(sp, directions, g)
+    fine = _linearized_residual_once(sp, directions, g.refined())
     return {
-        field.which: _residual_report(res, res_fine, g.h)
-        for field, res, res_fine in zip(fields, coarse, fine)
+        which: _residual_report(res, res_fine, g.h)
+        for which, res, res_fine in zip(directions, coarse, fine)
     }

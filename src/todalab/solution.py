@@ -366,21 +366,27 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
     column i replaced by the derivatives of unit * z^j; only subsets S
     containing i contribute.  A loglambda_I direction moves only the
     weights, d log lambda_S = [I in S] - k/(n+1), which is dW_S = W_S / 2
-    on the subsets containing I plus the offset -k/(n+1).
+    on the subsets containing I plus the offset -k/(n+1).  The "radial"
+    direction r d/dr generates z -> e^t z, so dW_S = z W_S' on every S
+    and the offset is 0.
     """
     n = sp.n
-    i, j, unit = _coefficient_slot(n, which)
+    radial = which == "radial"
+    if not radial:
+        i, j, unit = _coefficient_slot(n, which)
     derivs = _derivative_table(sp)
-    if j >= 0:
+    if not radial and j >= 0:
         shift = ComplexPoly.from_coeffs([0j] * j + [unit])
         column = [derivative(shift, p) for p in range(n + 1)]
     out = []
     for k, (minors, *_) in enumerate(_wronskian_minors(sp)[:n], start=1):
         terms = []
         for subset, lam, w in minors:
-            if i not in subset:
+            if radial:
+                dw = ComplexPoly.from_coeffs(p * c for p, c in enumerate(w.coeffs))
+            elif i not in subset:
                 continue
-            if j < 0:
+            elif j < 0:
                 dw = w.scale(0.5)
             else:
                 rows = [
@@ -391,12 +397,14 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
             if not dw.is_zero():
                 weight = 2.0 ** (k * (k - 1) + 1) * lam
                 terms.append((w, dw.scale(weight)))
-        out.append((-k / (n + 1) if j < 0 else 0.0, tuple(terms)))
+        out.append((-k / (n + 1) if not radial and j < 0 else 0.0, tuple(terms)))
     return tuple(out)
 
 
 def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.ndarray:
     """Exact d log det_k / d(which) at the points z (an array), for k = 1..n.
+
+    `which` is a parameter direction or "radial" (r d/dr at fixed parameters).
 
     `upper` stacks the upper components U^k of `sp` at z along axis 0, so
     every direction evaluated on one set of points can share them.
@@ -437,16 +445,26 @@ def params_to_json(sp: SolutionParams) -> dict:
     return {"n": sp.n, "lambdas": list(sp.lambdas), "coeffs": coeffs}
 
 
+def _json_int(doc, key: str) -> int:
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def params_from_json(doc: dict) -> tuple[SolutionParams, float]:
     """Build params from the JSON schema; lambdas are normalized.
 
-    Returns (params, applied common scale factor).
+    Returns (params, applied common scale factor).  A malformed document
+    raises ValueError.
     """
-    n = int(doc["n"])
+    if not isinstance(doc, dict) or "lambdas" not in doc:
+        raise ValueError("parameters must be a JSON object with n and lambdas")
+    n = _json_int(doc, "n")
     lambdas, scale = normalize_lambdas(doc["lambdas"], n)
     cmaps = {i: {} for i in range(1, n + 1)}
     for entry in doc.get("coeffs", []):
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = _json_int(entry, "i"), _json_int(entry, "j")
         if not 1 <= i <= n or not 0 <= j < i:
             raise ValueError(f"coefficient index ({i},{j}) out of range")
         cmaps[i][j] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
@@ -458,5 +476,10 @@ def params_from_json(doc: dict) -> tuple[SolutionParams, float]:
 
 
 def load_params(path) -> tuple[SolutionParams, float]:
+    """params_from_json of a file; a value of the wrong JSON type raises ValueError."""
     with open(path) as fh:
-        return params_from_json(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return params_from_json(doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed parameters in {path}: {exc}") from None

@@ -25,17 +25,12 @@ def test_fourier_coeffs_exact_on_trig_polynomial():
         theta = np.angle(z)
         return 1.5 + 2.0 * np.cos(theta) - 0.5 * np.sin(theta) + 0.25 * np.sin(2 * theta)
 
-    fc = fourier_coeffs(component, r=10.0, M=64)
+    fc = fourier_coeffs(component, r=10.0)
     assert fc.a0 == pytest.approx(1.5, abs=1e-12)
     assert fc.a_cos[0] == pytest.approx(2.0, abs=1e-12)
     assert fc.b_sin[0] == pytest.approx(-0.5, abs=1e-12)
     assert fc.a_cos[1] == pytest.approx(0.0, abs=1e-12)
     assert fc.b_sin[1] == pytest.approx(0.25, abs=1e-12)
-
-
-def test_fourier_coeffs_rejects_undersampling():
-    with pytest.raises(ValueError):
-        fourier_coeffs(lambda z: np.zeros_like(z, dtype=float), 1.0, M=8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -146,7 +141,7 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
         (lambda: first_frequency_check(sp), 1),
         (lambda: kernel_signature_check(sp), 1),
         (lambda: constant_term_probe(sp), 1),
-        (lambda: mass_flux(sp, R=1e3), 2),  # circles at R -+ the radial step
+        (lambda: mass_flux(sp, R=1e3), 1),
         (lambda: mass_quadrature(sp), 9 + 2),  # 9 radial panels, 2 tail circles
         (lambda: t_integral(sp, ratio=1.5), 9),  # 9 radial panels
     ):

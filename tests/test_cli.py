@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, report layout, determinism."""
 
+import csv
 import functools
 import json
 import time
@@ -96,6 +97,17 @@ def test_plot_data_emits_csvs(tmp_path, capsys):
     residual_csv = (plots / "residual_vs_h.csv").read_text().splitlines()
     assert residual_csv[0] == "suite,label,h,max_residual"
     assert len(residual_csv) > 1
+
+
+def test_plot_rows_of_error_vs_radius_are_distinct(tmp_path, capsys):
+    out = tmp_path / "rep"
+    run_cli(["verify", "--suite", "asymptotics", "--n", "2", "--count", "2",
+             "--out", str(out)])
+    assert run_cli(["plot-data", "--out", str(out)]) == 0
+    with (out / "plots" / "error_vs_radius.csv").open() as fh:
+        keys = [(row["label"], row["check"], row["m"], row["which"])
+                for row in csv.DictReader(fh)]
+    assert len(keys) > 1 and len(set(keys)) == len(keys)
 
 
 def test_failing_tolerance_exits_1(tmp_path):
@@ -227,6 +239,29 @@ def test_nan_lambda_params_file_exits_2(tmp_path):
     code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
                     "--out", str(tmp_path / "rep")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command,text", [
+    pytest.param("verify", '{"n": 1, "coeffs": []}', id="no-lambdas"),
+    pytest.param("verify", '[1, [1.0, 1.0]]', id="not-an-object"),
+    pytest.param("verify", '{"n": 2.5, "lambdas": [1, 1, 1]}', id="fractional-n"),
+    pytest.param("verify", '{"n": true, "lambdas": [1, 1]}', id="bool-n"),
+    pytest.param("verify", '{"n": 1, "lambdas": 5}', id="lambdas-not-a-list"),
+    pytest.param("verify", '{"n": 2, "lambdas": [1, 1, 1], '
+                 '"coeffs": [{"i": 2.9, "j": 1, "re": 0.1}]}', id="fractional-i"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [NaN, 1.0]}', id="show-nan-lambda"),
+    pytest.param("show-params", None, id="show-missing-file"),
+])
+def test_bad_params_file_exits_2(tmp_path, capsys, command, text):
+    pfile = tmp_path / "p.json"
+    if text is not None:
+        pfile.write_text(text)
+    out = tmp_path / "rep"
+    code = run_cli([command, "--suite", "mass", "--params-file", str(pfile), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", [

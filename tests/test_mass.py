@@ -5,7 +5,7 @@ import math
 import pytest
 
 from todalab.mass import mass_flux, mass_quadrature, predicted_mass
-from todalab.solution import sample_params
+from todalab.solution import PositivityError, sample_params
 
 
 def test_predicted_mass_values():
@@ -20,10 +20,25 @@ def test_predicted_mass_values():
 
 
 def test_liouville_flux_exact_reference():
-    # Radial n=1 case integrates in closed form to 4 pi.
+    # Radial n=1 case: e^{-U^1} = f = lambda_0 + lambda_1 r^2, so the flux
+    # through |z| = R is 2 pi R f'(R) / f(R) = 4 pi lambda_1 R^2 / f(R),
+    # which tends to 4 pi.
     sp = sample_params(1, 0, 0.0)
-    (flux,) = mass_flux(sp, R=1e3)
+    lam0, lam1 = sp.lambdas
+    R = 1e3
+    (flux,) = mass_flux(sp, R=R)
+    assert flux == pytest.approx(4.0 * math.pi * lam1 * R**2 / (lam0 + lam1 * R**2), rel=1e-12)
     assert flux == pytest.approx(4.0 * math.pi, rel=1e-3)
+
+
+def test_flux_overflow_is_a_breakdown_not_a_value():
+    # At n = 5, det_3 has degree 18 in r: W_S conj(z W_S') leaves the
+    # double range near R = 1e18, and the flux must not come out inf or NaN.
+    sp = sample_params(5, 0, 0.3)
+    assert mass_flux(sp, R=1e16) == pytest.approx(
+        [predicted_mass(5, i) for i in range(1, 6)], rel=1e-2)
+    with pytest.raises(PositivityError):
+        mass_flux(sp, R=1e20)
 
 
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 0), (3, 2)])

@@ -10,22 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab.residual import (
-    DerivativeField,
     GridSpec,
+    _max_residual,
     linearized_residual,
-    param_derivative_field,
     pde_residual,
 )
 from todalab.solution import (
     kernel_directions,
     log_det_k,
+    log_det_k_tangent,
+    lower_components,
     perturbed,
     sample_params,
+    upper_components,
 )
 
 
 def all_directions(n):
     return kernel_directions(n) + [f"loglambda_{i}" for i in range(n + 1)]
+
+
+def tangent(sp, which, z, k=None):
+    return log_det_k_tangent(sp, which, z, upper_components(sp, z), k)
 
 
 def test_gridspec_h_and_mesh():
@@ -88,11 +94,10 @@ def test_derivative_field_sign_convention():
     # closed form 2 lambda_1 x / f with f = lambda_0 + lambda_1 |z|^2.
     sp = sample_params(1, 0, 0.0)
     lam0, lam1 = sp.lambdas
-    fld = param_derivative_field(sp, "alpha_1")
     for z in (0.5 + 0.25j, 1 - 2j):
         f = lam0 + lam1 * abs(z) ** 2
         expect = 2.0 * lam1 * z.real / f
-        got = float(fld.upper(np.array([z]))[0][0])
+        got = float(tangent(sp, "alpha_1", np.array([z]))[0][0])
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -100,13 +105,14 @@ def test_derivative_field_sign_convention():
 def test_derivative_field_matches_mpmath_central_difference(n):
     # A 120-digit central difference with step 1e-40 has an error near
     # 1e-80, so the comparison sees only the double-precision tangent,
-    # out to radii where a double-precision difference is useless.
+    # out to radii where a double-precision difference is useless.  The
+    # radial direction r d/dr is differenced along z -> z e^{+-h}.
     sp = sample_params(n, 1, 0.5, dilation=1.0)
     zs = np.array([0.5 * np.exp(0.7j), 1e2 * np.exp(2.1j), 1e3 * np.exp(-1.3j)])
     with mp.workdps(120):
         h = mp.mpf("1e-40")
-        for which in all_directions(n):
-            got = param_derivative_field(sp, which).upper(zs)
+        for which in all_directions(n) + ["radial"]:
+            got = tangent(sp, which, zs)
             for k in range(1, n + 1):
                 for z, value in zip(zs, got[k - 1]):
                     ref = (mp_log_det(sp, k, z, which, h)
@@ -115,19 +121,18 @@ def test_derivative_field_matches_mpmath_central_difference(n):
 
 
 def test_derivative_field_single_row_matches_full_stack():
-    # upper(z, k=k) runs the same polynomials on the same points as the
+    # A single k runs the same polynomials on the same points as the
     # full stack, so its row must agree bit for bit.
     n = 3
     sp = sample_params(n, 2, 0.5)
     z = 40.0 * np.exp(1j * np.linspace(0.0, 6.0, 9))
-    for which in all_directions(n):
-        fld = param_derivative_field(sp, which)
-        full = fld.upper(z)
+    for which in all_directions(n) + ["radial"]:
+        full = tangent(sp, which, z)
         for k in range(1, n + 1):
-            assert np.array_equal(fld.upper(z, k=k), full[k - 1])
+            assert np.array_equal(tangent(sp, which, z, k=k), full[k - 1])
         for k in (0, n + 1):
             with pytest.raises(ValueError):
-                fld.upper(z, k=k)
+                tangent(sp, which, z, k=k)
 
 
 @given(
@@ -146,7 +151,7 @@ def test_derivative_field_matches_double_central_difference(
     sp = sample_params(n, seed, magnitude, dilation=dilation)
     which = data.draw(st.sampled_from(all_directions(n)))
     z = np.array([radius * complex(math.cos(angle), math.sin(angle))])
-    got = param_derivative_field(sp, which).upper(z)[:, 0]
+    got = tangent(sp, which, z)[:, 0]
     h = 1e-5
     plus, minus = perturbed(sp, which, h), perturbed(sp, which, -h)
     for k in range(1, n + 1):
@@ -166,15 +171,9 @@ def test_linearized_residual_large_for_non_kernel_field():
     # equals |sum_j a_ij e^{U_j} phi_j| which is order one near the core.
     sp = sample_params(1, 0, 0.0)
     g = GridSpec.from_h(2e-2)
-
-    class ConstField(DerivativeField):
-        def lower(self, z, base_upper=None):
-            return np.ones((1,) + np.shape(np.asarray(z)))
-
-    from todalab.residual import _linearized_residual_once
-
-    fld = ConstField(base=sp, which="alpha_1")
-    (res,) = _linearized_residual_once(sp, [fld], g)
+    z = g.mesh()
+    weights = np.exp(lower_components(sp, z)[:, 1:-1, 1:-1])
+    res = _max_residual(np.ones((1,) + z.shape), weights, sp.cartan().a_float(), g.h)
     assert res[0] > 1.0
 
 
