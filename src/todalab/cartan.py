@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ class CartanData:
         return np.array(self.a, dtype=float)
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(n: int) -> CartanData:
     """Build A and A^{-1} exactly; raises ValueError for n < 1."""
     if n < 1:

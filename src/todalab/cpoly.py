@@ -15,7 +15,6 @@ __all__ = [
     "ComplexPoly",
     "derivative",
     "eval_poly",
-    "poly_det",
 ]
 
 
@@ -87,18 +86,3 @@ def eval_poly(p: ComplexPoly, z, out=None):
         acc *= z
         acc += c
     return acc if acc.shape else complex(acc)
-
-
-def poly_det(rows: list) -> ComplexPoly:
-    """Determinant of a small square matrix of ComplexPoly, by Laplace expansion."""
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("matrix must be square")
-    if k == 1:
-        return rows[0][0]
-    acc = ComplexPoly(())
-    for j in range(k):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else term.scale(-1))
-    return acc

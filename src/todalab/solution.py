@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import CartanData, cartan_matrix
-from .cpoly import ComplexPoly, derivative, eval_poly, poly_det
+from .cpoly import ComplexPoly, derivative, eval_poly
 
 __all__ = [
     "PositivityError",
@@ -146,9 +146,10 @@ def sample_params(
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError("magnitude must be finite and >= 0")
     rng = np.random.default_rng(seed)
-    raw = dilation ** (-2.0 * np.arange(n + 1)) * np.exp(
-        magnitude * rng.uniform(-1.0, 1.0, size=n + 1)
-    )
+    # An overflow gives inf or NaN, which normalize_lambdas rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = dilation ** (-2.0 * np.arange(n + 1))
+        raw = raw * np.exp(magnitude * rng.uniform(-1.0, 1.0, size=n + 1))
     lambdas, _ = normalize_lambdas(raw, n)
     bound = magnitude / math.sqrt(2.0)
 
@@ -193,9 +194,26 @@ def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
     return acc if acc.shape else complex(acc)
 
 
+def _laplace_minor(cols, r: int, subset: tuple, table: dict) -> ComplexPoly:
+    """det( cols[t][p] )_{p = r..r+|subset|-1, t in subset}, expanded along row r.
+
+    Every sub-determinant is built once and kept in `table` under (r, subset).
+    """
+    if len(subset) == 1:
+        return cols[subset[0]][r]
+    key = (r, subset)
+    if key not in table:
+        acc = ComplexPoly(())
+        for j, t in enumerate(subset):
+            term = cols[t][r] * _laplace_minor(cols, r + 1, subset[:j] + subset[j + 1 :], table)
+            acc = acc + (term if j % 2 == 0 else term.scale(-1))
+        table[key] = acc
+    return table[key]
+
+
 @lru_cache(maxsize=256)
 def _wronskian_minors(sp: SolutionParams) -> tuple:
-    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k.
+    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k; last, the minor table.
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
     with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
@@ -203,17 +221,17 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
     over constant minors, and `scaled` is sqrt(lambda_S) W_S for the others.
     """
     derivs = _derivative_table(sp)
+    table = {}
     out = []
     for k in range(1, sp.n + 2):
         minors = []
         for subset in itertools.combinations(range(sp.n + 1), k):
-            rows = [[derivs[i][p] for i in subset] for p in range(k)]
-            w = poly_det(rows)
+            w = _laplace_minor(derivs, 0, subset, table)
             minors.append((subset, math.prod(sp.lambdas[i] for i in subset), w))
         const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
         scaled = tuple(w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0)
         out.append((tuple(minors), max(w.degree for *_, w in minors), const, scaled))
-    return tuple(out)
+    return tuple(out) + (table,)
 
 
 def _log_dets(sp: SolutionParams, ks, z) -> np.ndarray:
@@ -364,22 +382,24 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
     1/det_k = 2^{k(k-1)} e^{U^k}, so V_S = 2^{k(k-1)+1} lambda_S dW_S.
     W_S is multilinear in its columns, so along c_ij, dW_S is W_S with
     column i replaced by the derivatives of unit * z^j; only subsets S
-    containing i contribute.  A loglambda_I direction moves only the
-    weights, d log lambda_S = [I in S] - k/(n+1), which is dW_S = W_S / 2
-    on the subsets containing I plus the offset -k/(n+1).  The "radial"
-    direction r d/dr generates z -> e^t z, so dW_S = z W_S' on every S
-    and the offset is 0.
+    containing i contribute, and only minors with column i are rebuilt.
+    A loglambda_I direction moves only the weights, d log lambda_S =
+    [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
+    plus the offset -k/(n+1).  The "radial" direction r d/dr generates
+    z -> e^t z, so dW_S = z W_S' on every S and the offset is 0.
     """
     n = sp.n
     radial = which == "radial"
     if not radial:
         i, j, unit = _coefficient_slot(n, which)
-    derivs = _derivative_table(sp)
+    *per_k, base = _wronskian_minors(sp)
     if not radial and j >= 0:
         shift = ComplexPoly.from_coeffs([0j] * j + [unit])
-        column = [derivative(shift, p) for p in range(n + 1)]
+        derivs = list(_derivative_table(sp))
+        derivs[i] = [derivative(shift, p) for p in range(n + 1)]
+        table = {key: w for key, w in base.items() if i not in key[1]}
     out = []
-    for k, (minors, *_) in enumerate(_wronskian_minors(sp)[:n], start=1):
+    for k, (minors, *_) in enumerate(per_k[:n], start=1):
         terms = []
         for subset, lam, w in minors:
             if radial:
@@ -389,11 +409,7 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
             elif j < 0:
                 dw = w.scale(0.5)
             else:
-                rows = [
-                    [column[p] if t == i else derivs[t][p] for t in subset]
-                    for p in range(k)
-                ]
-                dw = poly_det(rows)
+                dw = _laplace_minor(derivs, 0, subset, table)
             if not dw.is_zero():
                 weight = 2.0 ** (k * (k - 1) + 1) * lam
                 terms.append((w, dw.scale(weight)))

@@ -1,14 +1,32 @@
-"""High-precision Gram-matrix route to log det_k, shared by the tests.
+"""Reference routes shared by the tests.
 
-It builds the k x k Gram matrix of f from the polynomial coefficients and
-the lambdas in mpmath, at the working precision of the caller, and takes
-its determinant by elimination: an independent route with no Wronskian
-minors.
+`mp_log_det` builds the k x k Gram matrix of f from the polynomial
+coefficients and the lambdas in mpmath, at the working precision of the
+caller, and takes its determinant by elimination: an independent route
+with no Wronskian minors.  `laplace_det` is the plain, unmemoized Laplace
+expansion of a polynomial matrix, the bit-for-bit reference of the
+memoized minor builder in `todalab.solution`.
 """
 
 import mpmath as mp
 
+from todalab.cpoly import ComplexPoly
 from todalab.solution import parse_direction
+
+
+def laplace_det(rows: list) -> ComplexPoly:
+    """Determinant of a small square matrix of ComplexPoly, by Laplace expansion."""
+    k = len(rows)
+    if any(len(r) != k for r in rows):
+        raise ValueError("matrix must be square")
+    if k == 1:
+        return rows[0][0]
+    acc = ComplexPoly(())
+    for j in range(k):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * laplace_det(minor)
+        acc = acc + (term if j % 2 == 0 else term.scale(-1))
+    return acc
 
 
 def mp_log_det(sp, k, z, which, h):

@@ -49,3 +49,9 @@ def test_row_sum_closed_form(n):
 def test_invalid_n_rejected():
     with pytest.raises(ValueError):
         cartan_matrix(0)
+
+
+def test_cartan_matrix_is_built_once_per_n():
+    assert cartan_matrix(5) is cartan_matrix(5)
+    with pytest.raises(ValueError):
+        cartan_matrix(0)

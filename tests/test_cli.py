@@ -284,6 +284,16 @@ def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["--magnitude", "1e3"], ["--dilation", "1e-300"]])
+def test_overflowing_sampling_exits_2_with_one_line(tmp_path, capsys, args):
+    out = tmp_path / "rep"
+    code = run_cli(["verify", *args, "--suite", "pde", "--n", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_negative_radius_exits_2(tmp_path):
     code = run_cli(["verify", "--suite", "mass", "--n", "1", "--count", "1",
                     "--radius", "-1000", "--out", str(tmp_path / "rep")])

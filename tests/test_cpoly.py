@@ -9,8 +9,8 @@ from todalab.cpoly import (
     ComplexPoly,
     derivative,
     eval_poly,
-    poly_det,
 )
+from todalab.solution import _laplace_minor
 
 finite_c = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -64,23 +64,12 @@ def test_derivative_linearity_vs_product_rule(p):
     assert lhs.coeffs == pytest.approx(rhs.coeffs)
 
 
-def test_poly_det_2x2():
-    a = ComplexPoly.from_coeffs([0, 1])  # z
-    one = ComplexPoly.from_coeffs([1])
-    # det [[1, z], [0, 1]] = 1
-    d = poly_det([[one, a], [ComplexPoly(()), one]])
-    assert d.coeffs == (1 + 0j,)
-
-
-def test_poly_det_wronskian_vandermonde():
+def test_wronskian_vandermonde():
     # Wronskian of (1, z, z^2, z^3) is the constant prod k! = 0!1!2!3! = 12.
     fam = [ComplexPoly.from_coeffs([0] * k + [1]) for k in range(4)]
-    rows = [[derivative(p, order) for p in fam] for order in range(4)]
-    d = poly_det(rows)
-    assert d.coeffs == (12 + 0j,)
-
-
-def test_poly_det_rejects_non_square():
-    one = ComplexPoly.from_coeffs([1])
-    with pytest.raises(ValueError):
-        poly_det([[one, one], [one]])
+    cols = [[derivative(p, order) for order in range(4)] for p in fam]
+    table = {}
+    assert _laplace_minor(cols, 0, (0, 1, 2, 3), table).coeffs == (12 + 0j,)
+    # Each sub-determinant of 2 or more columns is built once: rows r..3 of
+    # the 1 + 4 + 6 column subsets of sizes 4, 3 and 2.
+    assert sorted(len(subset) for _, subset in table) == [2] * 6 + [3] * 4 + [4]

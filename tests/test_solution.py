@@ -6,11 +6,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import mp_log_det
+from gram_oracle import laplace_det, mp_log_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab.cpoly import ComplexPoly
+from todalab.cpoly import ComplexPoly, derivative
+from todalab import solution
 from todalab.solution import (
     SolutionParams,
     det_k_lu,
@@ -132,6 +133,61 @@ def test_top_determinant_is_constant(n):
         assert log_det_k(sp, n + 1, z) == pytest.approx(expected, abs=1e-9)
 
 
+def test_laplace_det_2x2():
+    a = ComplexPoly.from_coeffs([0, 1])  # z
+    one = ComplexPoly.from_coeffs([1])
+    # det [[1, z], [0, 1]] = 1
+    d = laplace_det([[one, a], [ComplexPoly(()), one]])
+    assert d.coeffs == (1 + 0j,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
+    # The memoized builder does the products and sums of the plain expansion
+    # in the same order, so every coefficient is the same double.
+    for seed in (0, 5):
+        sp = sample_params(n, seed, 0.5)
+        derivs = solution._derivative_table(sp)
+        per_k = solution._wronskian_minors(sp)[: n + 1]
+        for k, (minors, *_) in enumerate(per_k, start=1):
+            for subset, _, w in minors:
+                rows = [[derivs[t][p] for t in subset] for p in range(k)]
+                assert w.coeffs == laplace_det(rows).coeffs, (seed, subset)
+        for which in kernel_directions(n):
+            i, j, unit = solution._coefficient_slot(n, which)
+            column = [derivative(ComplexPoly.from_coeffs([0j] * j + [unit]), p)
+                      for p in range(n + 1)]
+            for k, (_, terms) in enumerate(solution._tangent_minors(sp, which), start=1):
+                expected = []
+                for subset, lam, _ in per_k[k - 1][0]:
+                    rows = [[column[p] if t == i else derivs[t][p] for t in subset]
+                            for p in range(k)]
+                    dw = laplace_det(rows) if i in subset else ComplexPoly(())
+                    if not dw.is_zero():
+                        expected.append(dw.scale(2.0 ** (k * (k - 1) + 1) * lam).coeffs)
+                assert [v.coeffs for _, v in terms] == expected, (seed, which, k)
+
+
+def test_minor_builds_share_sub_determinants(monkeypatch):
+    # At n = 5 the plain expansion takes 3276 products for the base minors
+    # and 1525 for the alpha2_2 tangent; the shared table takes 636 and 235.
+    sp = sample_params(5, 0, 0.5)
+    count = [0]
+    mul = ComplexPoly.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ComplexPoly, "__mul__", counted)
+    solution._wronskian_minors.__wrapped__(sp)
+    assert count[0] <= 636
+    solution._wronskian_minors(sp)
+    count[0] = 0
+    solution._tangent_minors.__wrapped__(sp, "alpha2_2")
+    assert count[0] <= 235
+
+
 def _assert_matches_gram_oracle(sp, ks, z):
     # 30 guard digits on top of the n(n+1) log10|z| digits that cancel in
     # the Gram determinant; h = 0 keeps the parameters of sp.
@@ -249,6 +305,16 @@ def test_sample_magnitude_zero_is_radial():
     for i in range(1, 4):
         for j in range(i):
             assert sp.c(i, j) == 0
+
+
+@pytest.mark.parametrize("seed,magnitude,dilation", [
+    (1, 1e3, 1.0), (0, 0.5, 1e-300), (0, 1e3, 1e-300),
+])
+def test_sample_params_overflow_is_a_value_error(seed, magnitude, dilation):
+    # Overflowing lambdas are rejected by the finite check, with no warning
+    # on the way (pytest turns every warning into an error).
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_params(1, seed, magnitude, dilation)
 
 
 def test_sample_coefficients_bounded_away_from_zero():
