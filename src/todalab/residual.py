@@ -31,6 +31,9 @@ __all__ = [
     "linearized_residual",
 ]
 
+# Interior grid points per row tile of the stencils (plus two halo rows).
+TILE_POINTS = 2**14
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,10 +60,12 @@ class GridSpec:
             pps += 1
         return cls(points_per_side=pps)
 
-    def mesh(self) -> np.ndarray:
+    def row_tiles(self):
+        """z on successive blocks of rows (x fixed along a row), with a halo row each side."""
         axis = np.linspace(-self.half_width, self.half_width, self.points_per_side)
-        x, y = np.meshgrid(axis, axis, indexing="ij")
-        return x + 1j * y
+        rows = max(1, TILE_POINTS // self.points_per_side)
+        for start in range(1, self.points_per_side - 1, rows):
+            yield axis[start - 1 : start + rows + 1, None] + 1j * axis
 
     def refined(self) -> "GridSpec":
         return GridSpec(
@@ -75,14 +80,30 @@ class ResidualReport:
     h: float
     max_abs_residual_refined: tuple[float, ...]  # at h/2
     convergence_order: float
+    worst_component: int  # i = 1..n of the largest |residual| at h
+    worst_z: complex  # and its grid point
 
     @property
     def max_residual(self) -> float:
         return max(self.max_abs_residual)
 
 
+class _Peak:
+    """Running max |residual| per component over the tiles, and where the largest lies."""
+
+    def __init__(self, n: int):
+        self.per_component, self.component, self.z = np.zeros(n), 0, complex("nan")
+
+    def fold(self, res: np.ndarray, z: np.ndarray) -> None:  # res on the interior of tile z
+        tile = np.max(np.abs(res, out=res), axis=(1, 2))
+        if np.max(tile) > np.max(self.per_component):
+            i, x, y = np.unravel_index(np.argmax(res), res.shape)
+            self.component, self.z = int(i) + 1, complex(z[x + 1, y + 1])
+        np.maximum(self.per_component, tile, out=self.per_component)
+
+
 def _laplacian(field: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian on the interior of a (..., P, P) array."""
+    """5-point Laplacian on the interior of a (..., P, Q) array."""
     return (
         field[..., 2:, 1:-1]
         + field[..., :-2, 1:-1]
@@ -92,22 +113,23 @@ def _laplacian(field: np.ndarray, h: float) -> np.ndarray:
     ) / h**2
 
 
-def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> np.ndarray:
-    z = g.mesh()
-    u = lower_components(sp, z)
+def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> _Peak:
     a = sp.cartan().a_float()
-    source = np.einsum("ij,jxy->ixy", a, np.exp(u)[:, 1:-1, 1:-1])
-    res = _laplacian(u, g.h) + source
-    return np.max(np.abs(res), axis=(1, 2))
+    peak = _Peak(sp.n)
+    for z in g.row_tiles():
+        u = lower_components(sp, z)
+        peak.fold(_laplacian(u, g.h) + np.einsum("ij,jxy->ixy", a, np.exp(u[:, 1:-1, 1:-1])), z)
+    return peak
 
 
-def _residual_report(coarse: np.ndarray, fine: np.ndarray, h: float) -> ResidualReport:
+def _residual_report(coarse: _Peak, fine: _Peak, h: float) -> ResidualReport:
     """Peaks at h and h/2 and their order; a zero peak fails every order check."""
     return ResidualReport(
-        max_abs_residual=tuple(float(x) for x in coarse),
+        max_abs_residual=tuple(float(x) for x in coarse.per_component),
         h=h,
-        max_abs_residual_refined=tuple(float(x) for x in fine),
-        convergence_order=float(np.log2(np.max(coarse) / np.max(fine))),
+        max_abs_residual_refined=tuple(float(x) for x in fine.per_component),
+        convergence_order=float(np.log2(coarse.per_component.max() / fine.per_component.max())),
+        worst_component=coarse.component, worst_z=coarse.z,
     )
 
 
@@ -119,40 +141,28 @@ def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
 
 
 def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> list:
-    """Max interior residual per component for each direction's field, on one grid.
+    """Residual peaks per component for each direction's field, on one grid.
 
     The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
-    The base solution is evaluated once; only z, its upper components and
-    the interior weights e^{U_j} are kept across the directions.
+    One base evaluation per tile serves every direction.
     """
-    z = g.mesh()
     a = sp.cartan().a_float()
-    upper = upper_components(sp, z)
-    weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-    return [
-        _max_residual(np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0)),
-                      weights, a, g.h)
-        for which in directions
-    ]
-
-
-def _max_residual(phi: np.ndarray, weights: np.ndarray, a: np.ndarray, h: float):
-    """Max interior |Delta_h phi_i + sum_j a_ij e^{U_j} phi_j| per component.
-
-    Scales the interior of phi by the weights in place.
-    """
-    res = _laplacian(phi, h)
-    interior = phi[:, 1:-1, 1:-1]
-    interior *= weights
-    res += np.einsum("ij,jxy->ixy", a, interior)
-    return np.max(np.abs(res), axis=(1, 2))
+    peaks = [_Peak(sp.n) for _ in directions]
+    for z in g.row_tiles():
+        upper = upper_components(sp, z)
+        weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
+        for peak, which in zip(peaks, directions):
+            phi = np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0))
+            source = np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
+            peak.fold(_laplacian(phi, g.h) + source, z)
+    return peaks
 
 
 def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     """Residual of the linearized system on parameter-derivative fields.
 
     Returns {direction: ResidualReport} over kernel_directions(sp.n); one
-    base evaluation per grid serves every direction.
+    base evaluation per tile serves every direction.
     """
     directions = kernel_directions(sp.n)
     coarse = _linearized_residual_once(sp, directions, g)

@@ -425,25 +425,35 @@ def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.nd
     `upper` stacks the upper components U^k of `sp` at z along axis 0, so
     every direction evaluated on one set of points can share them.
     Results are stacked the same way; a given k returns only its row.
+
+    W_S, V_S (degree <= D_k) are taken at z / 2^e with c_j times 2^((j - D_k) e), e^{U^k} times
+    2^(2 D_k e): powers of two scale each Horner step exactly, so in range nothing changes.
     """
     if k is not None and not 1 <= k <= sp.n:
         raise ValueError(f"k={k} out of range 1..{sp.n}")
     rows = range(sp.n) if k is None else (k - 1,)
     z = np.asarray(z, dtype=complex)
+    e = max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
+    zs = z * 2.0**-e
     out = np.empty((len(rows),) + z.shape)
     w = np.empty(z.shape, dtype=complex)
     v = np.empty(z.shape, dtype=complex)
     exp_u = np.empty(z.shape)
     for acc, row in zip(out, rows):
         offset, terms = _tangent_minors(sp, which)[row]
+        degree = _wronskian_minors(sp)[row][1]
+        scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
         acc.fill(0.0)
         for w_poly, v_poly in terms:
-            eval_poly(w_poly, z, out=w)
-            eval_poly(v_poly, z, out=v)
+            eval_poly(ComplexPoly(tuple(c * s for c, s in zip(w_poly.coeffs, scale))), zs, w)
+            eval_poly(ComplexPoly(tuple(c * s for c, s in zip(v_poly.coeffs, scale))), zs, v)
             np.conjugate(w, out=w)
             w *= v
             acc += w.real
-        acc *= np.exp(upper[row], out=exp_u)
+        # e^{U^k} 2^(2 D_k e); the power joins the exponent where e^{U^k} would underflow.
+        shift = 0 if np.min(upper[row]) > -700.0 else 2 * degree * e
+        np.exp(upper[row] + shift * math.log(2.0), out=exp_u)
+        acc *= np.ldexp(exp_u, 2 * degree * e - shift, out=exp_u)
         acc += offset
     return out if k is None else out[0]
 

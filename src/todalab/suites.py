@@ -165,8 +165,9 @@ def suite_pde(cfg: RunConfig, param_sets) -> tuple[list, list]:
             Case("pde", f"{label}-order", rep.convergence_order,
                  tol["pde_order_center"], tol["pde_order_slack"], ok, dt)
         )
-        details.append({"label": label, "n": sp.n, "h": rep.h,
-                        "max_residual": rep.max_residual})
+        details.append({"label": label, "n": sp.n, "h": rep.h, "max_residual": rep.max_residual,
+                        "worst_component": rep.worst_component, "worst_x": rep.worst_z.real,
+                        "worst_y": rep.worst_z.imag})
         details.append({"label": label, "n": sp.n, "h": rep.h / 2,
                         "max_residual": max(rep.max_abs_residual_refined)})
     return cases, details
@@ -196,7 +197,9 @@ def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
                      tol["pde_order_center"], tol["pde_order_slack"], ok_ord, share)
             )
             details.append({"label": label, "which": which, "h": rep.h,
-                            "max_residual": rep.max_residual})
+                            "max_residual": rep.max_residual,
+                            "worst_component": rep.worst_component,
+                            "worst_x": rep.worst_z.real, "worst_y": rep.worst_z.imag})
             details.append({"label": label, "which": which, "h": rep.h / 2,
                             "max_residual": max(rep.max_abs_residual_refined)})
     return cases, details

@@ -9,9 +9,14 @@ from gram_oracle import mp_log_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from todalab import solution
+from todalab.cpoly import eval_poly
 from todalab.residual import (
+    TILE_POINTS,
     GridSpec,
-    _max_residual,
+    _laplacian,
+    _linearized_residual_once,
+    _pde_residual_once,
     linearized_residual,
     pde_residual,
 )
@@ -34,14 +39,43 @@ def tangent(sp, which, z, k=None):
     return log_det_k_tangent(sp, which, z, upper_components(sp, z), k)
 
 
+def meshgrid(g):
+    """The whole grid as one array, rows indexed by x."""
+    axis = np.linspace(-g.half_width, g.half_width, g.points_per_side)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    return x + 1j * y
+
+
 def test_gridspec_h_and_mesh():
+    # A grid smaller than one tile comes out whole, halo rows included.
     g = GridSpec(points_per_side=5, half_width=2.0)
     assert g.h == pytest.approx(1.0)
-    mesh = g.mesh()
+    (mesh,) = g.row_tiles()
     assert mesh.shape == (5, 5)
     assert mesh[0, 0] == -2 - 2j
     assert mesh[-1, -1] == 2 + 2j
     assert mesh[2, 2] == 0j
+    assert np.array_equal(mesh, meshgrid(g))
+
+
+@pytest.mark.parametrize("points_per_side", [5, 201, 401, 801])
+def test_row_tiles_cover_the_mesh_bit_for_bit(points_per_side):
+    # 201, 401 and 801 points end in a partial tile (199 = 2 * 81 + 37,
+    # 399 = 9 * 40 + 39, 799 = 39 * 20 + 19 interior rows).
+    g = GridSpec(points_per_side=points_per_side)
+    mesh = meshgrid(g)
+    tiles = list(g.row_tiles())
+    assert all(t.shape[1] == g.points_per_side for t in tiles)
+    assert all(t.size <= TILE_POINTS + 2 * g.points_per_side for t in tiles)
+    interior = np.concatenate([t[1:-1] for t in tiles])
+    assert np.array_equal(interior, mesh[1:-1])
+    start = 0
+    for t in tiles:
+        # Each halo row is the interior row next to the block.
+        assert np.array_equal(t[0], mesh[start])
+        assert np.array_equal(t[-1], mesh[start + len(t) - 1])
+        start += len(t) - 2
+    assert start == g.points_per_side - 2
 
 
 def test_gridspec_from_h_and_refined():
@@ -65,11 +99,9 @@ def test_laplacian_order_on_known_function():
     # Residual of the discrete Laplacian on exp(x) (Laplacian = itself)
     # must shrink at second order; uses the public pde machinery indirectly
     # via a quartic whose Laplacian is known exactly.
-    from todalab.residual import _laplacian
-
     for h, expect in ((0.1, None), (0.05, None)):
         g = GridSpec.from_h(h)
-        z = g.mesh()
+        z = meshgrid(g)
         x, y = z.real, z.imag
         field = x**4 + y**4
         lap = _laplacian(field[None], g.h)[0]
@@ -135,6 +167,30 @@ def test_derivative_field_single_row_matches_full_stack():
                 tangent(sp, which, z, k=k)
 
 
+def unscaled_tangent(sp, which, z, upper):
+    """The tangent evaluated at the raw z, as before the power-of-two scale."""
+    out = []
+    for row in range(sp.n):
+        offset, terms = solution._tangent_minors(sp, which)[row]
+        acc = np.zeros(z.shape)
+        for w_poly, v_poly in terms:
+            acc += (np.conjugate(eval_poly(w_poly, z)) * eval_poly(v_poly, z)).real
+        out.append(acc * np.exp(upper[row]) + offset)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tangent_scale_is_bit_identical_in_range(n):
+    # Scaling z and c_j by powers of two scales every Horner step exactly.
+    sp = sample_params(n, 4, 0.5)
+    for radius in (0.3, 2.5, 3e1, 1e3, 1e6):
+        z = radius * np.exp(1j * np.linspace(0.1, 6.2, 17))
+        upper = upper_components(sp, z)
+        for which in all_directions(n) + ["radial"]:
+            got = log_det_k_tangent(sp, which, z, upper)
+            assert np.array_equal(got, unscaled_tangent(sp, which, z, upper)), (which, radius)
+
+
 @given(
     n=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
@@ -171,13 +227,90 @@ def test_linearized_residual_large_for_non_kernel_field():
     # equals |sum_j a_ij e^{U_j} phi_j| which is order one near the core.
     sp = sample_params(1, 0, 0.0)
     g = GridSpec.from_h(2e-2)
-    z = g.mesh()
+    z = meshgrid(g)
     weights = np.exp(lower_components(sp, z)[:, 1:-1, 1:-1])
-    res = _max_residual(np.ones((1,) + z.shape), weights, sp.cartan().a_float(), g.h)
-    assert res[0] > 1.0
+    phi = np.ones((1,) + z.shape)
+    a = sp.cartan().a_float()
+    res = _laplacian(phi, g.h) + np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
+    assert np.max(np.abs(res)) > 1.0
 
 
 def test_linearized_order_estimate_for_resolved_direction():
     sp = sample_params(2, 0, 0.3, dilation=2.0)
     rep = linearized_residual(sp, GridSpec.from_h(2e-2))["alpha_1"]
     assert 1.5 <= rep.convergence_order <= 2.5
+
+
+# Whole-grid references: the residuals as they were before row tiles.
+
+
+def whole_grid_pde_residual(sp, g):
+    """(n, P-2, P-2) interior residual of Delta_h U_i + sum_j a_ij e^{U_j}."""
+    u = lower_components(sp, meshgrid(g))
+    a = sp.cartan().a_float()
+    return _laplacian(u, g.h) + np.einsum("ij,jxy->ixy", a, np.exp(u)[:, 1:-1, 1:-1])
+
+
+def whole_grid_linearized_residual(sp, which, g):
+    z = meshgrid(g)
+    a = sp.cartan().a_float()
+    upper = upper_components(sp, z)
+    weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
+    phi = np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0))
+    return _laplacian(phi, g.h) + np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
+
+
+def assert_peak_matches(peak, ref, z):
+    # Tiles scale each block by its own rho, so peaks move only at the
+    # stencil's rounding floor; the recorded worst point is a maximizer of
+    # the reference field up to that floor.
+    ref = np.abs(ref)
+    assert np.max(np.abs(peak.per_component - np.max(ref, axis=(1, 2)))) <= 1e-9
+    ix = np.argwhere(z[1:-1, 1:-1] == peak.z)
+    assert len(ix) == 1
+    x, y = ix[0]
+    assert ref[peak.component - 1, x, y] >= np.max(ref) - 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("points_per_side", [201, 257])
+def test_tiled_residuals_match_whole_grid_reference(n, points_per_side):
+    # 201 points is GridSpec.from_h(2e-2); 257 points has 255 = 4 * 63 + 3
+    # interior rows, so its last tile holds 3 rows.
+    sp = sample_params(n, n, 0.3)
+    g = GridSpec(points_per_side=points_per_side)
+    z = meshgrid(g)
+    assert_peak_matches(_pde_residual_once(sp, g), whole_grid_pde_residual(sp, g), z)
+    directions = all_directions(n)
+    for which, peak in zip(directions, _linearized_residual_once(sp, directions, g)):
+        assert_peak_matches(peak, whole_grid_linearized_residual(sp, which, g), z)
+
+
+def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
+    # Every kernel call from the residuals sees one tile with its halo rows.
+    sizes = []
+    original = solution._log_dets
+
+    def counted(sp, ks, z):
+        sizes.append(np.size(z))
+        return original(sp, ks, z)
+
+    monkeypatch.setattr(solution, "_log_dets", counted)
+    sp = sample_params(2, 0, 0.3)
+    g = GridSpec.from_h(2e-2)
+    for run in (pde_residual, linearized_residual):
+        sizes.clear()
+        run(sp, g)
+        assert len(sizes) == len(list(g.row_tiles())) + len(list(g.refined().row_tiles()))
+        assert max(sizes) <= TILE_POINTS + 2 * g.refined().points_per_side
+
+
+def test_report_names_the_worst_component_and_point():
+    sp = sample_params(2, 0, 0.3)
+    g = GridSpec.from_h(2e-2)
+    rep = pde_residual(sp, g)
+    ref = np.abs(whole_grid_pde_residual(sp, g))
+    i, x, y = np.unravel_index(np.argmax(ref), ref.shape)
+    assert rep.worst_component == i + 1
+    assert rep.worst_z == meshgrid(g)[x + 1, y + 1]
+    assert rep.max_abs_residual[rep.worst_component - 1] == rep.max_residual
