@@ -1,6 +1,6 @@
 """Verification laboratory for entire solutions of the SU(n+1) Toda system."""
 
-from .cartan import CartanData, cartan_matrix
+from .cartan import cartan_matrix
 from .cpoly import ComplexPoly, derivative, eval_poly
 from .solution import (
     PositivityError,
@@ -11,7 +11,6 @@ from .solution import (
 )
 
 __all__ = [
-    "CartanData",
     "cartan_matrix",
     "ComplexPoly",
     "derivative",

@@ -109,7 +109,6 @@ def G_closed(m: int) -> int:
 
 @dataclass
 class IdentitySweepReport:
-    m_max: int
     n_values: dict
     degree_bounds: dict
     cases: list = field(default_factory=list)
@@ -120,33 +119,28 @@ class IdentitySweepReport:
         return not self.failures
 
 
-def verify_identity_sweep(m_max: int) -> IdentitySweepReport:
-    """Check both determinant identities exactly over a sweep of (m, n).
+def verify_identity_sweep(largest_m: int) -> IdentitySweepReport:
+    """Check both determinant identities exactly over a sweep of (m, n), m <= largest_m.
 
     The determinant is a polynomial in n of degree at most m(m-1)/2; the
     sweep uses enough distinct n values that constancy across the
     sweep is a complete proof of n-independence.
     """
-    if m_max < 1 or m_max > 12:
-        raise ValueError("m_max must be in 1..12")
-    report = IdentitySweepReport(m_max=m_max, n_values={}, degree_bounds={})
-    for m in range(1, m_max + 1):
+    if largest_m < 1 or largest_m > 12:
+        raise ValueError("largest_m must be in 1..12")
+    report = IdentitySweepReport(n_values={}, degree_bounds={})
+    for m in range(1, largest_m + 1):
         bound = m * (m - 1) // 2
         ns = list(range(m, m + max(bound + 2, 10)))
         report.n_values[m] = ns
         report.degree_bounds[m] = bound
+        layouts = [("F", F_det, F_closed(m))]
+        if m >= 2:
+            layouts.append(("G", G_det, G_closed(m)))
         for n in ns:
-            det = F_det(m, n)
-            expected = F_closed(m)
-            case = {"kind": "F", "m": m, "n": n, "det": det, "expected": expected,
-                    "pass": det == expected}
-            report.cases.append(case)
-            if not case["pass"]:
-                report.failures.append(case)
-            if m >= 2:
-                det = G_det(m, n)
-                expected = G_closed(m)
-                case = {"kind": "G", "m": m, "n": n, "det": det, "expected": expected,
+            for kind, det_of, expected in layouts:
+                det = det_of(m, n)
+                case = {"kind": kind, "m": m, "n": n, "det": det, "expected": expected,
                         "pass": det == expected}
                 report.cases.append(case)
                 if not case["pass"]:

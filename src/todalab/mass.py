@@ -47,7 +47,6 @@ class QuadratureResult:
     value: float
     bulk: float
     tail: float
-    tail_coefficient: float
     tail_fit_stable: bool
 
 
@@ -77,6 +76,6 @@ def mass_quadrature(sp: SolutionParams) -> list:
         if not v > 0:
             raise PositivityError(f"mass integral of e^(U_{i}) is {v}, not positive")
     return [
-        QuadratureResult(float(v), float(b), float(t), float(c), bool(ok))
-        for v, b, t, c, ok in zip(value, bulk, tail, c_fit, stable)
+        QuadratureResult(float(v), float(b), float(t), bool(ok))
+        for v, b, t, ok in zip(value, bulk, tail, stable)
     ]

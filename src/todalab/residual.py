@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import cartan_matrix
 from .solution import (
     SolutionParams,
     kernel_directions,
@@ -37,16 +38,14 @@ TILE_POINTS = 2**14
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square evaluation grid centred on the origin of the complex plane."""
+    """Square evaluation grid on [-2, 2]^2, centred on the origin of the complex plane."""
 
-    half_width: float = 2.0
+    half_width = 2.0
     points_per_side: int = 201
 
     def __post_init__(self):
         if self.points_per_side < 3 or self.points_per_side % 2 == 0:
             raise ValueError("points_per_side must be an odd integer >= 3")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
 
     @property
     def h(self) -> float:
@@ -68,10 +67,7 @@ class GridSpec:
             yield axis[start - 1 : start + rows + 1, None] + 1j * axis
 
     def refined(self) -> "GridSpec":
-        return GridSpec(
-            half_width=self.half_width,
-            points_per_side=2 * self.points_per_side - 1,
-        )
+        return GridSpec(points_per_side=2 * self.points_per_side - 1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ def _laplacian(field: np.ndarray, h: float) -> np.ndarray:
 
 
 def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> _Peak:
-    a = sp.cartan().a_float()
+    a = cartan_matrix(sp.n)
     peak = _Peak(sp.n)
     for z in g.row_tiles():
         u = lower_components(sp, z)
@@ -146,7 +142,7 @@ def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> li
     The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
     One base evaluation per tile serves every direction.
     """
-    a = sp.cartan().a_float()
+    a = cartan_matrix(sp.n)
     peaks = [_Peak(sp.n) for _ in directions]
     for z in g.row_tiles():
         upper = upper_components(sp, z)

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import CartanData, cartan_matrix
+from .cartan import cartan_matrix
 from .cpoly import ComplexPoly, derivative, eval_poly
 
 __all__ = [
@@ -69,7 +69,7 @@ def lambda_product_target(n: int) -> float:
 def normalize_lambdas(raw, n: int):
     """Scale all lambdas by one common factor so the product constraint holds.
 
-    Ratios lambda_i / lambda_j are preserved.  Returns (lambdas, scale).
+    Ratios lambda_i / lambda_j are preserved.
     """
     raw = [float(x) for x in raw]
     if len(raw) != n + 1:
@@ -79,7 +79,7 @@ def normalize_lambdas(raw, n: int):
     target = lambda_product_target(n)
     log_t = (math.log(target) - sum(math.log(x) for x in raw)) / (n + 1)
     t = math.exp(log_t)
-    return tuple(x * t for x in raw), t
+    return tuple(x * t for x in raw)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,6 @@ class SolutionParams:
             raise IndexError(f"m={m} out of range 1..{self.n}")
         return self.c(self.n + 1 - m, self.n - m)
 
-    def cartan(self) -> CartanData:
-        return cartan_matrix(self.n)
-
 
 def sample_params(
     n: int, seed: int, magnitude: float, dilation: float = 1.0
@@ -150,7 +147,7 @@ def sample_params(
     with np.errstate(over="ignore", invalid="ignore"):
         raw = dilation ** (-2.0 * np.arange(n + 1))
         raw = raw * np.exp(magnitude * rng.uniform(-1.0, 1.0, size=n + 1))
-    lambdas, _ = normalize_lambdas(raw, n)
+    lambdas = normalize_lambdas(raw, n)
     bound = magnitude / math.sqrt(2.0)
 
     def draw() -> float:
@@ -305,7 +302,7 @@ def upper_components(sp: SolutionParams, z) -> np.ndarray:
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
     """U_i = sum_j a_ij U^j, stacked along axis 0."""
     upper = upper_components(sp, z)
-    a = sp.cartan().a_float()
+    a = cartan_matrix(sp.n)
     return np.tensordot(a, upper, axes=(1, 0))
 
 
@@ -361,7 +358,7 @@ def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
     if j < 0:
         raw = list(sp.lambdas)
         raw[i] *= math.exp(delta)
-        lambdas, _ = normalize_lambdas(raw, n)
+        lambdas = normalize_lambdas(raw, n)
         return SolutionParams(n=n, lambdas=lambdas, polys=sp.polys)
     shift = unit * delta
     polys = list(sp.polys)
@@ -478,34 +475,39 @@ def _json_int(doc, key: str) -> int:
     return value
 
 
-def params_from_json(doc: dict) -> tuple[SolutionParams, float]:
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def params_from_json(doc: dict) -> SolutionParams:
     """Build params from the JSON schema; lambdas are normalized.
 
-    Returns (params, applied common scale factor).  A malformed document
-    raises ValueError.
+    A malformed document raises ValueError.
     """
     if not isinstance(doc, dict) or "lambdas" not in doc:
         raise ValueError("parameters must be a JSON object with n and lambdas")
     n = _json_int(doc, "n")
-    lambdas, scale = normalize_lambdas(doc["lambdas"], n)
+    lambdas = normalize_lambdas([_json_number(x, "lambda") for x in doc["lambdas"]], n)
     cmaps = {i: {} for i in range(1, n + 1)}
     for entry in doc.get("coeffs", []):
         i, j = _json_int(entry, "i"), _json_int(entry, "j")
         if not 1 <= i <= n or not 0 <= j < i:
             raise ValueError(f"coefficient index ({i},{j}) out of range")
-        cmaps[i][j] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        cmaps[i][j] = complex(*(_json_number(entry.get(key, 0.0), key) for key in ("re", "im")))
     polys = []
     for i in range(1, n + 1):
         coeffs = [cmaps[i].get(j, 0j) for j in range(i)] + [1 + 0j]
         polys.append(ComplexPoly(tuple(coeffs)))
-    return SolutionParams(n=n, lambdas=lambdas, polys=tuple(polys)), scale
+    return SolutionParams(n=n, lambdas=lambdas, polys=tuple(polys))
 
 
-def load_params(path) -> tuple[SolutionParams, float]:
-    """params_from_json of a file; a value of the wrong JSON type raises ValueError."""
+def load_params(path) -> SolutionParams:
+    """params_from_json of a file; a mistyped or out-of-range value raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
         return params_from_json(doc)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed parameters in {path}: {exc}") from None

@@ -21,6 +21,7 @@ from .asymptotics import (
     leading_coefficient_check,
     t_integral,
 )
+from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
 from .mass import mass_flux, mass_quadrature, predicted_mass
 from .residual import GridSpec, linearized_residual, pde_residual
@@ -70,9 +71,14 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.suites, list):
+            raise ValueError(f"suites must be a list, got {type(self.suites).__name__}")
         unknown = [s for s in self.suites if s not in KNOWN_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; known: {list(KNOWN_SUITES)}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"suites given more than once: {repeated}")
         for name in ("n", "count", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -113,7 +119,7 @@ def _check_real(name: str, value) -> None:
 def build_param_sets(cfg: RunConfig) -> list:
     """[(label, SolutionParams)] from the config's parameter source."""
     if cfg.params_file is not None:
-        sp, scale = load_params(cfg.params_file)
+        sp = load_params(cfg.params_file)
         return [(f"file-n{sp.n}", sp)]
     return [
         (
@@ -271,7 +277,7 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
             details.append({"label": label, "i": i, "flux": flux,
                             "quadrature": quad.value, "predicted": pred,
                             "tail_fit_stable": quad.tail_fit_stable})
-        a = sp.cartan().a_float()
+        a = cartan_matrix(sp.n)
         for i in range(n):
             s = float(sum(a[i][j] * fluxes[j] for j in range(n)))
             rel = abs(s / (8.0 * math.pi) - 1.0)

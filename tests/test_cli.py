@@ -212,6 +212,7 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     ({"tolerances": {"mass_flux_rel": False}}, "mass_flux_rel"),
     # A non-positive shrink ratio would pass every T-integral.
     ({"tolerances": {"t_integral_ratio": -1.5}}, "t_integral_ratio"),
+    ({"suites": "pde"}, "str"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"
@@ -221,6 +222,15 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     err = capsys.readouterr().err
     assert name in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_repeated_suite_exits_2(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run_cli(["verify", "--suite", "identities", "--suite", "identities", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "identities" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -247,6 +257,15 @@ def test_nan_lambda_params_file_exits_2(tmp_path):
     pytest.param("verify", '{"n": 2.5, "lambdas": [1, 1, 1]}', id="fractional-n"),
     pytest.param("verify", '{"n": true, "lambdas": [1, 1]}', id="bool-n"),
     pytest.param("verify", '{"n": 1, "lambdas": 5}', id="lambdas-not-a-list"),
+    pytest.param("show-params", '{"n": 2, "lambdas": "123"}', id="lambdas-a-string"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [true, 1]}', id="bool-lambda"),
+    pytest.param("show-params", '{"n": 1, "lambdas": ["0.8", 1]}', id="string-lambda"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [1%s, 1]}' % ("0" * 400),
+                 id="huge-int-lambda"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [1, 1], '
+                 '"coeffs": [{"i": 1, "j": 0, "re": "0.1"}]}', id="string-re"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [1, 1], '
+                 '"coeffs": [{"i": 1, "j": 0, "im": false}]}', id="bool-im"),
     pytest.param("verify", '{"n": 2, "lambdas": [1, 1, 1], '
                  '"coeffs": [{"i": 2.9, "j": 1, "re": 0.1}]}', id="fractional-i"),
     pytest.param("show-params", '{"n": 1, "lambdas": [NaN, 1.0]}', id="show-nan-lambda"),
@@ -278,6 +297,16 @@ def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     out = tmp_path / "rep"
     code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_leading_coefficient_overflow_exits_2(tmp_path, capsys):
+    # At r = 1e-300 the factor r^(-2m(n+1-m)) overflows every mean.
+    out = tmp_path / "rep"
+    code = run_cli(["verify", "--suite", "asymptotics", "--radius", "1e-300", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown:") and len(err.strip().splitlines()) == 1

@@ -1,8 +1,12 @@
-"""Every name a module exports through __all__ exists."""
+"""Every name a module exports through __all__ exists, and the program uses it."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["todalab"] + [
     f"todalab.{name}"
@@ -10,9 +14,59 @@ MODULES = ["todalab"] + [
                  "identities", "suites", "cli")
 ]
 
+# Reference routes that only the tests compare against.
+TEST_REFERENCES = {"det_k_lu", "perturbed"}
+
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_all_names_exist(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Names, attributes and exact string constants a module's code refers to.
+
+    Import statements, __all__ assignments and docstrings do not count, nor
+    does a name inside the body of its own top-level definition.
+    """
+    used = set()
+
+    def visit(node, defining=None):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining or node.name
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name != defining:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree)
+    return used
+
+
+def test_every_exported_name_is_used_by_the_program():
+    # No public API that only its own unit tests call: each exported name is
+    # read somewhere in src/ or perfbench/ besides where it is defined.
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    exported = {name for module in MODULES for name in importlib.import_module(module).__all__}
+    unused = sorted(exported - used - TEST_REFERENCES)
+    assert not unused

@@ -10,8 +10,9 @@ from gram_oracle import laplace_det, mp_log_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab.cpoly import ComplexPoly, derivative
 from todalab import solution
+from todalab.cartan import cartan_matrix
+from todalab.cpoly import ComplexPoly, derivative
 from todalab.solution import (
     SolutionParams,
     det_k_lu,
@@ -62,8 +63,9 @@ def test_normalize_preserves_ratios_and_hits_product(n, data):
             max_size=n + 1,
         )
     )
-    lambdas, scale = normalize_lambdas(raw, n)
+    lambdas = normalize_lambdas(raw, n)
     assert math.prod(lambdas) == pytest.approx(lambda_product_target(n), rel=1e-9)
+    scale = lambdas[0] / raw[0]
     for a, b in zip(lambdas, raw):
         assert a == pytest.approx(scale * b, rel=1e-12)
 
@@ -233,7 +235,7 @@ def test_log_det_vectorized_matches_scalar():
     for zi, vi in zip(z, vec):
         assert vi == pytest.approx(log_det_k(sp, 2, complex(zi)), rel=1e-12)
     # U^k = -(k(k-1) log 2 + log det_k) and U_i = sum_j a_ij U^j, pointwise.
-    a = sp.cartan().a_float()
+    a = cartan_matrix(sp.n)
     lower = lower_components(sp, z)
     for col, zi in enumerate(z):
         upper = [-(k * (k - 1) * LOG2 + log_det_k(sp, k, complex(zi))) for k in (1, 2)]
@@ -329,8 +331,7 @@ def test_sample_coefficients_bounded_away_from_zero():
 def test_json_roundtrip(tmp_path):
     sp = sample_params(3, 2, 0.4)
     doc = params_to_json(sp)
-    sp2, scale = params_from_json(doc)
-    assert scale == pytest.approx(1.0, rel=1e-9)
+    sp2 = params_from_json(doc)
     assert sp2.n == sp.n
     assert np.allclose(sp2.lambdas, sp.lambdas, rtol=1e-12)
     for i in range(1, 4):
@@ -338,15 +339,15 @@ def test_json_roundtrip(tmp_path):
             assert sp2.c(i, j) == pytest.approx(sp.c(i, j))
     path = tmp_path / "params.json"
     path.write_text(json.dumps(doc))
-    sp3, _ = load_params(path)
+    sp3 = load_params(path)
     assert sp3 == sp2
 
 
 def test_params_from_json_normalizes():
     doc = {"n": 1, "lambdas": [1.0, 1.0], "coeffs": []}
-    sp, scale = params_from_json(doc)
+    sp = params_from_json(doc)
     assert math.prod(sp.lambdas) == pytest.approx(0.25, rel=1e-9)
-    assert scale == pytest.approx(0.5)
+    assert sp.lambdas == pytest.approx((0.5, 0.5))
 
 
 def test_params_from_json_rejects_bad_index():
