@@ -166,7 +166,7 @@ def first_frequency_check(sp: SolutionParams) -> list:
     fc = fourier_coeffs(lambda z: -upper_components(sp, z), R_FAR)
     out = []
     for m in range(1, sp.n + 1):
-        c = sp.first_frequency_coeff(m)
+        c = sp.c(sp.n + 1 - m, sp.n - m)  # alpha_m + i beta_m
         out.append({
             key: _check(R_FAR, coeff[m - 1] * R_FAR, pred, abs(pred) or 1.0)
             for key, coeff, pred in (
@@ -209,9 +209,7 @@ def kernel_signature_check(sp: SolutionParams) -> dict:
         for m in range(1, sp.n + 1):
             pred = second_frequency_prediction(m, j)
             denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
-            checks.append(
-                _check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom, m=m, j=j, kind=kind)
-            )
+            checks.append(_check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom))
         out[which] = tuple(checks)
     return out
 

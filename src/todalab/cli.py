@@ -81,8 +81,6 @@ def run(cfg: RunConfig) -> int:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
                 writer.writeheader()
                 writer.writerows(rows)
-            else:
-                fh.write("")
     for c in cases:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.suite}: {c.case_id} measured={c.measured:.6g} "

@@ -15,7 +15,6 @@ Every term is nonnegative, so the sum has no cancellation and stays
 accurate at radii ~1e3 where direct elimination on (f^{p,q}) loses all
 significant digits for k >= 3.  The minors are fixed polynomials computed
 once per parameter set and summed directly under one common scale factor.
-A scaled-LU evaluation of (f^{p,q}) is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -38,12 +37,9 @@ __all__ = [
     "lambda_product_target",
     "normalize_lambdas",
     "sample_params",
-    "mixed_derivative",
-    "det_k_lu",
     "log_det_k",
     "upper_components",
     "lower_components",
-    "perturbed",
     "log_det_k_tangent",
     "parse_direction",
     "kernel_directions",
@@ -118,12 +114,6 @@ class SolutionParams:
             raise IndexError(f"c_{{{i},{j}}} out of range")
         return self.polys[i - 1].coeffs[j]
 
-    def first_frequency_coeff(self, m: int) -> complex:
-        """alpha_m + i beta_m = c_{n+1-m, n-m}, m = 1..n."""
-        if not 1 <= m <= self.n:
-            raise IndexError(f"m={m} out of range 1..{self.n}")
-        return self.c(self.n + 1 - m, self.n - m)
-
 
 def sample_params(
     n: int, seed: int, magnitude: float, dilation: float = 1.0
@@ -163,7 +153,7 @@ def sample_params(
     return SolutionParams(n=n, lambdas=lambdas, polys=tuple(polys))
 
 
-# -- mixed derivatives and Gram determinants ------------------------------
+# -- Wronskian minors and Gram determinants --------------------------------
 
 
 @lru_cache(maxsize=256)
@@ -173,22 +163,6 @@ def _derivative_table(sp: SolutionParams) -> tuple:
     return tuple(
         tuple(derivative(p, order) for order in range(sp.n + 1)) for p in family
     )
-
-
-def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
-    """f^{p,q} = d_zbar^q d_z^p f, via the separable structure of f."""
-    if p < 0 or q < 0:
-        raise ValueError("derivative orders must be >= 0")
-    derivs = _derivative_table(sp)
-    z = np.asarray(z, dtype=complex)
-    acc = np.zeros(z.shape, dtype=complex)
-    for i in range(sp.n + 1):
-        dp = derivs[i][p] if p <= sp.n else derivative(derivs[i][min(p, sp.n)], p - sp.n)
-        dq = derivs[i][q] if q <= sp.n else derivative(derivs[i][min(q, sp.n)], q - sp.n)
-        if dp.is_zero() or dq.is_zero():
-            continue
-        acc = acc + sp.lambdas[i] * eval_poly(dp, z) * np.conj(eval_poly(dq, z))
-    return acc if acc.shape else complex(acc)
 
 
 def _laplace_minor(cols, r: int, subset: tuple, table: dict) -> ComplexPoly:
@@ -231,36 +205,50 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
     return tuple(out) + (table,)
 
 
+def _scale_exponent(z) -> int:
+    """The least e >= 0 with max |z| < 2^e, so every |z / 2^e| < 1."""
+    return max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
+
+
+def _scaled(polys, degree: int, e: int) -> tuple:
+    """Each p with c_j times 2^((j - degree) e): p(z) = 2^(degree e) scaled(z / 2^e).
+
+    Powers of two scale every Horner step exactly, so wherever nothing under-
+    or overflows the scaled pass gives the unscaled values times 2^(-degree e).
+    """
+    scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
+    return tuple(ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale))) for p in polys)
+
+
 def _log_dets(sp: SolutionParams, ks, z) -> np.ndarray:
     """log det_k(f) at the points z for each k in ks, stacked along axis 0.
 
-    det_k = rho^(2 D_k) sum_S lambda_S |q_S(z / rho)|^2, rho = max(1, max |z|),
-    with q_S(w) = sum_j c_j rho^(j - D_k) w^j for W_S = sum_j c_j z^j.  As
-    |w| <= 1, |q_S| <= sum_j |c_j|, so the nonnegative terms need no logs:
-    each k takes one Horner pass per non-constant minor and one log.  One
-    rho serves all points; |z| spanning >150/D_k decades raises PositivityError.
+    det_k = 2^(2 D_k e) sum_S lambda_S |q_S(z / 2^e)|^2, with e from
+    _scale_exponent and q_S the _scaled W_S.  As |z / 2^e| < 1, |q_S| <=
+    sum_j |c_j| for W_S = sum_j c_j z^j, so the nonnegative terms need no
+    logs: each k takes one Horner pass per non-constant minor and one log.
+    One e serves all points; |z| spanning >150/D_k decades raises PositivityError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    rho = max(1.0, float(np.max(np.abs(z))))
-    w = z / rho
+    e = _scale_exponent(z)
+    w = z * 2.0**-e
     q = np.empty_like(w)
     out = np.empty((len(ks),) + z.shape)
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for acc, k in zip(out, ks):
             _, degree, const, scaled = _wronskian_minors(sp)[k - 1]
-            scale = [rho ** (j - degree) for j in range(degree + 1)]
-            acc.fill(const * scale[0] ** 2)
-            for p in scaled:
-                eval_poly(ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale))), w, q)
+            acc.fill(math.ldexp(const, -2 * degree * e))
+            for p in _scaled(scaled, degree, e):
+                eval_poly(p, w, q)
                 acc += q.real**2
                 acc += q.imag**2
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
-                raise PositivityError(f"det_k is not finite and positive at scale {rho:.3g}")
+                raise PositivityError(f"det_k is not finite and positive at scale 2^{e}")
             np.log(acc, out=acc)
-            acc += 2.0 * degree * math.log(rho)
+            acc += 2 * degree * e * math.log(2.0)
     return out
 
 
@@ -270,25 +258,6 @@ def log_det_k(sp: SolutionParams, k: int, z):
         raise ValueError(f"k={k} out of range 1..{sp.n + 1}")
     out = _log_dets(sp, (k,), z)[0]
     return float(out[0]) if np.ndim(z) == 0 else out
-
-
-def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
-    """Cross-check route: scaled LU on the raw matrix (f^{p,q}).
-
-    Loses relative accuracy at large |z| for k >= 3; intended for
-    moderate radii as an independent oracle against the minor route.
-    """
-    mat = np.array(
-        [[mixed_derivative(sp, p, q, complex(z)) for q in range(k)] for p in range(k)],
-        dtype=complex,
-    )
-    scales = np.max(np.abs(mat), axis=1)
-    if np.any(scales == 0):
-        raise PositivityError("zero row in Gram matrix")
-    sign, logabs = np.linalg.slogdet(mat / scales[:, None])
-    if sign.real <= 0.5:
-        raise PositivityError(f"non-positive Gram determinant at z={z}")
-    return float(logabs + np.sum(np.log(scales))), +1
 
 
 def upper_components(sp: SolutionParams, z) -> np.ndarray:
@@ -351,21 +320,18 @@ def _coefficient_slot(n: int, which: str) -> tuple[int, int, complex]:
     return i, j, (1 + 0j if kind in {"alpha", "alpha2"} else 1j)
 
 
-def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
-    """New parameter set shifted by delta along one direction."""
-    n = sp.n
-    i, j, unit = _coefficient_slot(n, which)
-    if j < 0:
-        raw = list(sp.lambdas)
-        raw[i] *= math.exp(delta)
-        lambdas = normalize_lambdas(raw, n)
-        return SolutionParams(n=n, lambdas=lambdas, polys=sp.polys)
-    shift = unit * delta
-    polys = list(sp.polys)
-    coeffs = list(polys[i - 1].coeffs)
-    coeffs[j] += shift
-    polys[i - 1] = ComplexPoly(tuple(coeffs))
-    return SolutionParams(n=n, lambdas=sp.lambdas, polys=tuple(polys))
+def _swapped_degree(derivs, i: int, j: int, subset: tuple) -> int:
+    """Exact degree of W_S with column i replaced by z^j; -1 where that vanishes.
+
+    Reducing z^j from the top against the other columns' monic P_t = derivs[t][0]
+    leaves W_S unchanged and a remainder r of a degree apart from theirs; k
+    columns of distinct degrees d_t have a Wronskian of degree sum(d_t) - k(k-1)/2.
+    """
+    others = [t for t in subset if t != i]
+    r = ComplexPoly.from_coeffs([0j] * j + [1])
+    while r.degree in others:
+        r = r + derivs[r.degree][0].scale(-r.coeffs[-1])
+    return sum(others) + r.degree - len(others) * (len(others) + 1) // 2 if r.coeffs else -1
 
 
 @lru_cache(maxsize=256)
@@ -380,6 +346,8 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
     W_S is multilinear in its columns, so along c_ij, dW_S is W_S with
     column i replaced by the derivatives of unit * z^j; only subsets S
     containing i contribute, and only minors with column i are rebuilt.
+    Each is cut to its _swapped_degree, so top coefficients that cancel
+    exactly carry no rounding residue.
     A loglambda_I direction moves only the weights, d log lambda_S =
     [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
     plus the offset -k/(n+1).  The "radial" direction r d/dr generates
@@ -406,7 +374,8 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
             elif j < 0:
                 dw = w.scale(0.5)
             else:
-                dw = _laplace_minor(derivs, 0, subset, table)
+                dw = _laplace_minor(derivs, 0, subset, table).coeffs
+                dw = ComplexPoly.from_coeffs(dw[: _swapped_degree(derivs, i, j, subset) + 1])
             if not dw.is_zero():
                 weight = 2.0 ** (k * (k - 1) + 1) * lam
                 terms.append((w, dw.scale(weight)))
@@ -423,14 +392,14 @@ def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.nd
     every direction evaluated on one set of points can share them.
     Results are stacked the same way; a given k returns only its row.
 
-    W_S, V_S (degree <= D_k) are taken at z / 2^e with c_j times 2^((j - D_k) e), e^{U^k} times
-    2^(2 D_k e): powers of two scale each Horner step exactly, so in range nothing changes.
+    W_S, V_S (degree <= D_k) are evaluated _scaled at z / 2^e, as in _log_dets, and e^{U^k}
+    is taken times 2^(2 D_k e).
     """
     if k is not None and not 1 <= k <= sp.n:
         raise ValueError(f"k={k} out of range 1..{sp.n}")
     rows = range(sp.n) if k is None else (k - 1,)
     z = np.asarray(z, dtype=complex)
-    e = max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
+    e = _scale_exponent(z)
     zs = z * 2.0**-e
     out = np.empty((len(rows),) + z.shape)
     w = np.empty(z.shape, dtype=complex)
@@ -439,11 +408,11 @@ def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.nd
     for acc, row in zip(out, rows):
         offset, terms = _tangent_minors(sp, which)[row]
         degree = _wronskian_minors(sp)[row][1]
-        scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
+        pairs = _scaled(itertools.chain.from_iterable(terms), degree, e)
         acc.fill(0.0)
-        for w_poly, v_poly in terms:
-            eval_poly(ComplexPoly(tuple(c * s for c, s in zip(w_poly.coeffs, scale))), zs, w)
-            eval_poly(ComplexPoly(tuple(c * s for c, s in zip(v_poly.coeffs, scale))), zs, v)
+        for w_poly, v_poly in zip(pairs[::2], pairs[1::2]):
+            eval_poly(w_poly, zs, w)
+            eval_poly(v_poly, zs, v)
             np.conjugate(w, out=w)
             w *= v
             acc += w.real

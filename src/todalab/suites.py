@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -112,8 +113,9 @@ class RunConfig:
 def _check_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    # An exact comparison: NaN, infinities and integers past float range fail it.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite float, got {value}")
 
 
 def build_param_sets(cfg: RunConfig) -> list:
@@ -160,22 +162,27 @@ def suite_identities(cfg: RunConfig, param_sets) -> tuple[list, list]:
     return cases, details
 
 
+def _order_case(suite: str, case_id: str, rep, tol: dict, runtime: float) -> Case:
+    center, slack = tol["pde_order_center"], tol["pde_order_slack"]
+    return Case(suite, case_id, rep.convergence_order, center, slack,
+                abs(rep.convergence_order - center) <= slack, runtime)
+
+
+def _residual_rows(rep, **key) -> list:
+    """Detail rows of one residual report: its peak at h, then at h/2."""
+    return [{**key, "h": rep.h, "max_residual": rep.max_residual,
+             "worst_component": rep.worst_component, "worst_x": rep.worst_z.real,
+             "worst_y": rep.worst_z.imag},
+            {**key, "h": rep.h / 2, "max_residual": max(rep.max_abs_residual_refined)}]
+
+
 def suite_pde(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
-    tol = cfg.tolerances
     grid = GridSpec.from_h(cfg.grid_h)
     for label, sp in param_sets:
         rep, dt = _timed(lambda: pde_residual(sp, grid))
-        ok = abs(rep.convergence_order - tol["pde_order_center"]) <= tol["pde_order_slack"]
-        cases.append(
-            Case("pde", f"{label}-order", rep.convergence_order,
-                 tol["pde_order_center"], tol["pde_order_slack"], ok, dt)
-        )
-        details.append({"label": label, "n": sp.n, "h": rep.h, "max_residual": rep.max_residual,
-                        "worst_component": rep.worst_component, "worst_x": rep.worst_z.real,
-                        "worst_y": rep.worst_z.imag})
-        details.append({"label": label, "n": sp.n, "h": rep.h / 2,
-                        "max_residual": max(rep.max_abs_residual_refined)})
+        cases.append(_order_case("pde", f"{label}-order", rep, cfg.tolerances, dt))
+        details += _residual_rows(rep, label=label, n=sp.n)
     return cases, details
 
 
@@ -190,24 +197,12 @@ def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
         share = dt / (2 * len(reports))
         for which, rep in reports.items():
             ok_res = rep.max_residual <= tol["linearized_max_residual"]
-            ok_ord = (
-                abs(rep.convergence_order - tol["pde_order_center"])
-                <= tol["pde_order_slack"]
-            )
             cases.append(
                 Case("linearized", f"{label}-{which}-residual", rep.max_residual,
                      0.0, tol["linearized_max_residual"], ok_res, share)
             )
-            cases.append(
-                Case("linearized", f"{label}-{which}-order", rep.convergence_order,
-                     tol["pde_order_center"], tol["pde_order_slack"], ok_ord, share)
-            )
-            details.append({"label": label, "which": which, "h": rep.h,
-                            "max_residual": rep.max_residual,
-                            "worst_component": rep.worst_component,
-                            "worst_x": rep.worst_z.real, "worst_y": rep.worst_z.imag})
-            details.append({"label": label, "which": which, "h": rep.h / 2,
-                            "max_residual": max(rep.max_abs_residual_refined)})
+            cases.append(_order_case("linearized", f"{label}-{which}-order", rep, tol, share))
+            details += _residual_rows(rep, label=label, which=which)
     return cases, details
 
 

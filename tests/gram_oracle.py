@@ -5,13 +5,72 @@ coefficients and the lambdas in mpmath, at the working precision of the
 caller, and takes its determinant by elimination: an independent route
 with no Wronskian minors.  `laplace_det` is the plain, unmemoized Laplace
 expansion of a polynomial matrix, the bit-for-bit reference of the
-memoized minor builder in `todalab.solution`.
+memoized minor builder in `todalab.solution`.  `det_k_lu` takes det_k by
+scaled LU on the double-precision matrix (f^{p,q}) of `mixed_derivative`,
+a cross-check at moderate radii, and `perturbed` moves a parameter set
+by a finite step along one direction, the reference of the exact tangents.
 """
 
-import mpmath as mp
+import math
 
-from todalab.cpoly import ComplexPoly
-from todalab.solution import parse_direction
+import mpmath as mp
+import numpy as np
+
+from todalab.cpoly import ComplexPoly, derivative, eval_poly
+from todalab.solution import (PositivityError, SolutionParams, _coefficient_slot,
+                              _derivative_table, normalize_lambdas, parse_direction)
+
+
+def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
+    """f^{p,q} = d_zbar^q d_z^p f, via the separable structure of f."""
+    if p < 0 or q < 0:
+        raise ValueError("derivative orders must be >= 0")
+    derivs = _derivative_table(sp)
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros(z.shape, dtype=complex)
+    for i in range(sp.n + 1):
+        dp = derivs[i][p] if p <= sp.n else derivative(derivs[i][min(p, sp.n)], p - sp.n)
+        dq = derivs[i][q] if q <= sp.n else derivative(derivs[i][min(q, sp.n)], q - sp.n)
+        if dp.is_zero() or dq.is_zero():
+            continue
+        acc = acc + sp.lambdas[i] * eval_poly(dp, z) * np.conj(eval_poly(dq, z))
+    return acc if acc.shape else complex(acc)
+
+
+def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
+    """Cross-check route: scaled LU on the raw matrix (f^{p,q}).
+
+    Loses relative accuracy at large |z| for k >= 3; intended for
+    moderate radii as an independent oracle against the minor route.
+    """
+    mat = np.array(
+        [[mixed_derivative(sp, p, q, complex(z)) for q in range(k)] for p in range(k)],
+        dtype=complex,
+    )
+    scales = np.max(np.abs(mat), axis=1)
+    if np.any(scales == 0):
+        raise PositivityError("zero row in Gram matrix")
+    sign, logabs = np.linalg.slogdet(mat / scales[:, None])
+    if sign.real <= 0.5:
+        raise PositivityError(f"non-positive Gram determinant at z={z}")
+    return float(logabs + np.sum(np.log(scales))), +1
+
+
+def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
+    """New parameter set shifted by delta along one direction."""
+    n = sp.n
+    i, j, unit = _coefficient_slot(n, which)
+    if j < 0:
+        raw = list(sp.lambdas)
+        raw[i] *= math.exp(delta)
+        lambdas = normalize_lambdas(raw, n)
+        return SolutionParams(n=n, lambdas=lambdas, polys=sp.polys)
+    shift = unit * delta
+    polys = list(sp.polys)
+    coeffs = list(polys[i - 1].coeffs)
+    coeffs[j] += shift
+    polys[i - 1] = ComplexPoly(tuple(coeffs))
+    return SolutionParams(n=n, lambdas=sp.lambdas, polys=tuple(polys))
 
 
 def laplace_det(rows: list) -> ComplexPoly:

@@ -213,6 +213,9 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     # A non-positive shrink ratio would pass every T-integral.
     ({"tolerances": {"t_integral_ratio": -1.5}}, "t_integral_ratio"),
     ({"suites": "pde"}, "str"),
+    # JSON integers past float range.
+    ({"radius": 10**400}, "radius"),
+    ({"tolerances": {"mass_flux_rel": 10**400}}, "mass_flux_rel"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"

@@ -14,9 +14,6 @@ MODULES = ["todalab"] + [
                  "identities", "suites", "cli")
 ]
 
-# Reference routes that only the tests compare against.
-TEST_REFERENCES = {"det_k_lu", "perturbed"}
-
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_all_names_exist(module_name):
@@ -68,5 +65,5 @@ def test_every_exported_name_is_used_by_the_program():
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
         used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
     exported = {name for module in MODULES for name in importlib.import_module(module).__all__}
-    unused = sorted(exported - used - TEST_REFERENCES)
+    unused = sorted(exported - used)
     assert not unused

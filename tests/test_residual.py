@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import mp_log_det
+from gram_oracle import mp_log_det, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from todalab.solution import (
     log_det_k,
     log_det_k_tangent,
     lower_components,
-    perturbed,
     sample_params,
     upper_components,
 )

@@ -1,12 +1,14 @@
 """Solution construction, Gram determinants, parameter handling."""
 
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import laplace_det, mp_log_det
+from gram_oracle import det_k_lu, laplace_det, mixed_derivative, mp_log_det, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +17,15 @@ from todalab.cartan import cartan_matrix
 from todalab.cpoly import ComplexPoly, derivative
 from todalab.solution import (
     SolutionParams,
-    det_k_lu,
     kernel_directions,
     lambda_product_target,
     load_params,
     log_det_k,
     lower_components,
-    mixed_derivative,
     normalize_lambdas,
     params_from_json,
     params_to_json,
     parse_direction,
-    perturbed,
     sample_params,
     upper_components,
 )
@@ -146,7 +145,8 @@ def test_laplace_det_2x2():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
     # The memoized builder does the products and sums of the plain expansion
-    # in the same order, so every coefficient is the same double.
+    # in the same order, so every coefficient is the same double; a tangent
+    # minor keeps those up to its exact degree.
     for seed in (0, 5):
         sp = sample_params(n, seed, 0.5)
         derivs = solution._derivative_table(sp)
@@ -164,10 +164,78 @@ def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
                 for subset, lam, _ in per_k[k - 1][0]:
                     rows = [[column[p] if t == i else derivs[t][p] for t in subset]
                             for p in range(k)]
-                    dw = laplace_det(rows) if i in subset else ComplexPoly(())
+                    dw = ComplexPoly(())
+                    if i in subset:
+                        top = solution._swapped_degree(derivs, i, j, subset)
+                        dw = ComplexPoly.from_coeffs(laplace_det(rows).coeffs[: top + 1])
                     if not dw.is_zero():
                         expected.append(dw.scale(2.0 ** (k * (k - 1) + 1) * lam).coeffs)
                 assert [v.coeffs for _, v in terms] == expected, (seed, which, k)
+
+
+def _exact_minor(cols, r, subset, table) -> list:
+    """The memoized Laplace expansion of the minors, in exact integer arithmetic.
+
+    A polynomial is a list of Gaussian integers (re, im), zero coefficients kept.
+    """
+    if len(subset) == 1:
+        return cols[subset[0]][r]
+    key = (r, subset)
+    if key not in table:
+        minors = [_exact_minor(cols, r + 1, subset[:pos] + subset[pos + 1 :], table)
+                  for pos in range(len(subset))]
+        acc = [(0, 0)] * max(len(cols[t][r]) + len(m) for t, m in zip(subset, minors))
+        for pos, (t, minor) in enumerate(zip(subset, minors)):
+            sign = 1 if pos % 2 == 0 else -1
+            for a, (xr, xi) in enumerate(cols[t][r]):
+                for b, (yr, yi) in enumerate(minor):
+                    re, im = acc[a + b]
+                    acc[a + b] = (re + sign * (xr * yr - xi * yi), im + sign * (xr * yi + xi * yr))
+        table[key] = acc
+    return table[key]
+
+
+def _exact_columns(coeffs, n) -> list:
+    """cols[p] = the p-th derivative, p = 0..n, of a Gaussian-integer polynomial."""
+    cols = [coeffs]
+    for _ in range(n):
+        cols.append([(k * re, k * im) for k, (re, im) in enumerate(cols[-1])][1:])
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangent_minor_degrees_match_exact_expansion(n):
+    # Along c_ij, top coefficients of dW_S that cancel in exact arithmetic on
+    # the double coefficients are exact zeros in V_S, and a dW_S that
+    # vanishes exactly contributes no term.  Every double is a dyadic
+    # rational; multiplying each P_t by the largest denominator (a power of
+    # two) multiplies every minor by a nonzero constant, so the degrees are
+    # those of the rational expansion, taken here in integers.
+    for seed in range(4):
+        sp = sample_params(n, seed, 0.5)
+        exact = [[(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs] for p in sp.polys]
+        scale = max(x.denominator for p in exact for c in p for x in c)
+        family = [[(1, 0)]] + [[(int(re * scale), int(im * scale)) for re, im in p] for p in exact]
+        cols = [_exact_columns(p, n) for p in family]
+        base = {}
+        for k in range(2, n + 1):
+            for subset in itertools.combinations(range(n + 1), k):
+                _exact_minor(cols, 0, subset, base)
+        per_k = solution._wronskian_minors(sp)
+        for which in kernel_directions(n):
+            i, j, unit = solution._coefficient_slot(n, which)
+            swapped = list(cols)
+            swapped[i] = _exact_columns([(0, 0)] * j + [(int(unit.real), int(unit.imag))], n)
+            table = {key: w for key, w in base.items() if i not in key[1]}
+            for k, (_, terms) in enumerate(solution._tangent_minors(sp, which), start=1):
+                expected = []
+                for subset, *_ in per_k[k - 1][0]:
+                    if i in subset:
+                        dw = _exact_minor(swapped, 0, subset, table)
+                        nonzero = [d for d, c in enumerate(dw) if c != (0, 0)]
+                        if nonzero:
+                            expected.append(nonzero[-1])
+                assert [v.degree for _, v in terms] == expected, (seed, which, k)
 
 
 def test_minor_builds_share_sub_determinants(monkeypatch):
@@ -266,9 +334,10 @@ def test_perturbed_shifts_expected_coefficient():
     sp = sample_params(3, 0, 0.3)
     d = 1e-3
     for m in range(1, 4):
-        delta = perturbed(sp, f"alpha_{m}", d).first_frequency_coeff(m) - sp.first_frequency_coeff(m)
+        i, j = sp.n + 1 - m, sp.n - m  # alpha_m + i beta_m = c_{n+1-m, n-m}
+        delta = perturbed(sp, f"alpha_{m}", d).c(i, j) - sp.c(i, j)
         assert delta == pytest.approx(d)
-        delta = perturbed(sp, f"beta_{m}", d).first_frequency_coeff(m) - sp.first_frequency_coeff(m)
+        delta = perturbed(sp, f"beta_{m}", d).c(i, j) - sp.c(i, j)
         assert delta == pytest.approx(1j * d)
     for m in (2, 3):
         i, j = sp.n + 2 - m, sp.n - m  # alpha_{m,2} + i beta_{m,2} = c_{n+2-m, n-m}
