@@ -120,9 +120,9 @@ def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
                           abs(measured - predicted) / float(denom), notes)
 
 
-def _second_frequency_directions(n: int) -> list:
-    """[(kind, l, "kind_l")] for kind alpha2, beta2 and l = 2..n."""
-    return [(kind, l, f"{kind}_{l}") for kind in ("alpha2", "beta2") for l in range(2, n + 1)]
+def _second_frequency_directions(n: int) -> dict:
+    """{l: ("alpha2_l", "beta2_l")} for l = 2..n, the two directions that move one coefficient."""
+    return {l: (f"alpha2_{l}", f"beta2_{l}") for l in range(2, n + 1)}
 
 
 def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
@@ -190,27 +190,24 @@ def kernel_signature_check(sp: SolutionParams) -> dict:
     """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules.
 
     Returns {which: (check for m = 1..n)} over the second-frequency
-    directions alpha2_j, beta2_j; each circle evaluates the base solution
-    once for every direction.
+    directions alpha2_j, beta2_j, j = 2..n; one kernel call on the circle
+    serves every direction.
     """
-    directions = _second_frequency_directions(sp.n)
-    if not directions:
+    pairs = _second_frequency_directions(sp.n)
+    if not pairs:
         return {}
-
-    def tangents(z):
-        base = upper_components(sp, z)
-        return np.stack([log_det_k_tangent(sp, which, z, base) for *_, which in directions])
-
-    fc = fourier_coeffs(tangents, R_FAR)
+    directions = [which for pair in pairs.values() for which in pair]
+    fc = fourier_coeffs(lambda z: log_det_k_tangent(sp, directions, z)[1], R_FAR)
     out = {}
-    for index, (kind, j, which) in enumerate(directions):
-        coeff = (fc.a_cos[1] if kind == "alpha2" else fc.b_sin[1])[index]
-        checks = []
-        for m in range(1, sp.n + 1):
-            pred = second_frequency_prediction(m, j)
-            denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
-            checks.append(_check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom))
-        out[which] = tuple(checks)
+    # Each pair's alpha row is read in cosine, its beta row in sine.
+    for (j, pair), cos, sin in zip(pairs.items(), fc.a_cos[1][::2], fc.b_sin[1][1::2]):
+        for which, coeff in zip(pair, (cos, sin)):
+            checks = []
+            for m in range(1, sp.n + 1):
+                pred = second_frequency_prediction(m, j)
+                denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
+                checks.append(_check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom))
+            out[which] = tuple(checks)
     return out
 
 
@@ -257,23 +254,22 @@ class TIntegralResult:
 def t_integral(sp: SolutionParams, ratio: float) -> dict:
     """Integrals over the plane of -dU^{l-1}/d(which), which = alpha2_l, beta2_l.
 
-    Returns {which: TIntegralResult} for l = 2..n; each radial panel
-    evaluates the base solution once for every direction.  Integration is
+    Returns {which: TIntegralResult} for l = 2..n; each radial panel takes
+    one kernel call per l, on the minors of det_{l-1} alone.  Integration is
     angular-first: the frequency-2 leading term has zero mean on every
     circle, so the radial integrand decays fast enough for the partial
     integrals over B_R to form a Cauchy sequence.  A result converges when
     each successive difference is at most 1/ratio of the one before.
     """
-    directions = _second_frequency_directions(sp.n)
-    if not directions:
+    pairs = _second_frequency_directions(sp.n)
+    if not pairs:
         return {}
 
     def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
         z = circle(r_nodes, T_SAMPLES)
-        base = upper_components(sp, z)
-        return np.stack([
-            np.mean(log_det_k_tangent(sp, which, z, base, k=l - 1), axis=1)
-            for _, l, which in directions
+        return np.concatenate([
+            np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
+            for l, pair in pairs.items()
         ])
 
     # Panel boundaries refine geometrically inward from the smallest radius,
@@ -282,7 +278,7 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
     totals = polar_panels(ring_mean, bounds, T_NODES)[-len(T_RADII):]
     out = {}
-    for index, (*_, which) in enumerate(directions):
+    for index, which in enumerate(which for pair in pairs.values() for which in pair):
         values = [float(total[index]) for total in totals]
         diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
         out[which] = TIntegralResult(

@@ -89,38 +89,40 @@ def run(cfg: RunConfig) -> int:
     return 0 if summary["all_pass"] else 1
 
 
+def _detail_rows(path: Path, columns) -> list:
+    """The named columns of each row of a detail CSV; none when it is missing or empty.
+
+    A CSV that lacks one of the columns raises ValueError.
+    """
+    if not path.exists() or not path.stat().st_size:
+        return []
+    with path.open(newline="") as src:
+        reader = csv.DictReader(src)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no column(s) {', '.join(missing)}")
+        return [[row[name] for name in columns] for row in reader]
+
+
 def emit_plot_data(report_dir) -> list:
     """Tidy CSVs for plotting: error vs radius and residual vs h."""
     report_dir = Path(report_dir)
+    columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
+    tables = {
+        "error_vs_radius.csv": [columns]
+        + _detail_rows(report_dir / "asymptotics_detail.csv", columns),
+        "residual_vs_h.csv": [["suite", "label", "h", "max_residual"]] + [
+            [suite] + row for suite in ("pde", "linearized")
+            for row in _detail_rows(report_dir / f"{suite}_detail.csv",
+                                    ["label", "h", "max_residual"])
+        ],
+    }
     plots = report_dir / "plots"
     plots.mkdir(exist_ok=True)
-    written = []
-
-    asym = report_dir / "asymptotics_detail.csv"
-    out_path = plots / "error_vs_radius.csv"
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
-        writer.writerow(columns)
-        if asym.exists() and asym.stat().st_size:
-            with asym.open() as src:
-                for row in csv.DictReader(src):
-                    writer.writerow([row[name] for name in columns])
-    written.append(out_path)
-
-    out_path = plots / "residual_vs_h.csv"
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "label", "h", "max_residual"])
-        for suite in ("pde", "linearized"):
-            detail = report_dir / f"{suite}_detail.csv"
-            if detail.exists() and detail.stat().st_size:
-                with detail.open() as src:
-                    for row in csv.DictReader(src):
-                        writer.writerow([suite, row["label"], row["h"],
-                                         row["max_residual"]])
-    written.append(out_path)
-    return written
+    for name, rows in tables.items():
+        with (plots / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return [plots / name for name in tables]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,10 +156,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "plot-data":
         report_dir = Path(args.out)
-        if not report_dir.exists():
-            print(f"report directory {report_dir} not found", file=sys.stderr)
+        if not report_dir.is_dir():
+            print(f"no report directory at {report_dir}", file=sys.stderr)
             return 2
-        for path in emit_plot_data(report_dir):
+        try:
+            written = emit_plot_data(report_dir)
+        except (ValueError, OSError, csv.Error) as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
+        for path in written:
             print(path)
         return 0
     try:

@@ -109,8 +109,6 @@ def G_closed(m: int) -> int:
 
 @dataclass
 class IdentitySweepReport:
-    n_values: dict
-    degree_bounds: dict
     cases: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -128,12 +126,9 @@ def verify_identity_sweep(largest_m: int) -> IdentitySweepReport:
     """
     if largest_m < 1 or largest_m > 12:
         raise ValueError("largest_m must be in 1..12")
-    report = IdentitySweepReport(n_values={}, degree_bounds={})
+    report = IdentitySweepReport()
     for m in range(1, largest_m + 1):
-        bound = m * (m - 1) // 2
-        ns = list(range(m, m + max(bound + 2, 10)))
-        report.n_values[m] = ns
-        report.degree_bounds[m] = bound
+        ns = range(m, m + max(m * (m - 1) // 2 + 2, 10))
         layouts = [("F", F_det, F_closed(m))]
         if m >= 2:
             layouts.append(("G", G_det, G_closed(m)))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import circle, polar_panels
-from .solution import (PositivityError, SolutionParams, log_det_k_tangent,
-                       lower_components, upper_components)
+from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
 
 __all__ = ["mass_flux", "mass_quadrature", "predicted_mass"]
 
@@ -36,7 +35,7 @@ def predicted_mass(n: int, i: int) -> float:
 def mass_flux(sp: SolutionParams, R: float) -> list:
     """-oint_{|z|=R} dU^i/dr, i = 1..n: exact r d/dr log det_i + angular trapezoid."""
     z = circle(R, FLUX_SAMPLES)
-    r_dlog_det = log_det_k_tangent(sp, "radial", z, upper_components(sp, z))
+    (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), z)[1]
     if not np.all(np.isfinite(r_dlog_det)):
         raise PositivityError(f"the radial derivative of log det_k overflows at R = {R:.3g}")
     return [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]
@@ -45,8 +44,6 @@ def mass_flux(sp: SolutionParams, R: float) -> list:
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
-    bulk: float
-    tail: float
     tail_fit_stable: bool
 
 
@@ -75,7 +72,4 @@ def mass_quadrature(sp: SolutionParams) -> list:
     for i, v in enumerate(value, start=1):
         if not v > 0:
             raise PositivityError(f"mass integral of e^(U_{i}) is {v}, not positive")
-    return [
-        QuadratureResult(float(v), float(b), float(t), bool(ok))
-        for v, b, t, ok in zip(value, bulk, tail, stable)
-    ]
+    return [QuadratureResult(float(v), bool(ok)) for v, ok in zip(value, stable)]

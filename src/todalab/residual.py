@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import cartan_matrix
-from .solution import (
-    SolutionParams,
-    kernel_directions,
-    log_det_k_tangent,
-    lower_components,
-    upper_components,
-)
+from .solution import SolutionParams, kernel_directions, log_det_k_tangent, lower_components
 
 __all__ = [
     "GridSpec",
@@ -140,25 +134,36 @@ def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> li
     """Residual peaks per component for each direction's field, on one grid.
 
     The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
-    One base evaluation per tile serves every direction.
+    Each tile takes one kernel call per coefficient, for its alpha and beta
+    directions (all at once would hold every direction's rows); the first
+    call's U gives the weights.
     """
     a = cartan_matrix(sp.n)
-    peaks = [_Peak(sp.n) for _ in directions]
+    peaks = {which: _Peak(sp.n) for which in directions}
+    pairs = {}
+    for which in directions:
+        pairs.setdefault(which.replace("beta", "alpha"), []).append(which)
     for z in g.row_tiles():
-        upper = upper_components(sp, z)
-        weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-        for peak, which in zip(peaks, directions):
-            phi = np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0))
-            source = np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
-            peak.fold(_laplacian(phi, g.h) + source, z)
-    return peaks
+        for index, pair in enumerate(pairs.values()):
+            upper, tangents = log_det_k_tangent(sp, pair, z)
+            if index == 0:
+                weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
+            for which, dlog_det in zip(pair, tangents):
+                phi = np.tensordot(a, dlog_det, axes=(1, 0))
+                source = np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
+                peaks[which].fold(_laplacian(phi, g.h) + source, z)
+                # Free each field, and below each pair's rows, before the next
+                # is built: holding them raised default verify's peak RSS 1.5 MB.
+                del phi, source
+            del upper, tangents
+    return [peaks[which] for which in directions]
 
 
 def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     """Residual of the linearized system on parameter-derivative fields.
 
     Returns {direction: ResidualReport} over kernel_directions(sp.n); one
-    base evaluation per tile serves every direction.
+    evaluation per tile serves each coefficient's alpha and beta directions.
     """
     directions = kernel_directions(sp.n)
     coarse = _linearized_residual_once(sp, directions, g)

@@ -220,52 +220,70 @@ def _scaled(polys, degree: int, e: int) -> tuple:
     return tuple(ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale))) for p in polys)
 
 
-def _log_dets(sp: SolutionParams, ks, z) -> np.ndarray:
-    """log det_k(f) at the points z for each k in ks, stacked along axis 0.
+def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
+    """(log det_k(f), d log det_k / d(which)) at the points z for each k in ks.
 
-    det_k = 2^(2 D_k e) sum_S lambda_S |q_S(z / 2^e)|^2, with e from
-    _scale_exponent and q_S the _scaled W_S.  As |z / 2^e| < 1, |q_S| <=
-    sum_j |c_j| for W_S = sum_j c_j z^j, so the nonnegative terms need no
-    logs: each k takes one Horner pass per non-constant minor and one log.
+    The first array stacks the rows along axis 0; the second stacks, for each
+    direction, its rows the same way.  det_k = 2^(2 D_k e) sum_S |q_S(z / 2^e)|^2,
+    with e from _scale_exponent and q_S the _scaled sqrt(lambda_S) W_S.  As
+    |z / 2^e| < 1, |q_S| <= sum_j |c_j| for q_S = sum_j c_j z^j, so the
+    nonnegative terms need no logs: each k takes one Horner pass per
+    non-constant minor and one log.  Each direction's tangent is the ratio
+    (share + sum_S Re(conj(q_S) dq_S)) / det_k + offset of _tangent_minors'
+    terms; the pass over q_S feeds det_k and every sum, each dq_S takes one
+    pass more, and numerator and denominator carry the same 2^(2 D_k e).
     One e serves all points; |z| spanning >150/D_k decades raises PositivityError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     e = _scale_exponent(z)
     w = z * 2.0**-e
     q = np.empty_like(w)
+    dq = np.empty_like(w)
     out = np.empty((len(ks),) + z.shape)
+    tangents = np.empty((len(directions), len(ks)) + z.shape)
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for acc, k in zip(out, ks):
+        for row, (acc, k) in enumerate(zip(out, ks)):
             _, degree, const, scaled = _wronskian_minors(sp)[k - 1]
             acc.fill(math.ldexp(const, -2 * degree * e))
-            for p in _scaled(scaled, degree, e):
+            terms = [_tangent_minors(sp, which)[k - 1] for which in directions]
+            sums = tangents[:, row]
+            for total, (_, share, _) in zip(sums, terms):
+                total.fill(math.ldexp(share, -2 * degree * e))
+            dq_polys = [dict(zip(polys, _scaled(polys.values(), degree, e)))
+                        for *_, polys in terms]
+            for position, p in enumerate(_scaled(scaled, degree, e)):
                 eval_poly(p, w, q)
                 acc += q.real**2
                 acc += q.imag**2
+                for total, polys in zip(sums, dq_polys):
+                    if position in polys:
+                        eval_poly(polys[position], w, dq)
+                        total += q.real * dq.real
+                        total += q.imag * dq.imag
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
                 raise PositivityError(f"det_k is not finite and positive at scale 2^{e}")
+            for total, (offset, *_) in zip(sums, terms):
+                total /= acc
+                total += offset
             np.log(acc, out=acc)
             acc += 2 * degree * e * math.log(2.0)
-    return out
+    return out, tangents
 
 
 def log_det_k(sp: SolutionParams, k: int, z):
     """log det_k(f) at z (scalar or array), k = 1..n+1."""
     if not 1 <= k <= sp.n + 1:
         raise ValueError(f"k={k} out of range 1..{sp.n + 1}")
-    out = _log_dets(sp, (k,), z)[0]
+    out = _log_dets(sp, (k,), z)[0][0]
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def upper_components(sp: SolutionParams, z) -> np.ndarray:
     """U^k for k = 1..n, stacked along axis 0; z scalar or array."""
-    out = _log_dets(sp, range(1, sp.n + 1), z)
-    for k, row in enumerate(out, start=1):
-        row += k * (k - 1) * math.log(2.0)
-    return np.negative(out, out=out)
+    return log_det_k_tangent(sp, (), z)[0]
 
 
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
@@ -336,18 +354,20 @@ def _swapped_degree(derivs, i: int, j: int, subset: tuple) -> int:
 
 @lru_cache(maxsize=256)
 def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
-    """For each k = 1..n, (offset, ((W_S, V_S), ...)) with
+    """For each k = 1..n, (offset, share, {position: dq_S}) with
 
-        d log det_k / d(which) = offset + e^{U^k} sum_S Re(conj(W_S) V_S).
+        d log det_k / d(which) = offset + (share + sum_S Re(conj(q_S) dq_S)) / det_k,
 
-    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2 gives
-    d log det_k = sum_S lambda_S 2 Re(conj(W_S) dW_S) / det_k, and
-    1/det_k = 2^{k(k-1)} e^{U^k}, so V_S = 2^{k(k-1)+1} lambda_S dW_S.
+    where q_S = sqrt(lambda_S) W_S sits at that position of the non-constant
+    minors in _wronskian_minors, dq_S = 2 sqrt(lambda_S) dW_S, and share sums
+    2 lambda_S Re(conj(W_S) dW_S) over the constant minors, whose dW_S is
+    constant too.  This is Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.
     W_S is multilinear in its columns, so along c_ij, dW_S is W_S with
     column i replaced by the derivatives of unit * z^j; only subsets S
     containing i contribute, and only minors with column i are rebuilt.
     Each is cut to its _swapped_degree, so top coefficients that cancel
-    exactly carry no rounding residue.
+    exactly carry no rounding residue (the constant W_S, on the columns
+    P_0..P_{k-1}, reduces z^j to 0: its dW_S vanishes).
     A loglambda_I direction moves only the weights, d log lambda_S =
     [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
     plus the offset -k/(n+1).  The "radial" direction r d/dr generates
@@ -365,8 +385,9 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
         table = {key: w for key, w in base.items() if i not in key[1]}
     out = []
     for k, (minors, *_) in enumerate(per_k[:n], start=1):
-        terms = []
+        share, polys, position = 0.0, {}, -1
         for subset, lam, w in minors:
+            position += w.degree > 0
             if radial:
                 dw = ComplexPoly.from_coeffs(p * c for p, c in enumerate(w.coeffs))
             elif i not in subset:
@@ -376,52 +397,32 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
             else:
                 dw = _laplace_minor(derivs, 0, subset, table).coeffs
                 dw = ComplexPoly.from_coeffs(dw[: _swapped_degree(derivs, i, j, subset) + 1])
-            if not dw.is_zero():
-                weight = 2.0 ** (k * (k - 1) + 1) * lam
-                terms.append((w, dw.scale(weight)))
-        out.append((-k / (n + 1) if not radial and j < 0 else 0.0, tuple(terms)))
+            if dw.is_zero():
+                continue
+            if w.degree > 0:
+                polys[position] = dw.scale(2.0 * math.sqrt(lam))
+            else:
+                share += 2.0 * lam * (w.coeffs[0].conjugate() * dw.coeffs[0]).real
+        out.append((-k / (n + 1) if not radial and j < 0 else 0.0, share, polys))
     return tuple(out)
 
 
-def log_det_k_tangent(sp: SolutionParams, which: str, z, upper, k=None) -> np.ndarray:
-    """Exact d log det_k / d(which) at the points z (an array), for k = 1..n.
+def log_det_k_tangent(sp: SolutionParams, directions, z, k=None) -> tuple:
+    """(U^k, exact d log det_k / d(which) for each direction) at the points z.
 
-    `which` is a parameter direction or "radial" (r d/dr at fixed parameters).
-
-    `upper` stacks the upper components U^k of `sp` at z along axis 0, so
-    every direction evaluated on one set of points can share them.
-    Results are stacked the same way; a given k returns only its row.
-
-    W_S, V_S (degree <= D_k) are evaluated _scaled at z / 2^e, as in _log_dets, and e^{U^k}
-    is taken times 2^(2 D_k e).
+    A direction is a parameter direction or "radial" (r d/dr at fixed
+    parameters).  U stacks k = 1..n along axis 0 and the tangents stack
+    (direction, k) along axes 0 and 1; a given k returns only its row,
+    and only its minors are evaluated.  One _log_dets pass serves both.
     """
     if k is not None and not 1 <= k <= sp.n:
         raise ValueError(f"k={k} out of range 1..{sp.n}")
-    rows = range(sp.n) if k is None else (k - 1,)
-    z = np.asarray(z, dtype=complex)
-    e = _scale_exponent(z)
-    zs = z * 2.0**-e
-    out = np.empty((len(rows),) + z.shape)
-    w = np.empty(z.shape, dtype=complex)
-    v = np.empty(z.shape, dtype=complex)
-    exp_u = np.empty(z.shape)
-    for acc, row in zip(out, rows):
-        offset, terms = _tangent_minors(sp, which)[row]
-        degree = _wronskian_minors(sp)[row][1]
-        pairs = _scaled(itertools.chain.from_iterable(terms), degree, e)
-        acc.fill(0.0)
-        for w_poly, v_poly in zip(pairs[::2], pairs[1::2]):
-            eval_poly(w_poly, zs, w)
-            eval_poly(v_poly, zs, v)
-            np.conjugate(w, out=w)
-            w *= v
-            acc += w.real
-        # e^{U^k} 2^(2 D_k e); the power joins the exponent where e^{U^k} would underflow.
-        shift = 0 if np.min(upper[row]) > -700.0 else 2 * degree * e
-        np.exp(upper[row] + shift * math.log(2.0), out=exp_u)
-        acc *= np.ldexp(exp_u, 2 * degree * e - shift, out=exp_u)
-        acc += offset
-    return out if k is None else out[0]
+    ks = range(1, sp.n + 1) if k is None else (k,)
+    upper, tangents = _log_dets(sp, ks, z, directions)
+    for row, k_row in zip(upper, ks):
+        row += k_row * (k_row - 1) * math.log(2.0)
+    np.negative(upper, out=upper)
+    return (upper, tangents) if k is None else (upper[0], tangents[:, 0])
 
 
 # -- JSON parameter schema -------------------------------------------------

@@ -237,14 +237,12 @@ def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
                                              tol["first_frequency_rel"],
                                              dt_freq1 / (2 * n)))
                 details.append(_expansion_row(label, "freq1", m, key, ck))
-            for j in range(2, n + 1):
-                for kind in ("alpha2", "beta2"):
-                    which = f"{kind}_{j}"
-                    ck = freq2[which][m - 1]
-                    cases.append(_expansion_case(f"{label}-freq2-{which}-m{m}", ck,
-                                                 tol["kernel_signature_rel"],
-                                                 dt_freq2 / (n * len(freq2))))
-                    details.append(_expansion_row(label, "freq2", m, which, ck))
+            for which, checks in freq2.items():
+                ck = checks[m - 1]
+                cases.append(_expansion_case(f"{label}-freq2-{which}-m{m}", ck,
+                                             tol["kernel_signature_rel"],
+                                             dt_freq2 / (n * len(freq2))))
+                details.append(_expansion_row(label, "freq2", m, which, ck))
         for i, ck in enumerate(const, start=1):
             cases.append(_expansion_case(f"{label}-const-term-i{i}", ck,
                                          CONSTANT_TERM_REL, dt_const / n))

@@ -44,7 +44,15 @@ def test_01_exact_determinant_identities():
     t0 = time.perf_counter()
     report = verify_identity_sweep(10)
     elapsed = time.perf_counter() - t0
-    enough_n = all(len(ns) >= 10 for ns in report.n_values.values())
+    ns = {}
+    for c in report.cases:
+        ns.setdefault((c["kind"], c["m"]), set()).add(c["n"])
+    # Each determinant is a polynomial in n of degree <= m(m-1)/2, so more
+    # distinct n than that (and at least 10) make the sweep a proof.
+    layouts = {("F", m) for m in range(1, 11)} | {("G", m) for m in range(2, 11)}
+    enough_n = set(ns) == layouts and all(
+        len(values) > max(m * (m - 1) // 2, 9) for (_, m), values in ns.items()
+    )
     ok = report.all_pass and enough_n and elapsed < 10.0
     assert _report(
         "exact-determinant-identities",

@@ -122,28 +122,32 @@ def test_t_integral_converges_n2():
 
 
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
-    # Every base evaluation goes through the det_k kernel, which returns
-    # all k in one call, however many components and directions a probe
-    # checks.
+    # Every evaluation goes through the det_k kernel, which returns all k
+    # and every tangent direction in one call, however many components and
+    # directions a probe checks.  The T-integral takes one call per l on
+    # row l - 1 alone, with its two directions.
     calls = []
     original = solution._log_dets
 
-    def counted(sp, ks, z):
-        calls.append(tuple(ks))
-        return original(sp, ks, z)
+    def counted(sp, ks, z, directions=()):
+        calls.append((tuple(ks), tuple(directions)))
+        return original(sp, ks, z, directions)
 
     monkeypatch.setattr(solution, "_log_dets", counted)
     n = 3
     sp = sample_params(n, 0, 0.3)
-    for probe, evaluations in (
-        (lambda: leading_coefficient_check(sp, r=1e3), 1),
-        (lambda: first_frequency_check(sp), 1),
-        (lambda: kernel_signature_check(sp), 1),
-        (lambda: constant_term_probe(sp), 1),
-        (lambda: mass_flux(sp, R=1e3), 1),
-        (lambda: mass_quadrature(sp), 9 + 2),  # 9 radial panels, 2 tail circles
-        (lambda: t_integral(sp, ratio=1.5), 9),  # 9 radial panels
+    rows = (1, 2, 3)
+    second = ("alpha2_2", "beta2_2", "alpha2_3", "beta2_3")
+    for probe, expected in (
+        (lambda: leading_coefficient_check(sp, r=1e3), [(rows, ())]),
+        (lambda: first_frequency_check(sp), [(rows, ())]),
+        (lambda: kernel_signature_check(sp), [(rows, second)]),
+        (lambda: constant_term_probe(sp), [(rows, ())]),
+        (lambda: mass_flux(sp, R=1e3), [(rows, ("radial",))]),
+        (lambda: mass_quadrature(sp), [(rows, ())] * (9 + 2)),  # 9 panels, 2 tail circles
+        (lambda: t_integral(sp, ratio=1.5),  # 9 radial panels
+         [((1,), second[:2]), ((2,), second[2:])] * 9),
     ):
         calls.clear()
         probe()
-        assert calls == [tuple(range(1, n + 1))] * evaluations
+        assert calls == expected

@@ -86,6 +86,20 @@ def test_plot_data_missing_dir(tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_data_out_is_a_file_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    report.write_text("not a directory\n")
+    assert run_cli(["plot-data", "--out", str(report)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_plot_data_detail_without_label_column_exits_2(tmp_path, capsys):
+    (tmp_path / "asymptotics_detail.csv").write_text("check,m\nleading,1\n")
+    assert run_cli(["plot-data", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "label" in err[0]
+
+
 def test_plot_data_emits_csvs(tmp_path, capsys):
     out = tmp_path / "rep"
     run_cli(["verify", "--suite", "pde", "--n", "1", "--count", "1",

@@ -67,3 +67,31 @@ def test_every_exported_name_is_used_by_the_program():
     exported = {name for module in MODULES for name in importlib.import_module(module).__all__}
     unused = sorted(exported - used)
     assert not unused
+
+
+def _callers(tree: ast.AST, scope: str, callee: str) -> set:
+    """Qualified names of the functions (or the module) whose code calls `callee`."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == callee:
+                callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, scope)
+    return callers
+
+
+def test_only_the_det_k_kernel_evaluates_polynomials():
+    # One evaluation kernel: every Horner pass over the minors, for det_k and
+    # for each parameter tangent, runs in solution._log_dets.
+    callers = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        callers |= _callers(ast.parse(path.read_text(), filename=str(path)), path.stem, "eval_poly")
+    assert callers == {"solution._log_dets"}

@@ -75,9 +75,13 @@ def test_closed_form_small_values():
 def test_sweep_report_is_complete_proof():
     report = verify_identity_sweep(6)
     assert report.all_pass
-    for m, ns in report.n_values.items():
+    ns = {}
+    for c in report.cases:
+        ns.setdefault((c["kind"], c["m"]), set()).add(c["n"])
+    assert sorted(ns) == [("F", m) for m in range(1, 7)] + [("G", m) for m in range(2, 7)]
+    for (_, m), values in ns.items():
         # Polynomial of degree <= m(m-1)/2 in n: need strictly more samples.
-        assert len(set(ns)) > report.degree_bounds[m]
+        assert len(values) > m * (m - 1) // 2
     kinds = {(c["kind"], c["m"]) for c in report.cases}
     assert ("F", 1) in kinds and ("G", 2) in kinds and ("G", 6) in kinds
 

@@ -27,7 +27,6 @@ from todalab.solution import (
     log_det_k_tangent,
     lower_components,
     sample_params,
-    upper_components,
 )
 
 
@@ -36,7 +35,7 @@ def all_directions(n):
 
 
 def tangent(sp, which, z, k=None):
-    return log_det_k_tangent(sp, which, z, upper_components(sp, z), k)
+    return log_det_k_tangent(sp, (which,), z, k)[1][0]
 
 
 def meshgrid(g):
@@ -165,28 +164,35 @@ def test_derivative_field_single_row_matches_full_stack():
                 tangent(sp, which, z, k=k)
 
 
-def unscaled_tangent(sp, which, z, upper):
-    """The tangent evaluated at the raw z, as before the power-of-two scale."""
+def unscaled_tangent(sp, which, z):
+    """The tangent's ratio form evaluated at the raw z, with no power-of-two scale."""
     out = []
     for row in range(sp.n):
-        offset, terms = solution._tangent_minors(sp, which)[row]
-        acc = np.zeros(z.shape)
-        for w_poly, v_poly in terms:
-            acc += (np.conjugate(eval_poly(w_poly, z)) * eval_poly(v_poly, z)).real
-        out.append(acc * np.exp(upper[row]) + offset)
+        _, _, const, scaled = solution._wronskian_minors(sp)[row]
+        offset, share, polys = solution._tangent_minors(sp, which)[row]
+        det, total = np.full(z.shape, const), np.full(z.shape, share)
+        for position, q_poly in enumerate(scaled):
+            q = eval_poly(q_poly, z)
+            det += q.real**2
+            det += q.imag**2
+            if position in polys:
+                dq = eval_poly(polys[position], z)
+                total += q.real * dq.real
+                total += q.imag * dq.imag
+        out.append(total / det + offset)
     return np.array(out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tangent_scale_is_bit_identical_in_range(n):
-    # Scaling z and c_j by powers of two scales every Horner step exactly.
+    # Scaling z and c_j by powers of two scales every Horner step, and the
+    # ratio's numerator and denominator alike, exactly.
     sp = sample_params(n, 4, 0.5)
     for radius in (0.3, 2.5, 3e1, 1e3, 1e6):
         z = radius * np.exp(1j * np.linspace(0.1, 6.2, 17))
-        upper = upper_components(sp, z)
         for which in all_directions(n) + ["radial"]:
-            got = log_det_k_tangent(sp, which, z, upper)
-            assert np.array_equal(got, unscaled_tangent(sp, which, z, upper)), (which, radius)
+            assert np.array_equal(tangent(sp, which, z), unscaled_tangent(sp, which, z)), (
+                which, radius)
 
 
 @given(
@@ -252,9 +258,9 @@ def whole_grid_pde_residual(sp, g):
 def whole_grid_linearized_residual(sp, which, g):
     z = meshgrid(g)
     a = cartan_matrix(sp.n)
-    upper = upper_components(sp, z)
+    upper, (dlog_det,) = log_det_k_tangent(sp, (which,), z)
     weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-    phi = np.tensordot(a, log_det_k_tangent(sp, which, z, upper), axes=(1, 0))
+    phi = np.tensordot(a, dlog_det, axes=(1, 0))
     return _laplacian(phi, g.h) + np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
 
 
@@ -285,22 +291,26 @@ def test_tiled_residuals_match_whole_grid_reference(n, points_per_side):
 
 
 def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
-    # Every kernel call from the residuals sees one tile with its halo rows.
-    sizes = []
+    # Every kernel call from the residuals sees one tile with its halo rows:
+    # one call per tile for the PDE, and one per tile and coefficient, with
+    # its alpha and beta directions, for the linearized fields.
+    calls = []
     original = solution._log_dets
 
-    def counted(sp, ks, z):
-        sizes.append(np.size(z))
-        return original(sp, ks, z)
+    def counted(sp, ks, z, directions=()):
+        calls.append((np.size(z), tuple(directions)))
+        return original(sp, ks, z, directions)
 
     monkeypatch.setattr(solution, "_log_dets", counted)
     sp = sample_params(2, 0, 0.3)
     g = GridSpec.from_h(2e-2)
-    for run in (pde_residual, linearized_residual):
-        sizes.clear()
+    tiles = len(list(g.row_tiles())) + len(list(g.refined().row_tiles()))
+    pairs = [("alpha_1", "beta_1"), ("alpha_2", "beta_2"), ("alpha2_2", "beta2_2")]
+    for run, per_tile in ((pde_residual, [()]), (linearized_residual, pairs)):
+        calls.clear()
         run(sp, g)
-        assert len(sizes) == len(list(g.row_tiles())) + len(list(g.refined().row_tiles()))
-        assert max(sizes) <= TILE_POINTS + 2 * g.refined().points_per_side
+        assert [directions for _, directions in calls] == per_tile * tiles
+        assert max(size for size, _ in calls) <= TILE_POINTS + 2 * g.refined().points_per_side
 
 
 def test_report_names_the_worst_component_and_point():

@@ -159,9 +159,10 @@ def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
             i, j, unit = solution._coefficient_slot(n, which)
             column = [derivative(ComplexPoly.from_coeffs([0j] * j + [unit]), p)
                       for p in range(n + 1)]
-            for k, (_, terms) in enumerate(solution._tangent_minors(sp, which), start=1):
-                expected = []
-                for subset, lam, _ in per_k[k - 1][0]:
+            for k, (_, share, polys) in enumerate(solution._tangent_minors(sp, which), start=1):
+                expected = {}
+                nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
+                for position, (subset, lam, _) in enumerate(nonconstant):
                     rows = [[column[p] if t == i else derivs[t][p] for t in subset]
                             for p in range(k)]
                     dw = ComplexPoly(())
@@ -169,8 +170,10 @@ def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
                         top = solution._swapped_degree(derivs, i, j, subset)
                         dw = ComplexPoly.from_coeffs(laplace_det(rows).coeffs[: top + 1])
                     if not dw.is_zero():
-                        expected.append(dw.scale(2.0 ** (k * (k - 1) + 1) * lam).coeffs)
-                assert [v.coeffs for _, v in terms] == expected, (seed, which, k)
+                        expected[position] = dw.scale(2.0 * math.sqrt(lam)).coeffs
+                assert {pos: v.coeffs for pos, v in polys.items()} == expected, (seed, which, k)
+                # The constant minor's columns are P_0..P_{k-1}: it has no c_ij tangent.
+                assert share == 0.0
 
 
 def _exact_minor(cols, r, subset, table) -> list:
@@ -227,15 +230,16 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
             swapped = list(cols)
             swapped[i] = _exact_columns([(0, 0)] * j + [(int(unit.real), int(unit.imag))], n)
             table = {key: w for key, w in base.items() if i not in key[1]}
-            for k, (_, terms) in enumerate(solution._tangent_minors(sp, which), start=1):
-                expected = []
-                for subset, *_ in per_k[k - 1][0]:
+            for k, (*_, polys) in enumerate(solution._tangent_minors(sp, which), start=1):
+                expected = {}
+                nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
+                for position, (subset, *_) in enumerate(nonconstant):
                     if i in subset:
                         dw = _exact_minor(swapped, 0, subset, table)
                         nonzero = [d for d, c in enumerate(dw) if c != (0, 0)]
                         if nonzero:
-                            expected.append(nonzero[-1])
-                assert [v.degree for _, v in terms] == expected, (seed, which, k)
+                            expected[position] = nonzero[-1]
+                assert {pos: v.degree for pos, v in polys.items()} == expected, (seed, which, k)
 
 
 def test_minor_builds_share_sub_determinants(monkeypatch):
@@ -256,6 +260,29 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
     count[0] = 0
     solution._tangent_minors.__wrapped__(sp, "alpha2_2")
     assert count[0] <= 235
+
+
+def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
+    # One Horner pass per non-constant q_S of the requested rows feeds det_k
+    # and every direction's sum; each tangent term adds one pass for its dq_S.
+    n = 3
+    sp = sample_params(n, 0, 0.5)
+    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
+    ks = (1, 3)
+    count = [0]
+    original = solution.eval_poly
+
+    def counted(p, z, out=None):
+        count[0] += 1
+        return original(p, z, out)
+
+    monkeypatch.setattr(solution, "eval_poly", counted)
+    solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
+    minors = sum(len(solution._wronskian_minors(sp)[k - 1][3]) for k in ks)
+    terms = sum(len(solution._tangent_minors(sp, which)[k - 1][2])
+                for which in directions for k in ks)
+    assert terms > 0
+    assert count[0] == minors + terms
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
