@@ -25,7 +25,6 @@ from .solution import (PositivityError, SolutionParams, log_det_k_tangent, lower
                        upper_components)
 
 __all__ = [
-    "FourierCoeffs",
     "ExpansionCheck",
     "TIntegralResult",
     "circle",
@@ -44,22 +43,10 @@ __all__ = [
 # 1e8), and samples per circle shared by the large-radius probes.
 R_FAR = 1e6
 SAMPLES = 256
-# Pinned tolerance of the constant term of U_i + 4 log r at R_FAR.
-CONSTANT_TERM_REL = 1e-7
-# Frequencies extracted by fourier_coeffs: 1 and 2.
-MAX_FREQUENCY = 2
 # t_integral: partial-integral radii, samples per circle, nodes per radial panel.
 T_RADII = (50.0, 100.0, 200.0, 400.0)
 T_SAMPLES = 128
 T_NODES = 16
-
-
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Coefficients a_k, b_k (k >= 1) of field = a0 + sum_k a_k cos k0 + b_k sin k0."""
-
-    a_cos: tuple[np.ndarray, ...]  # a_1, a_2, ...
-    b_sin: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -99,18 +86,16 @@ def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
     return totals
 
 
-def fourier_coeffs(component, r: float) -> FourierCoeffs:
+def fourier_coeffs(component, r: float) -> np.ndarray:
     """Trapezoid DFT of a real field on SAMPLES points of the circle of radius r.
 
-    `component` maps an array of SAMPLES complex points to SAMPLES real
-    values, or to a stack of rows of them (..., SAMPLES); every coefficient
-    then has the stack's leading shape.
+    Returns a_k - i b_k for k = 1, 2 along the last axis, where the field is
+    a_0 + sum_k a_k cos k theta + b_k sin k theta.  `component` maps an array
+    of SAMPLES complex points to SAMPLES real values, or to a stack of rows
+    of them (..., SAMPLES); the result then has shape (..., 2).
     """
     vals = np.asarray(component(circle(r, SAMPLES)), dtype=float)
-    spec = np.fft.rfft(vals)
-    a_cos = tuple(2.0 * spec[..., k].real / SAMPLES for k in range(1, MAX_FREQUENCY + 1))
-    b_sin = tuple(-2.0 * spec[..., k].imag / SAMPLES for k in range(1, MAX_FREQUENCY + 1))
-    return FourierCoeffs(a_cos=a_cos, b_sin=b_sin)
+    return 2.0 * np.fft.rfft(vals)[..., 1:3] / SAMPLES
 
 
 def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
@@ -163,15 +148,15 @@ def first_frequency_check(sp: SolutionParams) -> list:
     Returns {"alpha": check, "beta": check} for each m = 1..n from one
     evaluation on the circle.
     """
-    fc = fourier_coeffs(lambda z: -upper_components(sp, z), R_FAR)
+    freq1 = fourier_coeffs(lambda z: -upper_components(sp, z), R_FAR)[:, 0]
     out = []
     for m in range(1, sp.n + 1):
         c = sp.c(sp.n + 1 - m, sp.n - m)  # alpha_m + i beta_m
         out.append({
             key: _check(R_FAR, coeff[m - 1] * R_FAR, pred, abs(pred) or 1.0)
             for key, coeff, pred in (
-                ("alpha", fc.a_cos[0], 2.0 * m * c.real),
-                ("beta", fc.b_sin[0], 2.0 * m * c.imag),
+                ("alpha", freq1.real, 2.0 * m * c.real),
+                ("beta", -freq1.imag, 2.0 * m * c.imag),
             )
         })
     return out
@@ -197,10 +182,10 @@ def kernel_signature_check(sp: SolutionParams) -> dict:
     if not pairs:
         return {}
     directions = [which for pair in pairs.values() for which in pair]
-    fc = fourier_coeffs(lambda z: log_det_k_tangent(sp, directions, z)[1], R_FAR)
+    freq2 = fourier_coeffs(lambda z: log_det_k_tangent(sp, directions, z)[1], R_FAR)[..., 1]
     out = {}
     # Each pair's alpha row is read in cosine, its beta row in sine.
-    for (j, pair), cos, sin in zip(pairs.items(), fc.a_cos[1][::2], fc.b_sin[1][1::2]):
+    for (j, pair), cos, sin in zip(pairs.items(), freq2.real[::2], -freq2.imag[1::2]):
         for which, coeff in zip(pair, (cos, sin)):
             checks = []
             for m in range(1, sp.n + 1):

@@ -48,7 +48,7 @@ def _config_from_args(args) -> RunConfig:
 
 def run(cfg: RunConfig) -> int:
     """Run suites per config; write reports; return process exit code."""
-    cases, details = run_suites(cfg)
+    cases, details, seconds = run_suites(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -71,7 +71,7 @@ def run(cfg: RunConfig) -> int:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     metadata = {
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "runtimes": {c.case_id: c.runtime for c in cases},
+        "runtimes": seconds,
     }
     (out / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     for suite, rows in details.items():

@@ -110,7 +110,10 @@ def G_closed(m: int) -> int:
 @dataclass
 class IdentitySweepReport:
     cases: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+
+    @property
+    def failures(self) -> list:
+        return [case for case in self.cases if not case["pass"]]
 
     @property
     def all_pass(self) -> bool:
@@ -135,9 +138,6 @@ def verify_identity_sweep(largest_m: int) -> IdentitySweepReport:
         for n in ns:
             for kind, det_of, expected in layouts:
                 det = det_of(m, n)
-                case = {"kind": kind, "m": m, "n": n, "det": det, "expected": expected,
-                        "pass": det == expected}
-                report.cases.append(case)
-                if not case["pass"]:
-                    report.failures.append(case)
+                report.cases.append({"kind": kind, "m": m, "n": n, "det": det,
+                                     "expected": expected, "pass": det == expected})
     return report

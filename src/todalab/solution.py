@@ -451,20 +451,31 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _refuse_unknown_keys(doc: dict, known: tuple, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def params_from_json(doc: dict) -> SolutionParams:
     """Build params from the JSON schema; lambdas are normalized.
 
-    A malformed document raises ValueError.
+    A malformed document raises ValueError: a missing or mistyped value, an
+    unknown key, or a coefficient (i, j) given twice.
     """
     if not isinstance(doc, dict) or "lambdas" not in doc:
         raise ValueError("parameters must be a JSON object with n and lambdas")
+    _refuse_unknown_keys(doc, ("n", "lambdas", "coeffs"), "parameters")
     n = _json_int(doc, "n")
     lambdas = normalize_lambdas([_json_number(x, "lambda") for x in doc["lambdas"]], n)
     cmaps = {i: {} for i in range(1, n + 1)}
     for entry in doc.get("coeffs", []):
         i, j = _json_int(entry, "i"), _json_int(entry, "j")
+        _refuse_unknown_keys(entry, ("i", "j", "re", "im"), f"coefficient ({i},{j})")
         if not 1 <= i <= n or not 0 <= j < i:
             raise ValueError(f"coefficient index ({i},{j}) out of range")
+        if j in cmaps[i]:
+            raise ValueError(f"coefficient ({i},{j}) given more than once")
         cmaps[i][j] = complex(*(_json_number(entry.get(key, 0.0), key) for key in ("re", "im")))
     polys = []
     for i in range(1, n + 1):

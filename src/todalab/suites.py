@@ -15,7 +15,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .asymptotics import (
-    CONSTANT_TERM_REL,
     constant_term_probe,
     first_frequency_check,
     kernel_signature_check,
@@ -32,18 +31,18 @@ __all__ = ["Case", "RunConfig", "SUITES", "build_param_sets", "run_suites"]
 
 KNOWN_SUITES = ("pde", "linearized", "identities", "asymptotics", "mass", "t-integrals")
 
-DEFAULT_TOLERANCES = {
-    "pde_order_center": 2.0,
-    "pde_order_slack": 0.5,
-    "linearized_max_residual": 1e-3,
-    "mass_flux_rel": 0.01,
-    "mass_route_agreement": 0.005,
-    "mass_sum_rule_rel": 0.01,
-    "first_frequency_rel": 0.02,
-    "kernel_signature_rel": 0.03,
-    "leading_coefficient_rel": 0.01,
-    "t_integral_ratio": 1.5,
-}
+# Pinned verdict tolerances; no configuration changes them.
+PDE_ORDER_CENTER = 2.0
+PDE_ORDER_SLACK = 0.5
+LINEARIZED_MAX_RESIDUAL = 1e-3
+MASS_FLUX_REL = 0.01
+MASS_ROUTE_AGREEMENT = 0.005
+MASS_SUM_RULE_REL = 0.01
+FIRST_FREQUENCY_REL = 0.02
+KERNEL_SIGNATURE_REL = 0.03
+LEADING_COEFFICIENT_REL = 0.01
+CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR
+T_INTEGRAL_RATIO = 1.5  # least shrink of successive partial-integral differences
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class Case:
     expected: float
     tolerance: float
     passed: bool
-    runtime: float
 
 
 @dataclass
@@ -69,7 +67,6 @@ class RunConfig:
     radius: float = 1000.0
     grid_h: float = 1e-2
     out_dir: str = "reports"
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.suites, list):
@@ -92,16 +89,6 @@ class RunConfig:
         _check_real("magnitude", self.magnitude)
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        if not isinstance(self.tolerances, dict):
-            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ValueError(f"unknown tolerance key(s): {', '.join(unknown)}")
-        for name, value in self.tolerances.items():
-            _check_real(f"tolerance {name}", value)
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive, got {value}")
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
     def to_json(self) -> dict:
         """Every field except out_dir, which does not change any result."""
@@ -132,17 +119,11 @@ def build_param_sets(cfg: RunConfig) -> list:
     ]
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 # -- individual suites -----------------------------------------------------
 
 
 def suite_identities(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    report, dt = _timed(lambda: verify_identity_sweep(10))
+    report = verify_identity_sweep(10)
     cases = [
         Case(
             suite="identities",
@@ -151,7 +132,6 @@ def suite_identities(cfg: RunConfig, param_sets) -> tuple[list, list]:
             expected=0.0,
             tolerance=0.0,
             passed=report.all_pass,
-            runtime=dt,
         )
     ]
     details = [
@@ -162,10 +142,10 @@ def suite_identities(cfg: RunConfig, param_sets) -> tuple[list, list]:
     return cases, details
 
 
-def _order_case(suite: str, case_id: str, rep, tol: dict, runtime: float) -> Case:
-    center, slack = tol["pde_order_center"], tol["pde_order_slack"]
-    return Case(suite, case_id, rep.convergence_order, center, slack,
-                abs(rep.convergence_order - center) <= slack, runtime)
+def _order_case(suite: str, case_id: str, rep) -> Case:
+    order = rep.convergence_order
+    return Case(suite, case_id, order, PDE_ORDER_CENTER, PDE_ORDER_SLACK,
+                abs(order - PDE_ORDER_CENTER) <= PDE_ORDER_SLACK)
 
 
 def _residual_rows(rep, **key) -> list:
@@ -180,35 +160,28 @@ def suite_pde(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
     grid = GridSpec.from_h(cfg.grid_h)
     for label, sp in param_sets:
-        rep, dt = _timed(lambda: pde_residual(sp, grid))
-        cases.append(_order_case("pde", f"{label}-order", rep, cfg.tolerances, dt))
+        rep = pde_residual(sp, grid)
+        cases.append(_order_case("pde", f"{label}-order", rep))
         details += _residual_rows(rep, label=label, n=sp.n)
     return cases, details
 
 
 def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
-    tol = cfg.tolerances
     grid = GridSpec.from_h(cfg.grid_h)
     for label, sp in param_sets:
-        # One timed call serves every direction; each of its cases gets an
-        # even share of the time.
-        reports, dt = _timed(lambda: linearized_residual(sp, grid))
-        share = dt / (2 * len(reports))
-        for which, rep in reports.items():
-            ok_res = rep.max_residual <= tol["linearized_max_residual"]
+        for which, rep in linearized_residual(sp, grid).items():
             cases.append(
-                Case("linearized", f"{label}-{which}-residual", rep.max_residual,
-                     0.0, tol["linearized_max_residual"], ok_res, share)
+                Case("linearized", f"{label}-{which}-residual", rep.max_residual, 0.0,
+                     LINEARIZED_MAX_RESIDUAL, rep.max_residual <= LINEARIZED_MAX_RESIDUAL)
             )
-            cases.append(_order_case("linearized", f"{label}-{which}-order", rep, tol, share))
+            cases.append(_order_case("linearized", f"{label}-{which}-order", rep))
             details += _residual_rows(rep, label=label, which=which)
     return cases, details
 
 
-def _expansion_case(case_id: str, ck, tol: float, runtime: float) -> Case:
-    return Case("asymptotics", case_id, ck.measured, ck.predicted, tol,
-                ck.rel_error <= tol, runtime)
+def _expansion_case(case_id: str, ck, tol: float) -> Case:
+    return Case("asymptotics", case_id, ck.measured, ck.predicted, tol, ck.rel_error <= tol)
 
 
 def _expansion_row(label: str, check: str, m: int, which: str, ck) -> dict:
@@ -218,55 +191,44 @@ def _expansion_row(label: str, check: str, m: int, which: str, ck) -> dict:
 
 def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
-    tol = cfg.tolerances
     for label, sp in param_sets:
-        n = sp.n
-        # Each probe is timed once for all components; each of its cases
-        # gets an even share of the time.
-        leading, dt_leading = _timed(lambda: leading_coefficient_check(sp, cfg.radius))
-        freq1, dt_freq1 = _timed(lambda: first_frequency_check(sp))
-        freq2, dt_freq2 = _timed(lambda: kernel_signature_check(sp))
-        const, dt_const = _timed(lambda: constant_term_probe(sp))
-        for m in range(1, n + 1):
+        leading = leading_coefficient_check(sp, cfg.radius)
+        freq1 = first_frequency_check(sp)
+        freq2 = kernel_signature_check(sp)
+        const = constant_term_probe(sp)
+        for m in range(1, sp.n + 1):
             ck = leading[m - 1]
-            cases.append(_expansion_case(f"{label}-leading-m{m}", ck,
-                                         tol["leading_coefficient_rel"], dt_leading / n))
+            cases.append(_expansion_case(f"{label}-leading-m{m}", ck, LEADING_COEFFICIENT_REL))
             details.append(_expansion_row(label, "leading", m, "", ck))
             for key, ck in freq1[m - 1].items():
                 cases.append(_expansion_case(f"{label}-freq1-{key}-m{m}", ck,
-                                             tol["first_frequency_rel"],
-                                             dt_freq1 / (2 * n)))
+                                             FIRST_FREQUENCY_REL))
                 details.append(_expansion_row(label, "freq1", m, key, ck))
             for which, checks in freq2.items():
                 ck = checks[m - 1]
                 cases.append(_expansion_case(f"{label}-freq2-{which}-m{m}", ck,
-                                             tol["kernel_signature_rel"],
-                                             dt_freq2 / (n * len(freq2))))
+                                             KERNEL_SIGNATURE_REL))
                 details.append(_expansion_row(label, "freq2", m, which, ck))
         for i, ck in enumerate(const, start=1):
-            cases.append(_expansion_case(f"{label}-const-term-i{i}", ck,
-                                         CONSTANT_TERM_REL, dt_const / n))
+            cases.append(_expansion_case(f"{label}-const-term-i{i}", ck, CONSTANT_TERM_REL))
             details.append(_expansion_row(label, "const-term", i, "", ck))
     return cases, details
 
 
 def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
-    tol = cfg.tolerances
     for label, sp in param_sets:
         n = sp.n
-        fluxes, dt_f = _timed(lambda: mass_flux(sp, cfg.radius))
-        quads, dt_q = _timed(lambda: mass_quadrature(sp))
+        fluxes = mass_flux(sp, cfg.radius)
+        quads = mass_quadrature(sp)
         for i, (flux, quad) in enumerate(zip(fluxes, quads), start=1):
             pred = predicted_mass(n, i)
             rel = abs(flux / pred - 1.0)
             agree = abs(flux / quad.value - 1.0)
             cases.append(Case("mass", f"{label}-flux-i{i}", flux, pred,
-                              tol["mass_flux_rel"], rel <= tol["mass_flux_rel"],
-                              dt_f / n))
+                              MASS_FLUX_REL, rel <= MASS_FLUX_REL))
             cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
-                              tol["mass_route_agreement"],
-                              agree <= tol["mass_route_agreement"], dt_q / n))
+                              MASS_ROUTE_AGREEMENT, agree <= MASS_ROUTE_AGREEMENT))
             details.append({"label": label, "i": i, "flux": flux,
                             "quadrature": quad.value, "predicted": pred,
                             "tail_fit_stable": quad.tail_fit_stable})
@@ -275,22 +237,20 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
             s = float(sum(a[i][j] * fluxes[j] for j in range(n)))
             rel = abs(s / (8.0 * math.pi) - 1.0)
             cases.append(Case("mass", f"{label}-sum-rule-i{i + 1}", s, 8.0 * math.pi,
-                              tol["mass_sum_rule_rel"],
-                              rel <= tol["mass_sum_rule_rel"], 0.0))
+                              MASS_SUM_RULE_REL, rel <= MASS_SUM_RULE_REL))
     return cases, details
 
 
 def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
-    ratio = cfg.tolerances["t_integral_ratio"]
     for label, sp in param_sets:
-        results, dt = _timed(lambda: t_integral(sp, ratio))
+        results = t_integral(sp, T_INTEGRAL_RATIO)
         for l in range(2, sp.n + 1):
             for which in ("alpha", "beta"):
                 res = results[f"{which}2_{l}"]
                 cases.append(
                     Case("t-integrals", f"{label}-l{l}-{which}", res.value,
-                         res.value, ratio, res.converged, dt / len(results))
+                         res.value, T_INTEGRAL_RATIO, res.converged)
                 )
                 for R, v in res.partials:
                     details.append({"label": label, "l": l, "which": which,
@@ -308,20 +268,23 @@ SUITES = {
 }
 
 
-def run_suites(cfg: RunConfig) -> tuple[list, dict]:
-    """Run the configured suites; returns (cases, {suite: detail rows}).
+def run_suites(cfg: RunConfig) -> tuple[list, dict, dict]:
+    """Run the configured suites; returns (cases, {suite: detail rows}, {suite: seconds}).
 
-    Raises ValueError when the configuration selects no case at all.
+    Each suite's seconds are its wall time, parameter sets excluded.  Raises
+    ValueError when the configuration selects no case at all.
     """
     param_sets = build_param_sets(cfg)
     cases: list = []
     details: dict = {}
+    seconds: dict = {}
     for name in cfg.suites:
-        suite_cases, suite_details = SUITES[name](cfg, param_sets)
+        t0 = time.perf_counter()
+        suite_cases, details[name] = SUITES[name](cfg, param_sets)
+        seconds[name] = time.perf_counter() - t0
         cases.extend(suite_cases)
-        details[name] = suite_details
     if not cases:
         raise ValueError(
             f"suites {cfg.suites} select no case for {len(param_sets)} parameter set(s)"
         )
-    return cases, details
+    return cases, details, seconds

@@ -7,7 +7,6 @@ import pytest
 
 from todalab import solution
 from todalab.asymptotics import (
-    CONSTANT_TERM_REL,
     constant_term_probe,
     first_frequency_check,
     fourier_coeffs,
@@ -18,6 +17,7 @@ from todalab.asymptotics import (
 )
 from todalab.mass import mass_flux, mass_quadrature
 from todalab.solution import sample_params
+from todalab.suites import CONSTANT_TERM_REL
 
 
 def test_fourier_coeffs_exact_on_trig_polynomial():
@@ -25,11 +25,11 @@ def test_fourier_coeffs_exact_on_trig_polynomial():
         theta = np.angle(z)
         return 1.5 + 2.0 * np.cos(theta) - 0.5 * np.sin(theta) + 0.25 * np.sin(2 * theta)
 
+    # a_k - i b_k for k = 1, 2.
     fc = fourier_coeffs(component, r=10.0)
-    assert fc.a_cos[0] == pytest.approx(2.0, abs=1e-12)
-    assert fc.b_sin[0] == pytest.approx(-0.5, abs=1e-12)
-    assert fc.a_cos[1] == pytest.approx(0.0, abs=1e-12)
-    assert fc.b_sin[1] == pytest.approx(0.25, abs=1e-12)
+    assert fc.shape == (2,)
+    assert fc[0] == pytest.approx(2.0 + 0.5j, abs=1e-12)
+    assert fc[1] == pytest.approx(-0.25j, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

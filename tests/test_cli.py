@@ -1,14 +1,18 @@
 """Command-line driver: exit codes, report layout, determinism."""
 
 import csv
+import dataclasses
 import functools
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+from todalab import suites
 from todalab.cli import main
-from todalab.suites import DEFAULT_TOLERANCES, RunConfig, build_param_sets, run_suites
+from todalab.suites import RunConfig, build_param_sets, run_suites
 
 
 def run_cli(args):
@@ -124,59 +128,57 @@ def test_plot_rows_of_error_vs_radius_are_distinct(tmp_path, capsys):
     assert len(keys) > 1 and len(set(keys)) == len(keys)
 
 
-def test_failing_tolerance_exits_1(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "suites": ["mass"], "n": 1, "count": 1,
-        "tolerances": {"mass_flux_rel": 1e-12},
-    }))
+def test_failing_tolerance_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(suites, "MASS_FLUX_REL", 1e-12)
     out = tmp_path / "rep"
-    code = run_cli(["verify", "--config", str(cfg), "--out", str(out)])
+    code = run_cli(["verify", "--suite", "mass", "--n", "1", "--count", "1", "--out", str(out)])
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] >= 1
 
 
-def test_t_integral_ratio_tolerance_decides_verdict(tmp_path):
+def test_t_integral_ratio_tolerance_decides_verdict(tmp_path, monkeypatch):
     # No partial-integral sequence shrinks by 1e9 per radius doubling.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "suites": ["t-integrals"], "n": 2, "count": 1,
-        "tolerances": {"t_integral_ratio": 1e9},
-    }))
+    monkeypatch.setattr(suites, "T_INTEGRAL_RATIO", 1e9)
     out = tmp_path / "rep"
-    assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert run_cli(["verify", "--suite", "t-integrals", "--n", "2", "--count", "1",
+                    "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] == summary["total"] == 2
 
 
-# The suite each tolerance key decides, and a value no passing case meets.
-TOLERANCE_SUITES = {
-    "pde_order_center": "pde",
-    "pde_order_slack": "pde",
-    "linearized_max_residual": "linearized",
-    "mass_flux_rel": "mass",
-    "mass_route_agreement": "mass",
-    "mass_sum_rule_rel": "mass",
-    "first_frequency_rel": "asymptotics",
-    "kernel_signature_rel": "asymptotics",
-    "leading_coefficient_rel": "asymptotics",
-    "t_integral_ratio": "t-integrals",
+# Each pinned tolerance in todalab.suites, its value, and the suite it decides.
+TOLERANCES = {
+    "PDE_ORDER_CENTER": (2.0, "pde"),
+    "PDE_ORDER_SLACK": (0.5, "pde"),
+    "LINEARIZED_MAX_RESIDUAL": (1e-3, "linearized"),
+    "MASS_FLUX_REL": (0.01, "mass"),
+    "MASS_ROUTE_AGREEMENT": (0.005, "mass"),
+    "MASS_SUM_RULE_REL": (0.01, "mass"),
+    "FIRST_FREQUENCY_REL": (0.02, "asymptotics"),
+    "KERNEL_SIGNATURE_REL": (0.03, "asymptotics"),
+    "LEADING_COEFFICIENT_REL": (0.01, "asymptotics"),
+    "CONSTANT_TERM_REL": (1e-7, "asymptotics"),
+    "T_INTEGRAL_RATIO": (1.5, "t-integrals"),
 }
-EXTREME_TOLERANCES = {"pde_order_center": 10.0, "t_integral_ratio": 1e300}
+# A value no passing case meets; 1e-300 for the rest.
+EXTREME_TOLERANCES = {"PDE_ORDER_CENTER": 10.0, "T_INTEGRAL_RATIO": 1e300}
 
 
 @functools.lru_cache(maxsize=None)
-def _suite_cases(suite: str, key: str | None = None) -> dict:
-    tolerances = {key: EXTREME_TOLERANCES.get(key, 1e-300)} if key else {}
-    cfg = RunConfig(suites=[suite], n=2, count=1, grid_h=0.04, tolerances=tolerances)
-    return {c.case_id: c.passed for c in run_suites(cfg)[0]}
+def _suite_cases(suite: str, name: str | None = None) -> dict:
+    cfg = RunConfig(suites=[suite], n=2, count=1, grid_h=0.04)
+    with pytest.MonkeyPatch.context() as mp:
+        if name:
+            mp.setattr(suites, name, EXTREME_TOLERANCES.get(name, 1e-300))
+        return {c.case_id: c.passed for c in run_suites(cfg)[0]}
 
 
-@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
-def test_every_tolerance_key_decides_a_verdict(key):
-    suite = TOLERANCE_SUITES[key]
-    default, extreme = _suite_cases(suite), _suite_cases(suite, key)
+@pytest.mark.parametrize("name", sorted(TOLERANCES), ids=str.lower)
+def test_every_tolerance_key_decides_a_verdict(name):
+    pinned, suite = TOLERANCES[name]
+    assert getattr(suites, name) == pinned
+    default, extreme = _suite_cases(suite), _suite_cases(suite, name)
     assert any(default[case_id] and not passed for case_id, passed in extreme.items())
 
 
@@ -208,13 +210,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
+    # Verdict tolerances are pinned, so a config may not set any of them.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["identities"],
-                               "tolerances": {"mass_flux_rell": 1.0}}))
+                               "tolerances": {"mass_flux_rel": 1.0}}))
     code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == 2
-    assert "mass_flux_rell" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tolerances" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"fields of\s+`todalab\.suites\.RunConfig`\s+\(([^)]*)\)", readme)
+    assert listed is not None
+    keys = set(re.findall(r"`(\w+)`", listed.group(1)))
+    assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 @pytest.mark.parametrize("settings,name", [
@@ -222,14 +234,13 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     ({"count": True}, "count"),
     ({"seed": "0"}, "seed"),
     ({"radius": "1e3"}, "radius"),
-    ({"tolerances": {"mass_flux_rel": "x"}}, "mass_flux_rel"),
-    ({"tolerances": {"mass_flux_rel": False}}, "mass_flux_rel"),
-    # A non-positive shrink ratio would pass every T-integral.
-    ({"tolerances": {"t_integral_ratio": -1.5}}, "t_integral_ratio"),
+    ({"magnitude": "x"}, "magnitude"),
+    ({"grid_h": False}, "grid_h"),
+    ({"seed": None}, "seed"),
     ({"suites": "pde"}, "str"),
     # JSON integers past float range.
     ({"radius": 10**400}, "radius"),
-    ({"tolerances": {"mass_flux_rel": 10**400}}, "mass_flux_rel"),
+    ({"magnitude": 10**400}, "magnitude"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"
@@ -286,6 +297,13 @@ def test_nan_lambda_params_file_exits_2(tmp_path):
     pytest.param("verify", '{"n": 2, "lambdas": [1, 1, 1], '
                  '"coeffs": [{"i": 2.9, "j": 1, "re": 0.1}]}', id="fractional-i"),
     pytest.param("show-params", '{"n": 1, "lambdas": [NaN, 1.0]}', id="show-nan-lambda"),
+    pytest.param("show-params", '{"n": 2, "lambdas": [1, 0.8, 1.2], '
+                 '"coefs": [{"i": 2, "j": 0, "re": 0.1}]}', id="unknown-key"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [1, 1], '
+                 '"coeffs": [{"i": 1, "j": 0, "Re": 0.1}]}', id="unknown-coefficient-key"),
+    pytest.param("show-params", '{"n": 1, "lambdas": [1, 1], "coeffs": '
+                 '[{"i": 1, "j": 0, "re": 0.1}, {"i": 1, "j": 0, "im": 0.2}]}',
+                 id="repeated-coefficient"),
     pytest.param("show-params", None, id="show-missing-file"),
 ])
 def test_bad_params_file_exits_2(tmp_path, capsys, command, text):
@@ -347,6 +365,7 @@ def test_negative_radius_exits_2(tmp_path):
 
 
 def test_case_runtimes_split_across_cases(tmp_path):
+    # metadata.json carries one measured wall time per selected suite.
     out = tmp_path / "rep"
     t0 = time.perf_counter()
     code = run_cli(["verify", "--suite", "asymptotics", "--suite", "linearized",
@@ -354,13 +373,6 @@ def test_case_runtimes_split_across_cases(tmp_path):
     wall = time.perf_counter() - t0
     assert code == 0
     runtimes = json.loads((out / "metadata.json").read_text())["runtimes"]
-    assert any(key.endswith("-order") for key in runtimes)
-    assert any("-freq1-" in key for key in runtimes)
+    assert set(runtimes) == {"asymptotics", "linearized"}
     assert all(dt > 0 for dt in runtimes.values())
     assert sum(runtimes.values()) <= wall
-    # One linearized call serves both n=1 directions: its time is split
-    # evenly over their residual and order cases.
-    linearized = [dt for key, dt in runtimes.items()
-                  if key.endswith(("-residual", "-order"))]
-    assert len(linearized) == 2 * 2
-    assert len(set(linearized)) == 1
