@@ -92,15 +92,13 @@ class _Peak:
         np.maximum(self.per_component, tile, out=self.per_component)
 
 
-def _laplacian(field: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian on the interior of a (..., P, Q) array."""
-    return (
-        field[..., 2:, 1:-1]
-        + field[..., :-2, 1:-1]
-        + field[..., 1:-1, 2:]
-        + field[..., 1:-1, :-2]
-        - 4.0 * field[..., 1:-1, 1:-1]
-    ) / h**2
+def _laplacian(field: np.ndarray, h: float, out=None) -> np.ndarray:
+    """5-point Laplacian on the interior of a (..., P, Q) array, into out if given."""
+    out = np.add(field[..., 2:, 1:-1], field[..., :-2, 1:-1], out=out)
+    out += field[..., 1:-1, 2:]
+    out += field[..., 1:-1, :-2]
+    out -= 4.0 * field[..., 1:-1, 1:-1]
+    return np.divide(out, h**2, out=out)
 
 
 def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> _Peak:
@@ -134,36 +132,33 @@ def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> li
     """Residual peaks per component for each direction's field, on one grid.
 
     The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
-    Each tile takes one kernel call per coefficient, for its alpha and beta
-    directions (all at once would hold every direction's rows); the first
-    call's U gives the weights.
+    Each tile takes one kernel call for every direction, so each q_S and det_k
+    is evaluated once per tile; its U gives the weights.
     """
     a = cartan_matrix(sp.n)
-    peaks = {which: _Peak(sp.n) for which in directions}
-    pairs = {}
-    for which in directions:
-        pairs.setdefault(which.replace("beta", "alpha"), []).append(which)
+    peaks = [_Peak(sp.n) for _ in directions]
     for z in g.row_tiles():
-        for index, pair in enumerate(pairs.values()):
-            upper, tangents = log_det_k_tangent(sp, pair, z)
-            if index == 0:
-                weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-            for which, dlog_det in zip(pair, tangents):
-                phi = np.tensordot(a, dlog_det, axes=(1, 0))
-                source = np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
-                peaks[which].fold(_laplacian(phi, g.h) + source, z)
-                # Free each field, and below each pair's rows, before the next
-                # is built: holding them raised default verify's peak RSS 1.5 MB.
-                del phi, source
-            del upper, tangents
-    return [peaks[which] for which in directions]
+        upper, tangents = log_det_k_tangent(sp, directions, z)
+        weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
+        del upper
+        # One buffer each for the field, the weighted field and the residual.
+        phi, (tmp, res) = np.empty_like(tangents[0]), np.empty((2,) + weights.shape)
+        for d, peak in enumerate(peaks):
+            np.matmul(a, tangents[d].reshape(sp.n, -1), out=phi.reshape(sp.n, -1))
+            np.multiply(weights, phi[:, 1:-1, 1:-1], out=tmp)
+            np.einsum("ij,jxy->ixy", a, tmp, out=res)
+            res += _laplacian(phi, g.h, out=tmp)
+            peak.fold(res, z)
+        # Free this tile's arrays before the next call: held, they cost 3 MB of peak RSS.
+        del tangents, weights, phi, tmp, res
+    return peaks
 
 
 def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     """Residual of the linearized system on parameter-derivative fields.
 
     Returns {direction: ResidualReport} over kernel_directions(sp.n); one
-    evaluation per tile serves each coefficient's alpha and beta directions.
+    evaluation per tile serves every direction.
     """
     directions = kernel_directions(sp.n)
     coarse = _linearized_residual_once(sp, directions, g)

@@ -210,14 +210,20 @@ def _scale_exponent(z) -> int:
     return max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
 
 
-def _scaled(polys, degree: int, e: int) -> tuple:
-    """Each p with c_j times 2^((j - degree) e): p(z) = 2^(degree e) scaled(z / 2^e).
+# Room for one grid tile's rows and directions up to n = 4; far-field calls rarely repeat e.
+@lru_cache(maxsize=32)
+def _scaled(sp: SolutionParams, k: int, e: int, which=None) -> dict:
+    """Row k's {position: q_S}, or direction which's {position: dq_S}, scaled for e.
 
-    Powers of two scale every Horner step exactly, so wherever nothing under-
-    or overflows the scaled pass gives the unscaled values times 2^(-degree e).
+    c_j becomes c_j 2^((j - D_k) e), so p(z) = 2^(D_k e) scaled(z / 2^e).  Powers
+    of two scale every Horner step exactly, so wherever nothing under- or
+    overflows the scaled pass gives the unscaled values times 2^(-D_k e).
     """
+    _, degree, _, polys = _wronskian_minors(sp)[k - 1]
+    polys = dict(enumerate(polys)) if which is None else _tangent_minors(sp, which)[k - 1][2]
     scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
-    return tuple(ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale))) for p in polys)
+    return {position: ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
+            for position, p in polys.items()}
 
 
 def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
@@ -232,35 +238,43 @@ def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
     (share + sum_S Re(conj(q_S) dq_S)) / det_k + offset of _tangent_minors'
     terms; the pass over q_S feeds det_k and every sum, each dq_S takes one
     pass more, and numerator and denominator carry the same 2^(2 D_k e).
+    A beta next to its alpha moves c_ij by i, not 1: its dq_S = i dq_S^alpha takes
+    no pass, and its sum gains Re(conj(q_S) i dq_S^alpha) = q.im dq.re - q.re dq.im.
     One e serves all points; |z| spanning >150/D_k decades raises PositivityError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     e = _scale_exponent(z)
     w = z * 2.0**-e
-    q = np.empty_like(w)
-    dq = np.empty_like(w)
+    q, dq = np.empty_like(w), np.empty_like(w)
+    tmp = np.empty(z.shape)
     out = np.empty((len(ks),) + z.shape)
     tangents = np.empty((len(directions), len(ks)) + z.shape)
+    alpha_of = {d: directions.index("alpha" + which[4:]) for d, which in enumerate(directions)
+                if which.startswith("beta") and "alpha" + which[4:] in directions}
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (acc, k) in enumerate(zip(out, ks)):
-            _, degree, const, scaled = _wronskian_minors(sp)[k - 1]
+            _, degree, const, _ = _wronskian_minors(sp)[k - 1]
             acc.fill(math.ldexp(const, -2 * degree * e))
             terms = [_tangent_minors(sp, which)[k - 1] for which in directions]
             sums = tangents[:, row]
             for total, (_, share, _) in zip(sums, terms):
                 total.fill(math.ldexp(share, -2 * degree * e))
-            dq_polys = [dict(zip(polys, _scaled(polys.values(), degree, e)))
-                        for *_, polys in terms]
-            for position, p in enumerate(_scaled(scaled, degree, e)):
+            passes = [(_scaled(sp, k, e, directions[d]), sums[d],
+                       [sums[b] for b in alpha_of if alpha_of[b] == d])
+                      for d in range(len(directions)) if d not in alpha_of]
+            for position, p in _scaled(sp, k, e).items():
                 eval_poly(p, w, q)
-                acc += q.real**2
-                acc += q.imag**2
-                for total, polys in zip(sums, dq_polys):
+                acc += np.square(q.real, out=tmp)
+                acc += np.square(q.imag, out=tmp)
+                for polys, total, betas in passes:
                     if position in polys:
                         eval_poly(polys[position], w, dq)
-                        total += q.real * dq.real
-                        total += q.imag * dq.imag
+                        total += np.multiply(q.real, dq.real, out=tmp)
+                        total += np.multiply(q.imag, dq.imag, out=tmp)
+                        for beta in betas:
+                            beta -= np.multiply(q.real, dq.imag, out=tmp)
+                            beta += np.multiply(q.imag, dq.real, out=tmp)
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
@@ -288,9 +302,7 @@ def upper_components(sp: SolutionParams, z) -> np.ndarray:
 
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
     """U_i = sum_j a_ij U^j, stacked along axis 0."""
-    upper = upper_components(sp, z)
-    a = cartan_matrix(sp.n)
-    return np.tensordot(a, upper, axes=(1, 0))
+    return np.tensordot(cartan_matrix(sp.n), upper_components(sp, z), axes=(1, 0))
 
 
 # -- parameter directions --------------------------------------------------

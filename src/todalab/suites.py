@@ -89,6 +89,9 @@ class RunConfig:
         _check_real("magnitude", self.magnitude)
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+        for name, types in (("params_file", (str, type(None))), ("out_dir", str)):
+            if not isinstance(getattr(self, name), types):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
 
     def to_json(self) -> dict:
         """Every field except out_dir, which does not change any result."""

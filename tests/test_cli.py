@@ -241,11 +241,16 @@ def test_readme_lists_every_config_key():
     # JSON integers past float range.
     ({"radius": 10**400}, "radius"),
     ({"magnitude": 10**400}, "magnitude"),
+    # Paths that are not strings; out_dir is then not overridden by --out.
+    ({"params_file": 5}, "params_file"),
+    ({"params_file": ["a"]}, "params_file"),
+    ({"out_dir": 5}, "out_dir"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["mass"], "count": 1, **settings}))
-    code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    out = [] if "out_dir" in settings else ["--out", str(tmp_path / "r")]
+    code = run_cli(["verify", "--config", str(cfg), *out])
     assert code == 2
     err = capsys.readouterr().err
     assert name in err and len(err.strip().splitlines()) == 1

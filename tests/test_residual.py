@@ -183,6 +183,40 @@ def unscaled_tangent(sp, which, z):
     return np.array(out)
 
 
+def rotation_bound(sp, which, z):
+    """8 eps (|share| + sum_S |q_S| |dq_S|) / det_k per row, at the raw z."""
+    out = []
+    for row in range(sp.n):
+        _, _, const, scaled = solution._wronskian_minors(sp)[row]
+        _, share, polys = solution._tangent_minors(sp, which)[row]
+        det, total = np.full(z.shape, const), np.full(z.shape, abs(share))
+        for position, q_poly in enumerate(scaled):
+            q = np.abs(eval_poly(q_poly, z))
+            det += q**2
+            if position in polys:
+                total += q * np.abs(eval_poly(polys[position], z))
+        out.append(8 * np.finfo(float).eps * total / det)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_beta_rows_from_the_alpha_pass_match_the_single_direction_route(n):
+    # Called together, each beta direction reads i dq_S from its alpha's pass:
+    # the alpha rows keep every bit, and a beta row moves at most by the
+    # rounding of a Horner pass with i-rotated coefficients.
+    sp = sample_params(n, 4, 0.5)
+    directions = kernel_directions(n)
+    for radius in (0.3, 2.5, 3e1, 1e3, 1e6):
+        z = radius * np.exp(1j * np.linspace(0.1, 6.2, 17))
+        for which, rows in zip(directions, log_det_k_tangent(sp, directions, z)[1]):
+            alone = tangent(sp, which, z)
+            if which.startswith("alpha"):
+                assert np.array_equal(rows, alone), (which, radius)
+            else:
+                assert np.all(np.abs(rows - alone) <= rotation_bound(sp, which, z)), (
+                    which, radius)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tangent_scale_is_bit_identical_in_range(n):
     # Scaling z and c_j by powers of two scales every Horner step, and the
@@ -292,8 +326,8 @@ def test_tiled_residuals_match_whole_grid_reference(n, points_per_side):
 
 def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
     # Every kernel call from the residuals sees one tile with its halo rows:
-    # one call per tile for the PDE, and one per tile and coefficient, with
-    # its alpha and beta directions, for the linearized fields.
+    # one call per tile for the PDE, and one per tile carrying every kernel
+    # direction for the linearized fields.
     calls = []
     original = solution._log_dets
 
@@ -305,8 +339,8 @@ def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
     sp = sample_params(2, 0, 0.3)
     g = GridSpec.from_h(2e-2)
     tiles = len(list(g.row_tiles())) + len(list(g.refined().row_tiles()))
-    pairs = [("alpha_1", "beta_1"), ("alpha_2", "beta_2"), ("alpha2_2", "beta2_2")]
-    for run, per_tile in ((pde_residual, [()]), (linearized_residual, pairs)):
+    every = [tuple(kernel_directions(2))]
+    for run, per_tile in ((pde_residual, [()]), (linearized_residual, every)):
         calls.clear()
         run(sp, g)
         assert [directions for _, directions in calls] == per_tile * tiles

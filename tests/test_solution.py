@@ -264,7 +264,8 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
 
 def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     # One Horner pass per non-constant q_S of the requested rows feeds det_k
-    # and every direction's sum; each tangent term adds one pass for its dq_S.
+    # and every direction's sum; each tangent term adds one pass for its dq_S,
+    # except beta_1's, which reads i times alpha_1's.
     n = 3
     sp = sample_params(n, 0, 0.5)
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
@@ -280,9 +281,26 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
     minors = sum(len(solution._wronskian_minors(sp)[k - 1][3]) for k in ks)
     terms = sum(len(solution._tangent_minors(sp, which)[k - 1][2])
-                for which in directions for k in ks)
+                for which in directions if which != "beta_1" for k in ks)
     assert terms > 0
+    assert all(solution._tangent_minors(sp, "beta_1")[k - 1][2] for k in ks)
     assert count[0] == minors + terms
+
+
+def test_scaled_coefficients_are_built_once_per_scale():
+    # The scaled q_S and dq_S depend only on the parameter set, k, the
+    # direction and e, so a second call on the same points builds none.
+    solution._scaled.cache_clear()
+    sp = sample_params(3, 0, 0.5)
+    z = np.array([0.5, 3.0 + 1.0j])
+    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
+    first = solution._log_dets(sp, (1, 2, 3), z, directions)
+    built = solution._scaled.cache_info().misses
+    # Rows 1..3 of q_S, and each direction's dq_S but beta_1's, read from alpha_1's.
+    assert built == 3 + 3 * (len(directions) - 1)
+    second = solution._log_dets(sp, (1, 2, 3), z, directions)
+    assert solution._scaled.cache_info().misses == built
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
