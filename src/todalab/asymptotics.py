@@ -28,7 +28,6 @@ __all__ = [
     "ExpansionCheck",
     "TIntegralResult",
     "circle",
-    "polar_panels",
     "fourier_coeffs",
     "leading_coefficient_check",
     "first_frequency_check",
@@ -65,25 +64,6 @@ def circle(r, M: int) -> np.ndarray:
     """
     theta = 2.0 * np.pi * np.arange(M) / M
     return np.multiply.outer(r, np.exp(1j * theta))
-
-
-def polar_panels(ring_mean, bounds, nodes_per_panel: int) -> list:
-    """Running totals of int 2 pi r g(r) dr over the panels between `bounds`.
-
-    `ring_mean` maps an array of radii to the angular means g(r), or to a
-    stack of rows of them (..., radii); each panel uses Gauss-Legendre
-    nodes, and one total (of the stack's leading shape) is returned per panel.
-    """
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
-    totals = []
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes = mid + half * x_gl
-        g = ring_mean(r_nodes)
-        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
-        totals.append(total)
-    return totals
 
 
 def fourier_coeffs(component, r: float) -> np.ndarray:
@@ -250,18 +230,22 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     if not pairs:
         return {}
 
-    def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        z = circle(r_nodes, T_SAMPLES)
-        return np.concatenate([
-            np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
-            for l, pair in pairs.items()
-        ])
-
     # Panel boundaries refine geometrically inward from the smallest radius,
-    # so the last len(T_RADII) panels end exactly on T_RADII.
+    # so the last len(T_RADII) panels end exactly on T_RADII.  Each panel
+    # adds its Gauss-Legendre rule for int 2 pi r g(r) dr, g the circle mean.
     inner = T_RADII[0]
     bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
-    totals = polar_panels(ring_mean, bounds, T_NODES)[-len(T_RADII):]
+    x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
+    totals, total = [], 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        r_nodes = mid + half * x_gl
+        z = circle(r_nodes, T_SAMPLES)
+        g = np.concatenate([np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
+                            for l, pair in pairs.items()])
+        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
+        totals.append(total)
+    totals = totals[-len(T_RADII):]
     out = {}
     for index, which in enumerate(which for pair in pairs.values() for which in pair):
         values = [float(total[index]) for total in totals]

@@ -1,31 +1,37 @@
 """Total masses of the solution components by two independent routes.
 
 Since Delta U^i = -e^{U_i}, the outward flux -oint dU^i/dr on the circle
-of radius R is the mass of e^{U_i} in B_R; the direct plane integral of
-e^{U_i} gives the total.  Both must approach 4 pi i(n+1-i).  Flux is the
-primary route: r dU^i/dr is exact (Jacobi's formula), and the flux falls
-short of the total only by the tail pi C / R^2 of e^{U_i} ~ C r^-4.  Polar
-quadrature with a power-law tail correction is the cross-check.
+of radius R is the mass of e^{U_i} in B_R.  r dU^i/dr is exact (Jacobi's
+formula), and the flux falls short of the total by the tail pi C_i / R^2
+of e^{U_i} ~ C_i r^-4, whose C_i is known in closed form (see
+asymptotics.constant_term_prediction); flux plus tail is off by
+O((t / R)^4), t the solution's length scale below.
+
+The direct route integrates e^{U_i} over the Riemann sphere.  With
+z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
+rho = 4 t^2 / (t^2 + |z|^2)^2, and V_i = e^{U_i} / rho is smooth on the
+whole sphere, so a Gauss-Legendre rule in cos(theta) times the trapezoid
+rule in phi converges spectrally.  The centre t = (lambda_0 /
+lambda_n)^(1/2n) is the solution's own length scale.  Both routes must
+approach 4 pi i(n+1-i).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import circle, polar_panels
+from .asymptotics import circle, constant_term_prediction
 from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
 
-__all__ = ["mass_flux", "mass_quadrature", "predicted_mass"]
+__all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
 
 # mass_flux: samples on the circle.
 FLUX_SAMPLES = 512
-# mass_quadrature: outer radius, samples per circle, nodes per radial panel.
-R_MAX = 200.0
-QUAD_SAMPLES = 256
-QUAD_NODES = 24
+# mass_quadrature: Gauss-Legendre nodes in cos(theta), trapezoid nodes in phi.
+SPHERE_NODES = 64
+SPHERE_SAMPLES = 128
 
 
 def predicted_mass(n: int, i: int) -> float:
@@ -41,35 +47,32 @@ def mass_flux(sp: SolutionParams, R: float) -> list:
     return [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    tail_fit_stable: bool
+def flux_tail(sp: SolutionParams, R: float) -> list:
+    """pi C_i / R^2, i = 1..n: the mass of e^{U_i} outside B_R to leading order.
+
+    Taken in logs, so R^2 never overflows (the tail underflows to 0 at
+    R = 1e300); a tail past the double range raises PositivityError.
+    """
+    try:
+        return [math.pi * math.exp(constant_term_prediction(sp, i) - 2.0 * math.log(R))
+                for i in range(1, sp.n + 1)]
+    except OverflowError:
+        raise PositivityError(f"the mass tail pi C / R^2 overflows at R = {R:.3g}") from None
 
 
 def mass_quadrature(sp: SolutionParams) -> list:
-    """Polar quadrature of e^{U_i} over B_{R_max} plus a pi C / R_max^2 tail, i = 1..n.
+    """int_{S^2} e^{U_i} / rho dA, i = 1..n, from one evaluation on the sphere's nodes.
 
-    C is fitted as the average of e^{U_i} r^4 on the two outermost
-    circles (decay e^{U_i} ~ C r^{-4}); the fit is flagged unstable if
-    the two circle averages differ by more than 10%.  An integral that is
-    not positive (e^{U_i} underflowed) raises PositivityError.
+    An integral that is not positive (e^{U_i} underflowed) raises
+    PositivityError.
     """
-
-    def ring_mean(r_nodes: np.ndarray) -> np.ndarray:
-        u = lower_components(sp, circle(r_nodes, QUAD_SAMPLES))
-        return np.mean(np.exp(u), axis=-1)
-
-    # Geometric panels resolve the O(1) core and the r^-4 tail alike.
-    bounds = [0.0] + [R_MAX / 2**k for k in range(8, -1, -1)]
-    bulk = polar_panels(ring_mean, bounds, QUAD_NODES)[-1]
-    c_outer = ring_mean(np.array([R_MAX]))[:, 0] * R_MAX**4
-    c_inner = ring_mean(np.array([0.8 * R_MAX]))[:, 0] * (0.8 * R_MAX) ** 4
-    c_fit = 0.5 * (c_outer + c_inner)
-    stable = np.abs(c_outer - c_inner) <= 0.10 * np.maximum(np.abs(c_fit), 1e-300)
-    tail = np.pi * c_fit / R_MAX**2
-    value = bulk + tail
-    for i, v in enumerate(value, start=1):
-        if not v > 0:
-            raise PositivityError(f"mass integral of e^(U_{i}) is {v}, not positive")
-    return [QuadratureResult(float(v), bool(ok)) for v, ok in zip(value, stable)]
+    t = math.exp((math.log(sp.lambdas[0]) - math.log(sp.lambdas[sp.n])) / (2 * sp.n))
+    x, w = np.polynomial.legendre.leggauss(SPHERE_NODES)  # x = cos(theta)
+    u = lower_components(sp, circle(t * np.sqrt((1.0 + x) / (1.0 - x)), SPHERE_SAMPLES))
+    # 1 / rho = t^2 / (1 - x)^2 at |z| = t cot(theta / 2).
+    v = np.exp(u + 2.0 * np.log(t / (1.0 - x))[:, None])
+    value = 2.0 * np.pi * (np.mean(v, axis=-1) @ w)
+    for i, q in enumerate(value, start=1):
+        if not q > 0:
+            raise PositivityError(f"mass integral of e^(U_{i}) is {q}, not positive")
+    return [float(q) for q in value]

@@ -23,7 +23,7 @@ from .asymptotics import (
 )
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
-from .mass import mass_flux, mass_quadrature, predicted_mass
+from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from .residual import GridSpec, linearized_residual, pde_residual
 from .solution import load_params, sample_params
 
@@ -35,9 +35,7 @@ KNOWN_SUITES = ("pde", "linearized", "identities", "asymptotics", "mass", "t-int
 PDE_ORDER_CENTER = 2.0
 PDE_ORDER_SLACK = 0.5
 LINEARIZED_MAX_RESIDUAL = 1e-3
-MASS_FLUX_REL = 0.01
-MASS_ROUTE_AGREEMENT = 0.005
-MASS_SUM_RULE_REL = 0.01
+MASS_REL = 1e-5  # flux plus its closed-form tail: O((dilation / radius)^4)
 FIRST_FREQUENCY_REL = 0.02
 KERNEL_SIGNATURE_REL = 0.03
 LEADING_COEFFICIENT_REL = 0.01
@@ -81,6 +79,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "n" and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         for name in ("radius", "grid_h", "dilation"):
             value = getattr(self, name)
             _check_real(name, value)
@@ -219,28 +219,29 @@ def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
 
 
 def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
+    """Flux plus its tail pi C_i / R^2 against 4 pi i(n+1-i), the sphere rule and the sum rule."""
     cases, details = [], []
     for label, sp in param_sets:
         n = sp.n
         fluxes = mass_flux(sp, cfg.radius)
+        tails = flux_tail(sp, cfg.radius)
         quads = mass_quadrature(sp)
-        for i, (flux, quad) in enumerate(zip(fluxes, quads), start=1):
+        masses = [flux + tail for flux, tail in zip(fluxes, tails)]
+        for i, (mass, quad) in enumerate(zip(masses, quads), start=1):
             pred = predicted_mass(n, i)
-            rel = abs(flux / pred - 1.0)
-            agree = abs(flux / quad.value - 1.0)
-            cases.append(Case("mass", f"{label}-flux-i{i}", flux, pred,
-                              MASS_FLUX_REL, rel <= MASS_FLUX_REL))
+            rel = abs(mass / pred - 1.0)
+            agree = abs(mass / quad - 1.0)
+            cases.append(Case("mass", f"{label}-flux-i{i}", mass, pred, MASS_REL, rel <= MASS_REL))
             cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
-                              MASS_ROUTE_AGREEMENT, agree <= MASS_ROUTE_AGREEMENT))
-            details.append({"label": label, "i": i, "flux": flux,
-                            "quadrature": quad.value, "predicted": pred,
-                            "tail_fit_stable": quad.tail_fit_stable})
+                              MASS_REL, agree <= MASS_REL))
+            details.append({"label": label, "i": i, "flux": fluxes[i - 1],
+                            "tail": tails[i - 1], "quadrature": quad, "predicted": pred})
         a = cartan_matrix(sp.n)
         for i in range(n):
-            s = float(sum(a[i][j] * fluxes[j] for j in range(n)))
+            s = float(sum(a[i][j] * masses[j] for j in range(n)))
             rel = abs(s / (8.0 * math.pi) - 1.0)
             cases.append(Case("mass", f"{label}-sum-rule-i{i + 1}", s, 8.0 * math.pi,
-                              MASS_SUM_RULE_REL, rel <= MASS_SUM_RULE_REL))
+                              MASS_REL, rel <= MASS_REL))
     return cases, details
 
 

@@ -1,11 +1,11 @@
-"""Quantized total masses by flux and by quadrature."""
+"""Quantized total masses by flux and by quadrature on the sphere."""
 
 import math
 
 import pytest
 
 from todalab.cartan import cartan_matrix
-from todalab.mass import R_MAX, mass_flux, mass_quadrature, predicted_mass
+from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from todalab.solution import PositivityError, sample_params
 
 
@@ -56,31 +56,47 @@ def test_flux_hits_quantized_values(n, seed):
         assert abs(flux / predicted_mass(n, i) - 1.0) < 0.01
 
 
-def assert_tail_matches_outer_mass(sp, quads):
-    # The flux through |z| = R_MAX is the exact mass inside it, so the mass
-    # outside is the quantized total minus that flux; the quadrature's
-    # value minus the same flux is its tail estimate plus its bulk error.
-    # Measured: at most 7.5e-5 relative for these parameter sets (7.8e-4
-    # over n = 1..5), against a true tail of 1e-5..2e-4 of the mass.
-    inner = mass_flux(sp, R=R_MAX)
-    for i, (flux, quad) in enumerate(zip(inner, quads, strict=True), start=1):
-        outer = predicted_mass(sp.n, i) - flux
-        assert 0 < outer < 0.01 * predicted_mass(sp.n, i)
-        assert quad.value - flux == pytest.approx(outer, rel=1e-3)
+def test_radial_sphere_mass_is_exact():
+    # n = 1, no coefficients: e^{U_1} is the standard bubble, which the
+    # sphere rule centred on its own scale integrates to rounding.
+    (quad,) = mass_quadrature(sample_params(1, 0, 0.0))
+    assert quad == pytest.approx(4.0 * math.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sphere_mass_hits_quantized_values(n):
+    # Measured: at most 1.1e-13 relative for these sets, and 1.0e-10 over
+    # seeds 0..3 at the same dilations and magnitudes.
+    for dilation in (1.0, 3.0, 10.0):
+        for magnitude in (0.3, 0.8):
+            quads = mass_quadrature(sample_params(n, n, magnitude, dilation=dilation))
+            assert quads == pytest.approx([predicted_mass(n, i) for i in range(1, n + 1)],
+                                          rel=1e-9)
 
 
 def test_quadrature_agrees_with_flux():
+    # The flux through |z| = 1e3 plus its closed-form tail meets the sphere
+    # rule within 3e-12 here.
     sp = sample_params(2, 1, 0.3)
-    quads = mass_quadrature(sp)
-    for flux, quad in zip(mass_flux(sp, R=1e3), quads, strict=True):
-        assert abs(flux / quad.value - 1.0) < 0.005
-        assert quad.tail_fit_stable
-    assert_tail_matches_outer_mass(sp, quads)
+    pairs = zip(mass_flux(sp, R=1e3), flux_tail(sp, R=1e3), mass_quadrature(sp), strict=True)
+    for flux, tail, quad in pairs:
+        assert flux + tail == pytest.approx(quad, rel=1e-9)
 
 
-def test_quadrature_tail_is_small_fraction():
-    sp = sample_params(1, 0, 0.0)
-    assert_tail_matches_outer_mass(sp, mass_quadrature(sp))
+@pytest.mark.parametrize("n,seed,magnitude", [(1, 0, 0.0), (2, 1, 0.3), (3, 0, 0.3)])
+def test_closed_form_tail_is_outer_mass(n, seed, magnitude):
+    # The flux through |z| = R is the exact mass inside it, so the mass
+    # outside is the quantized total minus that flux.  The closed-form tail
+    # matches it to O(R^-2) relative (at most 2.1e-4 at R = 200), and the
+    # sphere rule minus the same flux matches it to 1.6e-10.
+    sp = sample_params(n, seed, magnitude)
+    R = 200.0
+    pairs = zip(mass_flux(sp, R=R), flux_tail(sp, R=R), mass_quadrature(sp), strict=True)
+    for i, (flux, tail, quad) in enumerate(pairs, start=1):
+        outer = predicted_mass(n, i) - flux
+        assert 0 < outer < 1e-3 * predicted_mass(n, i)
+        assert tail == pytest.approx(outer, rel=1e-3)
+        assert quad - flux == pytest.approx(outer, rel=1e-6)
 
 
 def test_sum_rule():

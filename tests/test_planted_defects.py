@@ -1,0 +1,65 @@
+"""Planted defects: each small, named error must fail at least one verdict.
+
+Every row patches one function with a mistake of at most 1%, runs one
+`todalab verify` and names the verdict kind that must catch it.  The
+unpatched run passes every verdict, so a failure is the defect's alone.
+"""
+
+import json
+import math
+
+import pytest
+
+from todalab import mass
+from todalab.cli import main
+
+MASS_ARGS = ["verify", "--suite", "mass", "--n", "2", "--count", "2", "--seed", "3"]
+
+
+def scale_last_exp_u(factor):
+    """e^{U_n} times `factor` in the sphere quadrature."""
+    original = mass.lower_components
+
+    def patched(sp, z):
+        u = original(sp, z)
+        u[-1] += math.log(factor)
+        return u
+
+    return mass, "lower_components", patched
+
+
+def scale_radial_tangent(factor):
+    """r d/dr log det_k times `factor` in the flux."""
+    original = mass.log_det_k_tangent
+
+    def patched(*args, **kwargs):
+        log_dets, tangents = original(*args, **kwargs)
+        return log_dets, [factor * t for t in tangents]
+
+    return mass, "log_det_k_tangent", patched
+
+
+# (defect, verdict kind that must fail)
+DEFECTS = [
+    pytest.param(scale_last_exp_u(1.004), "-routes-i2", id="exp-u-n-in-quadrature-x1.004"),
+    pytest.param(scale_radial_tangent(1.004), "-flux-i", id="radial-tangent-x1.004"),
+]
+
+
+def failed_cases(tmp_path, args) -> list:
+    out = tmp_path / "rep"
+    code = main([*args, "--out", str(out)])
+    cases = json.loads((out / "summary.json").read_text())["cases"]
+    failed = [c["case_id"] for c in cases if not c["pass"]]
+    assert code == (1 if failed else 0)
+    return failed
+
+
+def test_unpatched_run_passes(tmp_path):
+    assert failed_cases(tmp_path, MASS_ARGS) == []
+
+
+@pytest.mark.parametrize("patch,verdict", DEFECTS)
+def test_mass_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
+    monkeypatch.setattr(*patch)
+    assert any(verdict in case_id for case_id in failed_cases(tmp_path, MASS_ARGS))
