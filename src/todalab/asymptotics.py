@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import cartan_matrix
-from .solution import (PositivityError, SolutionParams, log_det_k_tangent, lower_components,
-                       upper_components)
+from .solution import (PositivityError, SolutionParams, _coefficient_slot, frequency_directions,
+                       log_det_k_tangent, lower_components, upper_components)
 
 __all__ = [
     "ExpansionCheck",
@@ -42,7 +42,8 @@ __all__ = [
 # 1e8), and samples per circle shared by the large-radius probes.
 R_FAR = 1e6
 SAMPLES = 256
-# t_integral: partial-integral radii, samples per circle, nodes per radial panel.
+# t_integral: partial-integral radii in units of the solution's length scale,
+# samples per circle, nodes per radial panel.
 T_RADII = (50.0, 100.0, 200.0, 400.0)
 T_SAMPLES = 128
 T_NODES = 16
@@ -85,9 +86,14 @@ def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
                           abs(measured - predicted) / float(denom), notes)
 
 
-def _second_frequency_directions(n: int) -> dict:
-    """{l: ("alpha2_l", "beta2_l")} for l = 2..n, the two directions that move one coefficient."""
-    return {l: (f"alpha2_{l}", f"beta2_{l}") for l in range(2, n + 1)}
+def _signature(f: int, m: int, component: int) -> int:
+    """Limit of r^f times the frequency-f coefficient of -dU^component along index m of frequency f.
+
+    2 C(m, f) (-1)^t C(f-1, t) for t = component - m + f - 1 in [0, f-1], else 0; it is
+    read in cosine along a direction of unit 1 and in sine along one of unit i.
+    """
+    t = component - m + f - 1
+    return 2 * math.comb(m, f) * (-1) ** t * math.comb(f - 1, t) if 0 <= t < f else 0
 
 
 def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
@@ -123,56 +129,42 @@ def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
 
 
 def first_frequency_check(sp: SolutionParams) -> list:
-    """r * (frequency-1 coefficients of -U^m) at R_FAR against 2m alpha_m, 2m beta_m.
+    """r * (frequency-1 coefficients of -U^m) at R_FAR against _signature(1, m, m) c_ij.
 
-    Returns {"alpha": check, "beta": check} for each m = 1..n from one
-    evaluation on the circle.
+    -U^m is linear in its frequency-1 coefficient c_ij at large r, so its cosine
+    and sine tend to 2m Re c_ij and 2m Im c_ij.  Returns {"alpha": check,
+    "beta": check} for each m = 1..n from one evaluation on the circle.
     """
     freq1 = fourier_coeffs(lambda z: -upper_components(sp, z), R_FAR)[:, 0]
     out = []
-    for m in range(1, sp.n + 1):
-        c = sp.c(sp.n + 1 - m, sp.n - m)  # alpha_m + i beta_m
-        out.append({
-            key: _check(R_FAR, coeff[m - 1] * R_FAR, pred, abs(pred) or 1.0)
-            for key, coeff, pred in (
-                ("alpha", freq1.real, 2.0 * m * c.real),
-                ("beta", -freq1.imag, 2.0 * m * c.imag),
-            )
-        })
+    for m, pair in frequency_directions(sp.n, 1).items():
+        checks = {}
+        for key, which in zip(("alpha", "beta"), pair):
+            (i, j), unit = _coefficient_slot(sp.n, which)
+            # (a_1 - i b_1) unit is a_1 or b_1, as conj(c_ij) unit is Re or Im c_ij.
+            pred = _signature(1, m, m) * (sp.c(i, j).conjugate() * unit).real
+            checks[key] = _check(R_FAR, (freq1[m - 1] * unit).real * R_FAR, pred, abs(pred) or 1.0)
+        out.append(checks)
     return out
 
 
-def second_frequency_prediction(m: int, j: int) -> float:
-    """Freq-2 signature of -dU^m/d alpha_{j,2} (times r^2)."""
-    if j == m:
-        return -float(m * (m - 1))
-    if j == m + 1:
-        return float(m * (m + 1))
-    return 0.0
-
-
 def kernel_signature_check(sp: SolutionParams) -> dict:
-    """r^2 * (freq-2 coefficient of -dU^m/d(which)) against the delta rules.
+    """r^2 * (freq-2 coefficient of -dU^m/d(which)) against _signature.
 
-    Returns {which: (check for m = 1..n)} over the second-frequency
-    directions alpha2_j, beta2_j, j = 2..n; one kernel call on the circle
-    serves every direction.
+    Returns {which: (check for m = 1..n)} over frequency_directions(n, 2);
+    one kernel call on the circle serves every direction.
     """
-    pairs = _second_frequency_directions(sp.n)
-    if not pairs:
-        return {}
-    directions = [which for pair in pairs.values() for which in pair]
+    directions = [which for pair in frequency_directions(sp.n, 2).values() for which in pair]
     freq2 = fourier_coeffs(lambda z: log_det_k_tangent(sp, directions, z)[1], R_FAR)[..., 1]
     out = {}
-    # Each pair's alpha row is read in cosine, its beta row in sine.
-    for (j, pair), cos, sin in zip(pairs.items(), freq2.real[::2], -freq2.imag[1::2]):
-        for which, coeff in zip(pair, (cos, sin)):
-            checks = []
-            for m in range(1, sp.n + 1):
-                pred = second_frequency_prediction(m, j)
-                denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
-                checks.append(_check(R_FAR, coeff[m - 1] * R_FAR**2, pred, denom))
-            out[which] = tuple(checks)
+    for which, coeffs in zip(directions, freq2):
+        (i, j), unit = _coefficient_slot(sp.n, which)
+        checks = []
+        for m, coeff in enumerate((coeffs * unit).real, start=1):
+            pred = _signature(i - j, sp.n - j, m)
+            denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
+            checks.append(_check(R_FAR, coeff * R_FAR**2, pred, denom))
+        out[which] = tuple(checks)
     return out
 
 
@@ -217,24 +209,25 @@ class TIntegralResult:
 
 
 def t_integral(sp: SolutionParams, ratio: float) -> dict:
-    """Integrals over the plane of -dU^{l-1}/d(which), which = alpha2_l, beta2_l.
+    """Integrals over the plane of -dU^{l-1}/d(which), which in frequency_directions(n, 2)[l].
 
     Returns {which: TIntegralResult} for l = 2..n; each radial panel takes
     one kernel call per l, on the minors of det_{l-1} alone.  Integration is
     angular-first: the frequency-2 leading term has zero mean on every
     circle, so the radial integrand decays fast enough for the partial
     integrals over B_R to form a Cauchy sequence.  A result converges when
-    each successive difference is at most 1/ratio of the one before.
+    each successive difference is at most 1/ratio of the one before.  The
+    radii are T_RADII times sp.length_scale(): a dilated bubble has the same partials.
     """
-    pairs = _second_frequency_directions(sp.n)
+    pairs = frequency_directions(sp.n, 2)
     if not pairs:
         return {}
 
     # Panel boundaries refine geometrically inward from the smallest radius,
-    # so the last len(T_RADII) panels end exactly on T_RADII.  Each panel
+    # so the last len(T_RADII) panels end exactly on the radii.  Each panel
     # adds its Gauss-Legendre rule for int 2 pi r g(r) dr, g the circle mean.
-    inner = T_RADII[0]
-    bounds = [0.0] + [inner / 2**k for k in range(5, -1, -1)] + list(T_RADII[1:])
+    radii = [sp.length_scale() * R for R in T_RADII]
+    bounds = [0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:]
     x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
     totals, total = [], 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -245,14 +238,14 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
                             for l, pair in pairs.items()])
         total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
         totals.append(total)
-    totals = totals[-len(T_RADII):]
+    totals = totals[-len(radii):]
     out = {}
     for index, which in enumerate(which for pair in pairs.values() for which in pair):
         values = [float(total[index]) for total in totals]
         diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
         out[which] = TIntegralResult(
             value=values[-1],
-            partials=tuple(zip(T_RADII, values)),
+            partials=tuple(zip(radii, values)),
             converged=all(d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:])),
         )
     return out

@@ -12,8 +12,8 @@ z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
 rho = 4 t^2 / (t^2 + |z|^2)^2, and V_i = e^{U_i} / rho is smooth on the
 whole sphere, so a Gauss-Legendre rule in cos(theta) times the trapezoid
 rule in phi converges spectrally.  The centre t = (lambda_0 /
-lambda_n)^(1/2n) is the solution's own length scale.  Both routes must
-approach 4 pi i(n+1-i).
+lambda_n)^(1/2n) is the solution's own length scale
+(SolutionParams.length_scale).  Both routes must approach 4 pi i(n+1-i).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def mass_quadrature(sp: SolutionParams) -> list:
     An integral that is not positive (e^{U_i} underflowed) raises
     PositivityError.
     """
-    t = math.exp((math.log(sp.lambdas[0]) - math.log(sp.lambdas[sp.n])) / (2 * sp.n))
+    t = sp.length_scale()
     x, w = np.polynomial.legendre.leggauss(SPHERE_NODES)  # x = cos(theta)
     u = lower_components(sp, circle(t * np.sqrt((1.0 + x) / (1.0 - x)), SPHERE_SAMPLES))
     # 1 / rho = t^2 / (1 - x)^2 at |z| = t cot(theta / 2).

@@ -47,8 +47,11 @@ class GridSpec:
 
     @classmethod
     def from_h(cls, h: float) -> "GridSpec":
-        """The default-width grid whose spacing is h, rounded to an odd point count."""
-        pps = int(round(2.0 * cls.half_width / h)) + 1
+        """The default-width grid of spacing h, rounded to an odd point count of at least 3."""
+        steps = 2.0 * cls.half_width / h
+        if not 1.5 <= steps < float("inf"):
+            raise ValueError(f"grid_h = {h} gives no finite grid of 3 or more points per side")
+        pps = int(round(steps)) + 1
         if pps % 2 == 0:
             pps += 1
         return cls(points_per_side=pps)

@@ -23,6 +23,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ __all__ = [
     "upper_components",
     "lower_components",
     "log_det_k_tangent",
-    "parse_direction",
+    "frequency_directions",
     "kernel_directions",
     "params_to_json",
     "params_from_json",
@@ -113,6 +114,10 @@ class SolutionParams:
         if not 1 <= i <= self.n or not 0 <= j < i:
             raise IndexError(f"c_{{{i},{j}}} out of range")
         return self.polys[i - 1].coeffs[j]
+
+    def length_scale(self) -> float:
+        """t = (lambda_0 / lambda_n)^(1/2n), the solution's own length scale (D t at dilation D)."""
+        return math.exp((math.log(self.lambdas[0]) - math.log(self.lambdas[self.n])) / (2 * self.n))
 
 
 def sample_params(
@@ -212,15 +217,15 @@ def _scale_exponent(z) -> int:
 
 # Room for one grid tile's rows and directions up to n = 4; far-field calls rarely repeat e.
 @lru_cache(maxsize=32)
-def _scaled(sp: SolutionParams, k: int, e: int, which=None) -> dict:
-    """Row k's {position: q_S}, or direction which's {position: dq_S}, scaled for e.
+def _scaled(sp: SolutionParams, k: int, e: int, slot=None) -> dict:
+    """Row k's {position: q_S}, or its {position: dq_S} along a slot, scaled for e.
 
     c_j becomes c_j 2^((j - D_k) e), so p(z) = 2^(D_k e) scaled(z / 2^e).  Powers
     of two scale every Horner step exactly, so wherever nothing under- or
     overflows the scaled pass gives the unscaled values times 2^(-D_k e).
     """
     _, degree, _, polys = _wronskian_minors(sp)[k - 1]
-    polys = dict(enumerate(polys)) if which is None else _tangent_minors(sp, which)[k - 1][2]
+    polys = dict(enumerate(polys)) if slot is None else _tangent_minors(sp, slot)[k - 1][2]
     scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
     return {position: ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
             for position, p in polys.items()}
@@ -234,12 +239,11 @@ def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
     with e from _scale_exponent and q_S the _scaled sqrt(lambda_S) W_S.  As
     |z / 2^e| < 1, |q_S| <= sum_j |c_j| for q_S = sum_j c_j z^j, so the
     nonnegative terms need no logs: each k takes one Horner pass per
-    non-constant minor and one log.  Each direction's tangent is the ratio
-    (share + sum_S Re(conj(q_S) dq_S)) / det_k + offset of _tangent_minors'
-    terms; the pass over q_S feeds det_k and every sum, each dq_S takes one
-    pass more, and numerator and denominator carry the same 2^(2 D_k e).
-    A beta next to its alpha moves c_ij by i, not 1: its dq_S = i dq_S^alpha takes
-    no pass, and its sum gains Re(conj(q_S) i dq_S^alpha) = q.im dq.re - q.re dq.im.
+    non-constant minor and one log.  Each direction's tangent is the ratio of
+    _tangent_minors for its slot; the pass over q_S feeds det_k and every sum,
+    each slot's dq_S takes one pass more for all the directions on it, and
+    numerator and denominator carry the same 2^(2 D_k e).  Re(conj(q_S) unit dq_S)
+    is q.re dq.re + q.im dq.im at unit 1 and q.im dq.re - q.re dq.im at unit i.
     One e serves all points; |z| spanning >150/D_k decades raises PositivityError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -249,32 +253,35 @@ def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
     tmp = np.empty(z.shape)
     out = np.empty((len(ks),) + z.shape)
     tangents = np.empty((len(directions), len(ks)) + z.shape)
-    alpha_of = {d: directions.index("alpha" + which[4:]) for d, which in enumerate(directions)
-                if which.startswith("beta") and "alpha" + which[4:] in directions}
+    moves = [_coefficient_slot(sp.n, which) for which in directions]
+    on_slot = {}
+    for d, (slot, unit) in enumerate(moves):
+        on_slot.setdefault(slot, []).append((d, unit == 1))
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (acc, k) in enumerate(zip(out, ks)):
             _, degree, const, _ = _wronskian_minors(sp)[k - 1]
             acc.fill(math.ldexp(const, -2 * degree * e))
-            terms = [_tangent_minors(sp, which)[k - 1] for which in directions]
+            terms = [_tangent_minors(sp, slot)[k - 1] for slot, _ in moves]
             sums = tangents[:, row]
-            for total, (_, share, _) in zip(sums, terms):
-                total.fill(math.ldexp(share, -2 * degree * e))
-            passes = [(_scaled(sp, k, e, directions[d]), sums[d],
-                       [sums[b] for b in alpha_of if alpha_of[b] == d])
-                      for d in range(len(directions)) if d not in alpha_of]
+            for total, (_, share, _), (_, unit) in zip(sums, terms, moves):
+                total.fill(math.ldexp((unit * share).real, -2 * degree * e))
+            passes = [(_scaled(sp, k, e, slot), [(sums[d], real) for d, real in rows])
+                      for slot, rows in on_slot.items()]
             for position, p in _scaled(sp, k, e).items():
                 eval_poly(p, w, q)
                 acc += np.square(q.real, out=tmp)
                 acc += np.square(q.imag, out=tmp)
-                for polys, total, betas in passes:
+                for polys, rows in passes:
                     if position in polys:
                         eval_poly(polys[position], w, dq)
-                        total += np.multiply(q.real, dq.real, out=tmp)
-                        total += np.multiply(q.imag, dq.imag, out=tmp)
-                        for beta in betas:
-                            beta -= np.multiply(q.real, dq.imag, out=tmp)
-                            beta += np.multiply(q.imag, dq.real, out=tmp)
+                        for total, real in rows:
+                            if real:
+                                total += np.multiply(q.real, dq.real, out=tmp)
+                                total += np.multiply(q.imag, dq.imag, out=tmp)
+                            else:
+                                total -= np.multiply(q.real, dq.imag, out=tmp)
+                                total += np.multiply(q.imag, dq.real, out=tmp)
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
@@ -307,47 +314,46 @@ def lower_components(sp: SolutionParams, z) -> np.ndarray:
 
 # -- parameter directions --------------------------------------------------
 
+# alpha{f}_m and beta{f}_m, with no digit at f = 1, and loglambda_I.
+_DIRECTION = re.compile(r"(alpha|beta)([2-9]|[1-9]\d+)?_([1-9]\d*)|loglambda_(0|[1-9]\d*)")
 
-def parse_direction(which: str) -> tuple[str, int]:
-    """Parse a direction name: alpha_M, beta_M, alpha2_M, beta2_M, loglambda_I."""
-    try:
-        kind, idx = which.rsplit("_", 1)
-        idx = int(idx)
-    except (ValueError, AttributeError):
-        raise ValueError(f"cannot parse direction {which!r}") from None
-    if kind not in {"alpha", "beta", "alpha2", "beta2", "loglambda"}:
-        raise ValueError(f"unknown direction kind {kind!r}")
-    return kind, idx
+
+def frequency_directions(n: int, f: int) -> dict:
+    """{m: (alpha{f}_m, beta{f}_m)} for m = f..n, which move Re and Im of c_{n+f-m, n-m}.
+
+    The digit is left out at f = 1.  That coefficient's tangent field has frequency f at large r.
+    """
+    digit = str(f) if f > 1 else ""
+    return {m: (f"alpha{digit}_{m}", f"beta{digit}_{m}") for m in range(f, n + 1)}
 
 
 def kernel_directions(n: int) -> list[str]:
-    """All 2n first-frequency and 2(n-1) second-frequency directions."""
-    out = [f"alpha_{m}" for m in range(1, n + 1)]
-    out += [f"beta_{m}" for m in range(1, n + 1)]
-    out += [f"alpha2_{m}" for m in range(2, n + 1)]
-    out += [f"beta2_{m}" for m in range(2, n + 1)]
-    return out
+    """The alpha, then the beta directions of frequency 1, then those of frequency 2."""
+    return [pair[part] for f in (1, 2) for part in (0, 1)
+            for pair in frequency_directions(n, f).values()]
 
 
-def _coefficient_slot(n: int, which: str) -> tuple[int, int, complex]:
-    """(i, j, unit): a coefficient direction moves c_ij by unit * delta.
+def _coefficient_slot(n: int, which: str) -> tuple:
+    """(slot, unit): a direction moves its slot by unit * delta.  The one parser of names.
 
-    For a loglambda_I direction, i is the lambda index I and j is -1.
+    alpha{f}_m and beta{f}_m move c_ij, slot (i, j) = (n+f-m, n-m), 1 <= f <= m <= n, by
+    unit 1 and i.  loglambda_I moves log lambda_I, slot (I, -1), then every lambda by the
+    common factor that keeps their product.  "radial" moves z to e^delta z.
     """
-    kind, m = parse_direction(which)
-    if kind == "loglambda":
-        if not 0 <= m <= n:
-            raise IndexError(f"lambda index {m} out of range 0..{n}")
-        return m, -1, 0j
-    if kind in {"alpha", "beta"}:
-        if not 1 <= m <= n:
-            raise IndexError(f"m={m} out of range 1..{n} for {kind}")
-        i, j = n + 1 - m, n - m
-    else:
-        if not 2 <= m <= n:
-            raise IndexError(f"m={m} out of range 2..{n} for {kind}")
-        i, j = n + 2 - m, n - m
-    return i, j, (1 + 0j if kind in {"alpha", "alpha2"} else 1j)
+    if which == "radial":
+        return which, 1
+    match = _DIRECTION.fullmatch(which)
+    if match is None:
+        raise ValueError(f"cannot parse direction {which!r}")
+    kind, f, m, index = match.groups()
+    if index is not None:
+        if not 0 <= int(index) <= n:
+            raise IndexError(f"lambda index {index} out of range 0..{n}")
+        return (int(index), -1), 1
+    f, m = int(f or 1), int(m)
+    if not f <= m <= n:
+        raise IndexError(f"{which}: frequency {f} and index {m} need f <= m <= {n}")
+    return (n + f - m, n - m), (1 if kind == "alpha" else 1j)
 
 
 def _swapped_degree(derivs, i: int, j: int, subset: tuple) -> int:
@@ -365,33 +371,33 @@ def _swapped_degree(derivs, i: int, j: int, subset: tuple) -> int:
 
 
 @lru_cache(maxsize=256)
-def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
+def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     """For each k = 1..n, (offset, share, {position: dq_S}) with
 
-        d log det_k / d(which) = offset + (share + sum_S Re(conj(q_S) dq_S)) / det_k,
+        d log det_k / d(delta) = offset + Re(unit (share + sum_S conj(q_S) dq_S)) / det_k
 
+    along a direction that moves the slot by unit * delta (_coefficient_slot),
     where q_S = sqrt(lambda_S) W_S sits at that position of the non-constant
-    minors in _wronskian_minors, dq_S = 2 sqrt(lambda_S) dW_S, and share sums
-    2 lambda_S Re(conj(W_S) dW_S) over the constant minors, whose dW_S is
-    constant too.  This is Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.
-    W_S is multilinear in its columns, so along c_ij, dW_S is W_S with
-    column i replaced by the derivatives of unit * z^j; only subsets S
-    containing i contribute, and only minors with column i are rebuilt.
-    Each is cut to its _swapped_degree, so top coefficients that cancel
-    exactly carry no rounding residue (the constant W_S, on the columns
-    P_0..P_{k-1}, reduces z^j to 0: its dW_S vanishes).
-    A loglambda_I direction moves only the weights, d log lambda_S =
+    minors in _wronskian_minors, dq_S = 2 sqrt(lambda_S) dW_S at unit 1, and
+    share sums 2 lambda_S conj(W_S) dW_S over the constant minors.  This is
+    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is multilinear
+    in its columns, so along c_ij, dW_S is W_S with column i replaced by the
+    derivatives of z^j; only subsets S containing i contribute, and only
+    minors with column i are rebuilt.  Each is cut to its _swapped_degree, so
+    top coefficients that cancel exactly carry no rounding residue (the
+    constant W_S, on the columns P_0..P_{k-1}, reduces z^j to 0: its dW_S vanishes).
+    The lambda slot (I, -1) moves only the weights, d log lambda_S =
     [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
-    plus the offset -k/(n+1).  The "radial" direction r d/dr generates
+    plus the offset -k/(n+1).  The "radial" slot, r d/dr, generates
     z -> e^t z, so dW_S = z W_S' on every S and the offset is 0.
     """
     n = sp.n
-    radial = which == "radial"
+    radial = slot == "radial"
     if not radial:
-        i, j, unit = _coefficient_slot(n, which)
+        i, j = slot
     *per_k, base = _wronskian_minors(sp)
     if not radial and j >= 0:
-        shift = ComplexPoly.from_coeffs([0j] * j + [unit])
+        shift = ComplexPoly.from_coeffs([0j] * j + [1 + 0j])
         derivs = list(_derivative_table(sp))
         derivs[i] = [derivative(shift, p) for p in range(n + 1)]
         table = {key: w for key, w in base.items() if i not in key[1]}
@@ -414,7 +420,7 @@ def _tangent_minors(sp: SolutionParams, which: str) -> tuple:
             if w.degree > 0:
                 polys[position] = dw.scale(2.0 * math.sqrt(lam))
             else:
-                share += 2.0 * lam * (w.coeffs[0].conjugate() * dw.coeffs[0]).real
+                share += 2.0 * lam * w.coeffs[0].conjugate() * dw.coeffs[0]
         out.append((-k / (n + 1) if not radial and j < 0 else 0.0, share, polys))
     return tuple(out)
 

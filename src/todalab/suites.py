@@ -25,7 +25,7 @@ from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
 from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from .residual import GridSpec, linearized_residual, pde_residual
-from .solution import load_params, sample_params
+from .solution import _coefficient_slot, load_params, sample_params
 
 __all__ = ["Case", "RunConfig", "SUITES", "build_param_sets", "run_suites"]
 
@@ -36,8 +36,8 @@ PDE_ORDER_CENTER = 2.0
 PDE_ORDER_SLACK = 0.5
 LINEARIZED_MAX_RESIDUAL = 1e-3
 MASS_REL = 1e-5  # flux plus its closed-form tail: O((dilation / radius)^4)
-FIRST_FREQUENCY_REL = 0.02
-KERNEL_SIGNATURE_REL = 0.03
+FIRST_FREQUENCY_REL = 1e-7  # both at R_FAR, as the constant term
+KERNEL_SIGNATURE_REL = 1e-7
 LEADING_COEFFICIENT_REL = 0.01
 CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR
 T_INTEGRAL_RATIO = 1.5  # least shrink of successive partial-integral differences
@@ -86,6 +86,7 @@ class RunConfig:
             _check_real(name, value)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        GridSpec.from_h(self.grid_h)
         _check_real("magnitude", self.magnitude)
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
@@ -248,17 +249,13 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
 def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
     for label, sp in param_sets:
-        results = t_integral(sp, T_INTEGRAL_RATIO)
-        for l in range(2, sp.n + 1):
-            for which in ("alpha", "beta"):
-                res = results[f"{which}2_{l}"]
-                cases.append(
-                    Case("t-integrals", f"{label}-l{l}-{which}", res.value,
-                         res.value, T_INTEGRAL_RATIO, res.converged)
-                )
-                for R, v in res.partials:
-                    details.append({"label": label, "l": l, "which": which,
-                                    "R": R, "partial": v})
+        for which, res in t_integral(sp, T_INTEGRAL_RATIO).items():
+            (_, j), unit = _coefficient_slot(sp.n, which)
+            l, part = sp.n - j, "alpha" if unit == 1 else "beta"
+            cases.append(Case("t-integrals", f"{label}-l{l}-{part}", res.value,
+                              res.value, T_INTEGRAL_RATIO, res.converged))
+            details += [{"label": label, "l": l, "which": part, "R": R, "partial": v}
+                        for R, v in res.partials]
     return cases, details
 
 

@@ -12,13 +12,30 @@ by a finite step along one direction, the reference of the exact tangents.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 
 from todalab.cpoly import ComplexPoly, derivative, eval_poly
-from todalab.solution import (PositivityError, SolutionParams, _coefficient_slot,
-                              _derivative_table, normalize_lambdas, parse_direction)
+from todalab.solution import PositivityError, SolutionParams, _derivative_table, normalize_lambdas
+
+
+def direction_move(n: int, which: str) -> tuple:
+    """(i, j, unit): alpha{f}_m and beta{f}_m (no digit at f = 1) move c_{n+f-m, n-m}
+    by unit = 1 and 1j; loglambda_I gives (I, -1, 1).  Written apart from the
+    package's own parser, so the oracles check its naming too."""
+    match = re.fullmatch(r"(alpha|beta|loglambda)(\d*)_(\d+)", which)
+    if match is None:
+        raise ValueError(f"not a direction: {which!r}")
+    kind, f, m = match[1], int(match[2] or 1), int(match[3])
+    if kind == "loglambda":
+        if not 0 <= m <= n:
+            raise IndexError(f"lambda index {m} out of range 0..{n}")
+        return m, -1, 1
+    if not 1 <= f <= m <= n:
+        raise IndexError(f"{which} out of range at n = {n}")
+    return n + f - m, n - m, 1 if kind == "alpha" else 1j
 
 
 def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
@@ -59,7 +76,7 @@ def det_k_lu(sp: SolutionParams, k: int, z) -> tuple[float, int]:
 def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
     """New parameter set shifted by delta along one direction."""
     n = sp.n
-    i, j, unit = _coefficient_slot(n, which)
+    i, j, unit = direction_move(n, which)
     if j < 0:
         raw = list(sp.lambdas)
         raw[i] *= math.exp(delta)
@@ -98,16 +115,14 @@ def mp_log_det(sp, k, z, which, h):
     z = mp.mpc(z)
     if which == "radial":
         z *= mp.exp(h)
-        kind = None
     else:
-        kind, m = parse_direction(which)
-    if kind == "loglambda":
-        # lambda_m moves by e^h, then all by the common factor that keeps the product.
-        lambdas = [lam * mp.exp(h * ((i == m) - mp.mpf(1) / (n + 1)))
-                   for i, lam in enumerate(lambdas)]
-    elif kind is not None:
-        i = n + 1 - m if kind in ("alpha", "beta") else n + 2 - m
-        polys[i][n - m] += h if kind in ("alpha", "alpha2") else 1j * h
+        index, j, unit = direction_move(n, which)
+        if j < 0:
+            # lambda_index moves by e^h, then all by the common factor that keeps the product.
+            lambdas = [lam * mp.exp(h * ((i == index) - mp.mpf(1) / (n + 1)))
+                       for i, lam in enumerate(lambdas)]
+        else:
+            polys[index][j] += unit * h
 
     def deriv(coeffs, p):
         acc = mp.mpc(0)

@@ -126,7 +126,7 @@ def test_05_first_frequency_expansion():
             sp = sample_params(n, seed, 0.5)
             for out in first_frequency_check(sp):
                 worst = max(worst, out["alpha"].rel_error, out["beta"].rel_error)
-    ok = worst < 0.02
+    ok = worst <= suites.FIRST_FREQUENCY_REL
     assert _report(
         "first-frequency-expansion",
         ok,
@@ -144,7 +144,7 @@ def test_06_second_frequency_kernel_signatures():
             for m, ck in enumerate(per_m, start=1):
                 denom = abs(ck.predicted) if ck.predicted else m * (m + 1)
                 worst = max(worst, abs(ck.measured - ck.predicted) / denom)
-    ok = worst < 0.03
+    ok = worst <= suites.KERNEL_SIGNATURE_REL
     assert _report(
         "second-frequency-kernel-signatures",
         ok,

@@ -7,17 +7,18 @@ import pytest
 
 from todalab import solution
 from todalab.asymptotics import (
+    T_RADII,
+    _signature,
     constant_term_probe,
     first_frequency_check,
     fourier_coeffs,
     kernel_signature_check,
     leading_coefficient_check,
-    second_frequency_prediction,
     t_integral,
 )
 from todalab.mass import mass_flux, mass_quadrature
 from todalab.solution import sample_params
-from todalab.suites import CONSTANT_TERM_REL
+from todalab.suites import CONSTANT_TERM_REL, FIRST_FREQUENCY_REL, KERNEL_SIGNATURE_REL
 
 
 def test_fourier_coeffs_exact_on_trig_polynomial():
@@ -60,16 +61,24 @@ def test_first_frequency_both_projections(n, seed):
         c = sp.c(n + 1 - m, n - m)  # alpha_m + i beta_m
         assert out["alpha"].predicted == pytest.approx(2.0 * m * c.real)
         assert out["beta"].predicted == pytest.approx(2.0 * m * c.imag)
-        assert out["alpha"].rel_error < 0.02
-        assert out["beta"].rel_error < 0.02
+        assert out["alpha"].rel_error <= FIRST_FREQUENCY_REL
+        assert out["beta"].rel_error <= FIRST_FREQUENCY_REL
 
 
 def test_second_frequency_prediction_table():
-    assert second_frequency_prediction(2, 2) == -2.0
-    assert second_frequency_prediction(1, 2) == 2.0
-    assert second_frequency_prediction(2, 3) == 6.0
-    assert second_frequency_prediction(3, 2) == 0.0
-    assert second_frequency_prediction(1, 3) == 0.0
+    # The closed form at f = 2 gives the table it replaced, -m(m-1) on the
+    # diagonal and m(m+1) for component m along index m + 1, and at f = 1
+    # gives 2m on the diagonal; component m along index j, up to n = 6.
+    def old_table(m, j):
+        return -m * (m - 1) if j == m else m * (m + 1) if j == m + 1 else 0
+
+    for m in range(1, 7):
+        for j in range(1, 7):
+            assert _signature(1, j, m) == (2 * m if j == m else 0)
+            if j >= 2:
+                assert _signature(2, j, m) == old_table(m, j), (m, j)
+    assert (_signature(2, 2, 2), _signature(2, 2, 1), _signature(2, 3, 2)) == (-2, 2, 6)
+    assert _signature(2, 2, 3) == _signature(2, 3, 1) == 0
 
 
 def test_kernel_signature_check_n2():
@@ -79,8 +88,8 @@ def test_kernel_signature_check_n2():
     for which, per_m in checks.items():
         assert len(per_m) == 2
         for m, ck in enumerate(per_m, start=1):
-            assert ck.predicted == second_frequency_prediction(m, 2)
-            assert ck.rel_error < 0.03
+            assert ck.predicted == _signature(2, 2, m)
+            assert ck.rel_error <= KERNEL_SIGNATURE_REL
 
 
 def test_second_frequency_probes_have_nothing_to_check_at_n1():
@@ -105,9 +114,10 @@ def test_far_field_coefficients_at_rounding_level(n):
     # C/r extrapolation this replaced was off by 1e-3 to 1e-2.
     for seed in range(4):
         sp = sample_params(n, seed, 0.3, dilation=3.0)
-        checks = [ck for out in first_frequency_check(sp) for ck in out.values()]
-        checks += [ck for per_m in kernel_signature_check(sp).values() for ck in per_m]
-        assert max(ck.rel_error for ck in checks) <= 1e-6
+        freq1 = [ck for out in first_frequency_check(sp) for ck in out.values()]
+        freq2 = [ck for per_m in kernel_signature_check(sp).values() for ck in per_m]
+        assert max(ck.rel_error for ck in freq1) <= FIRST_FREQUENCY_REL
+        assert max((ck.rel_error for ck in freq2), default=0.0) <= KERNEL_SIGNATURE_REL
         assert max(ck.rel_error for ck in constant_term_probe(sp)) <= CONSTANT_TERM_REL
 
 
@@ -119,6 +129,20 @@ def test_t_integral_converges_n2():
         assert res.converged
         assert len(res.partials) == 4
         assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_t_integral_radii_follow_the_length_scale(n):
+    # Dilating the bubble by D rescales the plane and the frequency-2
+    # coefficients alike, so partials taken at D times the radii agree.
+    base = t_integral(sample_params(n, 1, 0.3, dilation=1.0), ratio=1.5)
+    wide = sample_params(n, 1, 0.3, dilation=100.0)
+    for which, res in t_integral(wide, ratio=1.5).items():
+        assert res.converged
+        radii = [R for R, _ in res.partials]
+        assert radii == pytest.approx([wide.length_scale() * R for R in T_RADII], rel=1e-15)
+        for (_, a), (_, b) in zip(base[which].partials, res.partials):
+            assert abs(a - b) <= 1e-12, which
 
 
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):

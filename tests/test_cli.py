@@ -147,14 +147,23 @@ def test_t_integral_ratio_tolerance_decides_verdict(tmp_path, monkeypatch):
     assert summary["failed"] == summary["total"] == 2
 
 
+def test_t_integral_radii_follow_a_dilated_bubble(tmp_path):
+    # The partial-integral radii scale with the solution's length scale, so
+    # a bubble 100 times wider converges as the default one does.
+    out = tmp_path / "rep"
+    assert run_cli(["verify", "--suite", "t-integrals", "--n", "3", "--dilation", "100",
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["total"] == 8
+
+
 # Each pinned tolerance in todalab.suites, its value, and the suite it decides.
 TOLERANCES = {
     "PDE_ORDER_CENTER": (2.0, "pde"),
     "PDE_ORDER_SLACK": (0.5, "pde"),
     "LINEARIZED_MAX_RESIDUAL": (1e-3, "linearized"),
     "MASS_REL": (1e-5, "mass"),
-    "FIRST_FREQUENCY_REL": (0.02, "asymptotics"),
-    "KERNEL_SIGNATURE_REL": (0.03, "asymptotics"),
+    "FIRST_FREQUENCY_REL": (1e-7, "asymptotics"),
+    "KERNEL_SIGNATURE_REL": (1e-7, "asymptotics"),
     "LEADING_COEFFICIENT_REL": (0.01, "asymptotics"),
     "CONSTANT_TERM_REL": (1e-7, "asymptotics"),
     "T_INTEGRAL_RATIO": (1.5, "t-integrals"),
@@ -246,6 +255,8 @@ def test_readme_lists_every_config_key():
     # Negative counts and seeds.
     ({"count": -3}, "count"),
     ({"seed": -1}, "seed"),
+    # Too coarse for a grid of 3 points, even where no grid suite runs.
+    ({"grid_h": 100}, "grid_h"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"

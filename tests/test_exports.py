@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,21 @@ def test_only_the_det_k_kernel_evaluates_polynomials():
     for path in sorted((ROOT / "src").rglob("*.py")):
         callers |= _callers(ast.parse(path.read_text(), filename=str(path)), path.stem, "eval_poly")
     assert callers == {"solution._log_dets"}
+
+
+def test_only_solution_spells_a_direction_name():
+    # One rule names the directions: every other module takes the names
+    # from todalab.solution, so no string in its code (docstrings aside)
+    # spells alpha{f}_, beta{f}_ or loglambda_.
+    spelled = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "solution.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and re.search(r"(alpha|beta)\d*_|loglambda_", node.value)):
+                spelled.append((path.name, node.lineno, node.value))
+    assert not spelled

@@ -1,6 +1,6 @@
 """Planted defects: each small, named error must fail at least one verdict.
 
-Every row patches one function with a mistake of at most 1%, runs one
+Every row patches one function with a mistake of at most 2%, runs one
 `todalab verify` and names the verdict kind that must catch it.  The
 unpatched run passes every verdict, so a failure is the defect's alone.
 """
@@ -10,10 +10,11 @@ import math
 
 import pytest
 
-from todalab import mass
+from todalab import asymptotics, mass
 from todalab.cli import main
 
 MASS_ARGS = ["verify", "--suite", "mass", "--n", "2", "--count", "2", "--seed", "3"]
+FAR_FIELD_ARGS = ["verify", "--suite", "asymptotics", "--n", "2", "--count", "2", "--seed", "3"]
 
 
 def scale_last_exp_u(factor):
@@ -39,10 +40,35 @@ def scale_radial_tangent(factor):
     return mass, "log_det_k_tangent", patched
 
 
+def scale_parameter_tangents(factor):
+    """Every parameter tangent times `factor` in the far-field probes."""
+    original = asymptotics.log_det_k_tangent
+
+    def patched(*args, **kwargs):
+        upper, tangents = original(*args, **kwargs)
+        return upper, factor * tangents
+
+    return asymptotics, "log_det_k_tangent", patched
+
+
+def scale_fourier_normalisation(factor):
+    """The circle DFT's 2 / SAMPLES normalisation times `factor`."""
+    original = asymptotics.fourier_coeffs
+
+    def patched(component, r):
+        return factor * original(component, r)
+
+    return asymptotics, "fourier_coeffs", patched
+
+
 # (defect, verdict kind that must fail)
 DEFECTS = [
     pytest.param(scale_last_exp_u(1.004), "-routes-i2", id="exp-u-n-in-quadrature-x1.004"),
     pytest.param(scale_radial_tangent(1.004), "-flux-i", id="radial-tangent-x1.004"),
+]
+FAR_FIELD_DEFECTS = [
+    pytest.param(scale_parameter_tangents(1.02), "-freq2-", id="parameter-tangents-x1.02"),
+    pytest.param(scale_fourier_normalisation(1.01), "-freq1-", id="dft-normalisation-x1.01"),
 ]
 
 
@@ -56,10 +82,17 @@ def failed_cases(tmp_path, args) -> list:
 
 
 def test_unpatched_run_passes(tmp_path):
-    assert failed_cases(tmp_path, MASS_ARGS) == []
+    assert failed_cases(tmp_path / "mass", MASS_ARGS) == []
+    assert failed_cases(tmp_path / "far", FAR_FIELD_ARGS) == []
 
 
 @pytest.mark.parametrize("patch,verdict", DEFECTS)
 def test_mass_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
     monkeypatch.setattr(*patch)
     assert any(verdict in case_id for case_id in failed_cases(tmp_path, MASS_ARGS))
+
+
+@pytest.mark.parametrize("patch,verdict", FAR_FIELD_DEFECTS)
+def test_far_field_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
+    monkeypatch.setattr(*patch)
+    assert any(verdict in case_id for case_id in failed_cases(tmp_path, FAR_FIELD_ARGS))

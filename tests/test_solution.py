@@ -8,7 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import det_k_lu, laplace_det, mixed_derivative, mp_log_det, perturbed
+from gram_oracle import (det_k_lu, direction_move, laplace_det, mixed_derivative, mp_log_det,
+                         perturbed)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from todalab.cartan import cartan_matrix
 from todalab.cpoly import ComplexPoly, derivative
 from todalab.solution import (
     SolutionParams,
+    frequency_directions,
     kernel_directions,
     lambda_product_target,
     load_params,
@@ -25,7 +27,6 @@ from todalab.solution import (
     normalize_lambdas,
     params_from_json,
     params_to_json,
-    parse_direction,
     sample_params,
     upper_components,
 )
@@ -155,11 +156,10 @@ def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
             for subset, _, w in minors:
                 rows = [[derivs[t][p] for t in subset] for p in range(k)]
                 assert w.coeffs == laplace_det(rows).coeffs, (seed, subset)
-        for which in kernel_directions(n):
-            i, j, unit = solution._coefficient_slot(n, which)
-            column = [derivative(ComplexPoly.from_coeffs([0j] * j + [unit]), p)
+        for i, j in coefficient_slots(n):
+            column = [derivative(ComplexPoly.from_coeffs([0j] * j + [1]), p)
                       for p in range(n + 1)]
-            for k, (_, share, polys) in enumerate(solution._tangent_minors(sp, which), start=1):
+            for k, (_, share, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
                 expected = {}
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
                 for position, (subset, lam, _) in enumerate(nonconstant):
@@ -171,7 +171,7 @@ def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
                         dw = ComplexPoly.from_coeffs(laplace_det(rows).coeffs[: top + 1])
                     if not dw.is_zero():
                         expected[position] = dw.scale(2.0 * math.sqrt(lam)).coeffs
-                assert {pos: v.coeffs for pos, v in polys.items()} == expected, (seed, which, k)
+                assert {pos: v.coeffs for pos, v in polys.items()} == expected, (seed, i, j, k)
                 # The constant minor's columns are P_0..P_{k-1}: it has no c_ij tangent.
                 assert share == 0.0
 
@@ -225,12 +225,11 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
             for subset in itertools.combinations(range(n + 1), k):
                 _exact_minor(cols, 0, subset, base)
         per_k = solution._wronskian_minors(sp)
-        for which in kernel_directions(n):
-            i, j, unit = solution._coefficient_slot(n, which)
+        for i, j in coefficient_slots(n):
             swapped = list(cols)
-            swapped[i] = _exact_columns([(0, 0)] * j + [(int(unit.real), int(unit.imag))], n)
+            swapped[i] = _exact_columns([(0, 0)] * j + [(1, 0)], n)
             table = {key: w for key, w in base.items() if i not in key[1]}
-            for k, (*_, polys) in enumerate(solution._tangent_minors(sp, which), start=1):
+            for k, (*_, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
                 expected = {}
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
                 for position, (subset, *_) in enumerate(nonconstant):
@@ -239,7 +238,7 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
                         nonzero = [d for d, c in enumerate(dw) if c != (0, 0)]
                         if nonzero:
                             expected[position] = nonzero[-1]
-                assert {pos: v.degree for pos, v in polys.items()} == expected, (seed, which, k)
+                assert {pos: v.degree for pos, v in polys.items()} == expected, (seed, i, j, k)
 
 
 def test_minor_builds_share_sub_determinants(monkeypatch):
@@ -258,14 +257,14 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
     assert count[0] <= 636
     solution._wronskian_minors(sp)
     count[0] = 0
-    solution._tangent_minors.__wrapped__(sp, "alpha2_2")
+    solution._tangent_minors.__wrapped__(sp, (5, 3))  # c_53, which alpha2_2 moves
     assert count[0] <= 235
 
 
 def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     # One Horner pass per non-constant q_S of the requested rows feeds det_k
-    # and every direction's sum; each tangent term adds one pass for its dq_S,
-    # except beta_1's, which reads i times alpha_1's.
+    # and every direction's sum; each slot's tangent term adds one pass for
+    # its dq_S, which alpha_1 and beta_1 share.
     n = 3
     sp = sample_params(n, 0, 0.5)
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
@@ -280,10 +279,10 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     monkeypatch.setattr(solution, "eval_poly", counted)
     solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
     minors = sum(len(solution._wronskian_minors(sp)[k - 1][3]) for k in ks)
-    terms = sum(len(solution._tangent_minors(sp, which)[k - 1][2])
-                for which in directions if which != "beta_1" for k in ks)
+    slots = {solution._coefficient_slot(n, which)[0] for which in directions}
+    assert len(slots) == len(directions) - 1
+    terms = sum(len(solution._tangent_minors(sp, slot)[k - 1][2]) for slot in slots for k in ks)
     assert terms > 0
-    assert all(solution._tangent_minors(sp, "beta_1")[k - 1][2] for k in ks)
     assert count[0] == minors + terms
 
 
@@ -296,7 +295,7 @@ def test_scaled_coefficients_are_built_once_per_scale():
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
     first = solution._log_dets(sp, (1, 2, 3), z, directions)
     built = solution._scaled.cache_info().misses
-    # Rows 1..3 of q_S, and each direction's dq_S but beta_1's, read from alpha_1's.
+    # Rows 1..3 of q_S, and each slot's dq_S: beta_1 shares alpha_1's.
     assert built == 3 + 3 * (len(directions) - 1)
     second = solution._log_dets(sp, (1, 2, 3), z, directions)
     assert solution._scaled.cache_info().misses == built
@@ -358,14 +357,54 @@ def test_log_det_vectorized_matches_scalar():
 # -- parameter directions ---------------------------------------------------
 
 
+def coefficient_slots(n):
+    """Every c_ij with j < i <= n, through the names that move it."""
+    return sorted({solution._coefficient_slot(n, which)[0]
+                   for f in range(1, n + 1) for pair in frequency_directions(n, f).values()
+                   for which in pair})
+
+
 def test_parse_direction():
-    assert parse_direction("alpha_1") == ("alpha", 1)
-    assert parse_direction("beta2_3") == ("beta2", 3)
-    assert parse_direction("loglambda_0") == ("loglambda", 0)
-    with pytest.raises(ValueError):
-        parse_direction("gamma_1")
-    with pytest.raises(ValueError):
-        parse_direction("alpha")
+    # The one parser: alpha{f}_m and beta{f}_m move Re and Im of c_{n+f-m, n-m}.
+    slot = solution._coefficient_slot
+    assert slot(3, "alpha_1") == ((3, 2), 1)
+    assert slot(3, "beta2_3") == ((2, 0), 1j)
+    assert slot(4, "alpha3_3") == ((4, 1), 1)
+    assert slot(3, "loglambda_0") == ((0, -1), 1)
+    assert slot(3, "radial") == ("radial", 1)
+    for bad in ("gamma_1", "alpha", "alpha0_1", "alpha1_1", "alpha_01", "beta_"):
+        with pytest.raises(ValueError):
+            slot(3, bad)
+    for bad in ("alpha3_2", "alpha_4", "beta4_4", "loglambda_4"):
+        with pytest.raises(IndexError):
+            slot(3, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_name_moves_the_coefficient_the_oracle_names(n):
+    # n(n+1) coefficient directions and n+1 lambda directions (which sum to 0
+    # under the product constraint, so the family has n^2 + 2n parameters),
+    # each on its own part of one c_ij or lambda_I; the package's parser
+    # agrees with the oracle's separate mapping.
+    names = [which for f in range(1, n + 1) for pair in frequency_directions(n, f).values()
+             for which in pair] + [f"loglambda_{i}" for i in range(n + 1)]
+    moves = [solution._coefficient_slot(n, which) for which in names]
+    assert len(set(moves)) == len(names) == (n + 1) ** 2
+    assert len(coefficient_slots(n)) == n * (n + 1) // 2
+    for which, ((i, j), unit) in zip(names, moves):
+        assert direction_move(n, which) == (i, j, unit)
+
+
+def test_beta_reuses_its_alphas_tangent_minors():
+    # A beta moves the same coefficient as its alpha by i, so after an alpha
+    # call its own call builds no tangent minors.
+    sp = sample_params(3, 6, 0.5)
+    z = np.array([0.5, 3.0 + 1.0j])
+    for alpha, beta in ("alpha_1", "beta_1"), ("alpha2_3", "beta2_3"), ("alpha3_3", "beta3_3"):
+        solution.log_det_k_tangent(sp, (alpha,), z)
+        misses = solution._tangent_minors.cache_info().misses
+        solution.log_det_k_tangent(sp, (beta,), z)
+        assert solution._tangent_minors.cache_info().misses == misses, beta
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -373,6 +412,10 @@ def test_kernel_directions_count(n):
     dirs = kernel_directions(n)
     assert len(dirs) == 2 * n + 2 * (n - 1)
     assert len(set(dirs)) == len(dirs)
+    # The order the case IDs have always had.
+    assert dirs == ([f"alpha_{m}" for m in range(1, n + 1)] + [f"beta_{m}" for m in range(1, n + 1)]
+                    + [f"alpha2_{m}" for m in range(2, n + 1)]
+                    + [f"beta2_{m}" for m in range(2, n + 1)])
 
 
 def test_perturbed_shifts_expected_coefficient():
