@@ -2,11 +2,11 @@
 
 At radius r the upper components and their parameter derivatives have
 low-frequency angular expansions with coefficients determined by the
-classification parameters.  This module extracts frequency-0/1/2
-coefficients on one circle (uniform trapezoid DFT, spectrally accurate
-for smooth periodic data) at a radius R_FAR large enough that the
-O(r^-2) truncation error sits near rounding, and compares them with the
-predicted values.
+classification parameters.  This module reads the leading coefficient
+and the frequency-0/1/2 coefficients from one kernel call on one circle
+(uniform trapezoid DFT, spectrally accurate for smooth periodic data) at
+a radius R_FAR large enough that the O(r^-2) truncation error sits near
+rounding, and compares them with the predicted values.
 
 Also here: the conditionally convergent plane integrals of the
 second-frequency derivative fields, computed angular-first so that the
@@ -22,24 +22,21 @@ import numpy as np
 
 from .cartan import cartan_matrix
 from .solution import (PositivityError, SolutionParams, _coefficient_slot, frequency_directions,
-                       log_det_k_tangent, lower_components, upper_components)
+                       log_det_k_tangent)
 
 __all__ = [
     "ExpansionCheck",
     "TIntegralResult",
     "circle",
     "fourier_coeffs",
-    "leading_coefficient_check",
-    "first_frequency_check",
-    "kernel_signature_check",
-    "constant_term_probe",
+    "far_field_checks",
     "t_integral",
     "constant_term_prediction",
 ]
 
 # Radius of the one circle that measures the expansion coefficients (their
 # truncation error is O(r^-2); beyond it rounding grows, 9e-7 for freq1 at
-# 1e8), and samples per circle shared by the large-radius probes.
+# 1e8), and samples per circle shared by it and the mass flux.
 R_FAR = 1e6
 SAMPLES = 256
 # t_integral: partial-integral radii in units of the solution's length scale,
@@ -67,23 +64,20 @@ def circle(r, M: int) -> np.ndarray:
     return np.multiply.outer(r, np.exp(1j * theta))
 
 
-def fourier_coeffs(component, r: float) -> np.ndarray:
-    """Trapezoid DFT of a real field on SAMPLES points of the circle of radius r.
+def fourier_coeffs(vals) -> np.ndarray:
+    """Trapezoid DFT of a real field sampled on equispaced circle points, along the last axis.
 
-    Returns a_k - i b_k for k = 1, 2 along the last axis, where the field is
-    a_0 + sum_k a_k cos k theta + b_k sin k theta.  `component` maps an array
-    of SAMPLES complex points to SAMPLES real values, or to a stack of rows
-    of them (..., SAMPLES); the result then has shape (..., 2).
+    Returns a_k - i b_k for k = 1, 2, where the field is
+    a_0 + sum_k a_k cos k theta + b_k sin k theta; a stack of rows
+    (..., M) gives a result of shape (..., 2).
     """
-    vals = np.asarray(component(circle(r, SAMPLES)), dtype=float)
-    return 2.0 * np.fft.rfft(vals)[..., 1:3] / SAMPLES
+    return 2.0 * np.fft.rfft(vals)[..., 1:3] / np.shape(vals)[-1]
 
 
-def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
-    """A value measured at radius r against `predicted`, its error scaled by `denom`."""
+def _check(measured, predicted, denom, **notes) -> ExpansionCheck:
+    """A value measured at R_FAR against `predicted`, its error scaled by `denom`."""
     measured, predicted = float(measured), float(predicted)
-    return ExpansionCheck(float(r), measured, predicted,
-                          abs(measured - predicted) / float(denom), notes)
+    return ExpansionCheck(R_FAR, measured, predicted, abs(measured - predicted) / float(denom), notes)
 
 
 def _signature(f: int, m: int, component: int) -> int:
@@ -96,75 +90,60 @@ def _signature(f: int, m: int, component: int) -> int:
     return 2 * math.comb(m, f) * (-1) ** t * math.comb(f - 1, t) if 0 <= t < f else 0
 
 
-def leading_coefficient_check(sp: SolutionParams, r: float) -> list:
-    """Angular mean of e^{-U^m} r^{-2m(n+1-m)} against its predicted constant.
+def far_field_checks(sp: SolutionParams) -> dict:
+    """Every expansion check of sp from one kernel call on circle(R_FAR, SAMPLES).
 
-    Returns one check per m = 1..n from one evaluation on the circle.  The
-    notes record the same mean taken with the exponent variant
-    2m(n+2-m), which is off by the factor r^{2m} and serves to
-    discriminate the two exponents empirically.
+    The call gives U^k and the tangents along frequency_directions(n, 2).
+    Returns four lists of ExpansionCheck, one entry per m = 1..n (per i for
+    the constant term):
+      "leading"     the circle mean of e^{-U^m} r^{-2m(n+1-m)} against its
+                    closed form; the notes hold the same mean for the
+                    exponent variant 2m(n+2-m), off by the factor r^{2m};
+      "freq1"       {"alpha": check, "beta": check}: r times the frequency-1
+                    cosine and sine of -U^m, which tend to _signature(1, m, m)
+                    times Re and Im of c_{n+1-m, n-m};
+      "freq2"       {which: check}: r^2 times the frequency-2 coefficient of
+                    -dU^m/d(which) against _signature;
+      "const-term"  the circle mean of U_i + 4 log r against
+                    constant_term_prediction (the frequency-1 terms average out).
+    Each truncation error is O(R_FAR^-2).
     """
     n = sp.n
-    checks = []
-    for m, u_m in enumerate(upper_components(sp, circle(r, SAMPLES)), start=1):
+    directions = [which for pair in frequency_directions(n, 2).values() for which in pair]
+    upper, tangents = log_det_k_tangent(sp, directions, circle(R_FAR, SAMPLES))
+    freq1 = fourier_coeffs(-upper)[:, 0]
+    log_r = math.log(R_FAR)
+    out = {"leading": [], "freq1": [], "freq2": [{} for _ in range(n)], "const-term": []}
+    for m, (u_m, pair) in enumerate(zip(upper, frequency_directions(n, 1).values()), start=1):
         power = 2 * m * (n + 1 - m)
-        log_vals = -u_m - power * math.log(r)
-        alt_power = 2 * m * (n + 2 - m)
+        log_vals = -u_m - power * log_r
         # An overflow of the measured mean raises below; the variant only informs.
         with np.errstate(over="ignore"):
             measured = float(np.mean(np.exp(log_vals)))
-            measured_alt = float(np.mean(np.exp(log_vals - (alt_power - power) * math.log(r))))
+            variant = float(np.mean(np.exp(log_vals - 2 * m * log_r)))
         if not math.isfinite(measured):
-            raise PositivityError(f"e^(-U^{m}) r^-{power} overflows at r = {r:.3g}")
+            raise PositivityError(f"e^(-U^{m}) r^-{power} overflows at R_FAR")
         fact = math.prod(math.factorial(j) for j in range(m))
-        predicted = (
-            2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m : n + 1]) * fact**2
-        )
-        checks.append(_check(
-            r, measured, predicted, predicted,
-            variant_mean=measured_alt,
-            variant_rel_error=abs(measured_alt / predicted - 1.0),
-        ))
-    return checks
-
-
-def first_frequency_check(sp: SolutionParams) -> list:
-    """r * (frequency-1 coefficients of -U^m) at R_FAR against _signature(1, m, m) c_ij.
-
-    -U^m is linear in its frequency-1 coefficient c_ij at large r, so its cosine
-    and sine tend to 2m Re c_ij and 2m Im c_ij.  Returns {"alpha": check,
-    "beta": check} for each m = 1..n from one evaluation on the circle.
-    """
-    freq1 = fourier_coeffs(lambda z: -upper_components(sp, z), R_FAR)[:, 0]
-    out = []
-    for m, pair in frequency_directions(sp.n, 1).items():
+        predicted = 2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m :]) * fact**2
+        out["leading"].append(_check(measured, predicted, predicted, variant_mean=variant,
+                                     variant_rel_error=abs(variant / predicted - 1.0)))
         checks = {}
         for key, which in zip(("alpha", "beta"), pair):
-            (i, j), unit = _coefficient_slot(sp.n, which)
+            (i, j), unit = _coefficient_slot(n, which)
             # (a_1 - i b_1) unit is a_1 or b_1, as conj(c_ij) unit is Re or Im c_ij.
             pred = _signature(1, m, m) * (sp.c(i, j).conjugate() * unit).real
-            checks[key] = _check(R_FAR, (freq1[m - 1] * unit).real * R_FAR, pred, abs(pred) or 1.0)
-        out.append(checks)
-    return out
-
-
-def kernel_signature_check(sp: SolutionParams) -> dict:
-    """r^2 * (freq-2 coefficient of -dU^m/d(which)) against _signature.
-
-    Returns {which: (check for m = 1..n)} over frequency_directions(n, 2);
-    one kernel call on the circle serves every direction.
-    """
-    directions = [which for pair in frequency_directions(sp.n, 2).values() for which in pair]
-    freq2 = fourier_coeffs(lambda z: log_det_k_tangent(sp, directions, z)[1], R_FAR)[..., 1]
-    out = {}
-    for which, coeffs in zip(directions, freq2):
-        (i, j), unit = _coefficient_slot(sp.n, which)
-        checks = []
+            checks[key] = _check((freq1[m - 1] * unit).real * R_FAR, pred, abs(pred) or 1.0)
+        out["freq1"].append(checks)
+    for which, coeffs in zip(directions, fourier_coeffs(tangents)[..., 1]):
+        (i, j), unit = _coefficient_slot(n, which)
         for m, coeff in enumerate((coeffs * unit).real, start=1):
-            pred = _signature(i - j, sp.n - j, m)
+            pred = _signature(i - j, n - j, m)
             denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
-            checks.append(_check(R_FAR, coeff * R_FAR**2, pred, denom))
-        out[which] = tuple(checks)
+            out["freq2"][m - 1][which] = _check(coeff * R_FAR**2, pred, denom)
+    means = np.mean(cartan_matrix(n) @ upper, axis=1) + 4.0 * log_r
+    for i, mean in enumerate(means, start=1):
+        pred = constant_term_prediction(sp, i)
+        out["const-term"].append(_check(mean, pred, max(abs(pred), 1.0)))
     return out
 
 
@@ -184,18 +163,6 @@ def constant_term_prediction(sp: SolutionParams, i: int) -> float:
                       for l in range(1, j + 1)))
         for j, a_ij in enumerate(row, start=1)
     ))
-
-
-def constant_term_probe(sp: SolutionParams) -> list:
-    """Circle mean of U_i + 4 log r at R_FAR against constant_term_prediction.
-
-    Returns one check per i = 1..n from one evaluation on the circle.  The
-    frequency-1 terms average out, so the mean is off by O(R_FAR^-2).
-    """
-    means = np.mean(lower_components(sp, circle(R_FAR, SAMPLES)), axis=1)
-    preds = [constant_term_prediction(sp, i) for i in range(1, sp.n + 1)]
-    return [_check(R_FAR, mean + 4.0 * math.log(R_FAR), pred, max(abs(pred), 1.0))
-            for mean, pred in zip(means, preds)]
 
 
 # -- plane integrals of second-frequency derivative fields -----------------

@@ -22,13 +22,11 @@ import math
 
 import numpy as np
 
-from .asymptotics import circle, constant_term_prediction
+from .asymptotics import SAMPLES, circle, constant_term_prediction
 from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
 
 __all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
 
-# mass_flux: samples on the circle.
-FLUX_SAMPLES = 512
 # mass_quadrature: Gauss-Legendre nodes in cos(theta), trapezoid nodes in phi.
 SPHERE_NODES = 64
 SPHERE_SAMPLES = 128
@@ -40,7 +38,7 @@ def predicted_mass(n: int, i: int) -> float:
 
 def mass_flux(sp: SolutionParams, R: float) -> list:
     """-oint_{|z|=R} dU^i/dr, i = 1..n: exact r d/dr log det_i + angular trapezoid."""
-    z = circle(R, FLUX_SAMPLES)
+    z = circle(R, SAMPLES)
     (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), z)[1]
     if not np.all(np.isfinite(r_dlog_det)):
         raise PositivityError(f"the radial derivative of log det_k overflows at R = {R:.3g}")

@@ -68,6 +68,8 @@ def normalize_lambdas(raw, n: int):
 
     Ratios lambda_i / lambda_j are preserved.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     raw = [float(x) for x in raw]
     if len(raw) != n + 1:
         raise ValueError(f"expected {n + 1} lambdas, got {len(raw)}")

@@ -14,13 +14,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .asymptotics import (
-    constant_term_probe,
-    first_frequency_check,
-    kernel_signature_check,
-    leading_coefficient_check,
-    t_integral,
-)
+from .asymptotics import far_field_checks, t_integral
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
 from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
@@ -36,9 +30,9 @@ PDE_ORDER_CENTER = 2.0
 PDE_ORDER_SLACK = 0.5
 LINEARIZED_MAX_RESIDUAL = 1e-3
 MASS_REL = 1e-5  # flux plus its closed-form tail: O((dilation / radius)^4)
-FIRST_FREQUENCY_REL = 1e-7  # both at R_FAR, as the constant term
+FIRST_FREQUENCY_REL = 1e-7  # every far-field check is read at R_FAR
 KERNEL_SIGNATURE_REL = 1e-7
-LEADING_COEFFICIENT_REL = 0.01
+LEADING_COEFFICIENT_REL = 1e-7
 CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR
 T_INTEGRAL_RATIO = 1.5  # least shrink of successive partial-integral differences
 
@@ -79,8 +73,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name != "n" and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            least = 1 if name == "n" else 0
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         for name in ("radius", "grid_h", "dilation"):
             value = getattr(self, name)
             _check_real(name, value)
@@ -196,24 +191,16 @@ def _expansion_row(label: str, check: str, m: int, which: str, ck) -> dict:
 def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
     cases, details = [], []
     for label, sp in param_sets:
-        leading = leading_coefficient_check(sp, cfg.radius)
-        freq1 = first_frequency_check(sp)
-        freq2 = kernel_signature_check(sp)
-        const = constant_term_probe(sp)
+        checks = far_field_checks(sp)
         for m in range(1, sp.n + 1):
-            ck = leading[m - 1]
+            ck = checks["leading"][m - 1]
             cases.append(_expansion_case(f"{label}-leading-m{m}", ck, LEADING_COEFFICIENT_REL))
             details.append(_expansion_row(label, "leading", m, "", ck))
-            for key, ck in freq1[m - 1].items():
-                cases.append(_expansion_case(f"{label}-freq1-{key}-m{m}", ck,
-                                             FIRST_FREQUENCY_REL))
-                details.append(_expansion_row(label, "freq1", m, key, ck))
-            for which, checks in freq2.items():
-                ck = checks[m - 1]
-                cases.append(_expansion_case(f"{label}-freq2-{which}-m{m}", ck,
-                                             KERNEL_SIGNATURE_REL))
-                details.append(_expansion_row(label, "freq2", m, which, ck))
-        for i, ck in enumerate(const, start=1):
+            for check, tol in (("freq1", FIRST_FREQUENCY_REL), ("freq2", KERNEL_SIGNATURE_REL)):
+                for which, ck in checks[check][m - 1].items():
+                    cases.append(_expansion_case(f"{label}-{check}-{which}-m{m}", ck, tol))
+                    details.append(_expansion_row(label, check, m, which, ck))
+        for i, ck in enumerate(checks["const-term"], start=1):
             cases.append(_expansion_case(f"{label}-const-term-i{i}", ck, CONSTANT_TERM_REL))
             details.append(_expansion_row(label, "const-term", i, "", ck))
     return cases, details

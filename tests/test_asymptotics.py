@@ -7,18 +7,25 @@ import pytest
 
 from todalab import solution
 from todalab.asymptotics import (
+    SAMPLES,
     T_RADII,
     _signature,
-    constant_term_probe,
-    first_frequency_check,
+    circle,
+    far_field_checks,
     fourier_coeffs,
-    kernel_signature_check,
-    leading_coefficient_check,
     t_integral,
 )
 from todalab.mass import mass_flux, mass_quadrature
 from todalab.solution import sample_params
-from todalab.suites import CONSTANT_TERM_REL, FIRST_FREQUENCY_REL, KERNEL_SIGNATURE_REL
+from todalab.suites import (
+    CONSTANT_TERM_REL,
+    FIRST_FREQUENCY_REL,
+    KERNEL_SIGNATURE_REL,
+    LEADING_COEFFICIENT_REL,
+    RunConfig,
+    build_param_sets,
+    suite_asymptotics,
+)
 
 
 def test_fourier_coeffs_exact_on_trig_polynomial():
@@ -27,7 +34,7 @@ def test_fourier_coeffs_exact_on_trig_polynomial():
         return 1.5 + 2.0 * np.cos(theta) - 0.5 * np.sin(theta) + 0.25 * np.sin(2 * theta)
 
     # a_k - i b_k for k = 1, 2.
-    fc = fourier_coeffs(component, r=10.0)
+    fc = fourier_coeffs(component(circle(10.0, SAMPLES)))
     assert fc.shape == (2,)
     assert fc[0] == pytest.approx(2.0 + 0.5j, abs=1e-12)
     assert fc[1] == pytest.approx(-0.25j, abs=1e-12)
@@ -36,10 +43,10 @@ def test_fourier_coeffs_exact_on_trig_polynomial():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_leading_coefficient_radial_case(n):
     sp = sample_params(n, 0, 0.0)
-    checks = leading_coefficient_check(sp, r=1e3)
+    checks = far_field_checks(sp)["leading"]
     assert len(checks) == n
     for ck in checks:
-        assert ck.rel_error < 0.01
+        assert ck.rel_error <= LEADING_COEFFICIENT_REL
         # The competing exponent 2m(n+2-m) misses by the factor r^{2m}.
         assert ck.notes["variant_rel_error"] > 0.99
 
@@ -48,14 +55,14 @@ def test_leading_coefficient_prediction_value():
     # n=1 radial: e^{-U^1} = f = lambda_0 + lambda_1 r^2, so
     # mean(f r^{-2}) -> lambda_1 directly.
     sp = sample_params(1, 0, 0.0)
-    (ck,) = leading_coefficient_check(sp, r=1e3)
+    (ck,) = far_field_checks(sp)["leading"]
     assert ck.predicted == pytest.approx(sp.lambdas[1])
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (3, 1)])
 def test_first_frequency_both_projections(n, seed):
     sp = sample_params(n, seed, 0.4)
-    checks = first_frequency_check(sp)
+    checks = far_field_checks(sp)["freq1"]
     assert len(checks) == n
     for m, out in enumerate(checks, start=1):
         c = sp.c(n + 1 - m, n - m)  # alpha_m + i beta_m
@@ -83,25 +90,25 @@ def test_second_frequency_prediction_table():
 
 def test_kernel_signature_check_n2():
     sp = sample_params(2, 0, 0.3)
-    checks = kernel_signature_check(sp)
-    assert list(checks) == ["alpha2_2", "beta2_2"]
-    for which, per_m in checks.items():
-        assert len(per_m) == 2
-        for m, ck in enumerate(per_m, start=1):
+    checks = far_field_checks(sp)["freq2"]
+    assert len(checks) == 2
+    for m, per_which in enumerate(checks, start=1):
+        assert list(per_which) == ["alpha2_2", "beta2_2"]
+        for ck in per_which.values():
             assert ck.predicted == _signature(2, 2, m)
             assert ck.rel_error <= KERNEL_SIGNATURE_REL
 
 
 def test_second_frequency_probes_have_nothing_to_check_at_n1():
     sp = sample_params(1, 0, 0.3)
-    assert kernel_signature_check(sp) == {}
+    assert far_field_checks(sp)["freq2"] == [{}]
     assert t_integral(sp, ratio=1.5) == {}
 
 
 def test_constant_term_probe_measures_sums_not_table():
     # The direct Cartan row sums predict the measured constant.
     sp = sample_params(2, 0, 0.2)
-    checks = constant_term_probe(sp)
+    checks = far_field_checks(sp)["const-term"]
     assert len(checks) == 2
     for ck in checks:
         bound = CONSTANT_TERM_REL * max(abs(ck.predicted), 1.0)
@@ -114,11 +121,13 @@ def test_far_field_coefficients_at_rounding_level(n):
     # C/r extrapolation this replaced was off by 1e-3 to 1e-2.
     for seed in range(4):
         sp = sample_params(n, seed, 0.3, dilation=3.0)
-        freq1 = [ck for out in first_frequency_check(sp) for ck in out.values()]
-        freq2 = [ck for per_m in kernel_signature_check(sp).values() for ck in per_m]
+        checks = far_field_checks(sp)
+        freq1 = [ck for out in checks["freq1"] for ck in out.values()]
+        freq2 = [ck for out in checks["freq2"] for ck in out.values()]
+        assert max(ck.rel_error for ck in checks["leading"]) <= LEADING_COEFFICIENT_REL
         assert max(ck.rel_error for ck in freq1) <= FIRST_FREQUENCY_REL
         assert max((ck.rel_error for ck in freq2), default=0.0) <= KERNEL_SIGNATURE_REL
-        assert max(ck.rel_error for ck in constant_term_probe(sp)) <= CONSTANT_TERM_REL
+        assert max(ck.rel_error for ck in checks["const-term"]) <= CONSTANT_TERM_REL
 
 
 def test_t_integral_converges_n2():
@@ -162,11 +171,11 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     sp = sample_params(n, 0, 0.3)
     rows = (1, 2, 3)
     second = ("alpha2_2", "beta2_2", "alpha2_3", "beta2_3")
+    cfg = RunConfig(n=n, count=2)
     for probe, expected in (
-        (lambda: leading_coefficient_check(sp, r=1e3), [(rows, ())]),
-        (lambda: first_frequency_check(sp), [(rows, ())]),
-        (lambda: kernel_signature_check(sp), [(rows, second)]),
-        (lambda: constant_term_probe(sp), [(rows, ())]),
+        (lambda: far_field_checks(sp), [(rows, second)]),
+        # One call per parameter set: the suite at count 2 makes two.
+        (lambda: suite_asymptotics(cfg, build_param_sets(cfg)), [(rows, second)] * 2),
         (lambda: mass_flux(sp, R=1e3), [(rows, ("radial",))]),
         (lambda: mass_quadrature(sp), [(rows, ())]),  # every sphere node at once
         (lambda: t_integral(sp, ratio=1.5),  # 9 radial panels
@@ -175,3 +184,4 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
         calls.clear()
         probe()
         assert calls == expected
+

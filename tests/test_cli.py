@@ -164,7 +164,7 @@ TOLERANCES = {
     "MASS_REL": (1e-5, "mass"),
     "FIRST_FREQUENCY_REL": (1e-7, "asymptotics"),
     "KERNEL_SIGNATURE_REL": (1e-7, "asymptotics"),
-    "LEADING_COEFFICIENT_REL": (0.01, "asymptotics"),
+    "LEADING_COEFFICIENT_REL": (1e-7, "asymptotics"),
     "CONSTANT_TERM_REL": (1e-7, "asymptotics"),
     "T_INTEGRAL_RATIO": (1.5, "t-integrals"),
 }
@@ -257,6 +257,10 @@ def test_readme_lists_every_config_key():
     ({"seed": -1}, "seed"),
     # Too coarse for a grid of 3 points, even where no grid suite runs.
     ({"grid_h": 100}, "grid_h"),
+    # No system has fewer than one equation.
+    ({"n": 0}, "n must be >= 1"),
+    ({"n": -1}, "n must be >= 1"),
+    ({"n": -2}, "n must be >= 1"),
 ])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     cfg = tmp_path / "cfg.json"
@@ -267,6 +271,14 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, settings, name):
     err = capsys.readouterr().err
     assert name in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "show-params"])
+def test_n_below_one_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "rep"
+    assert run_cli([command, "--n", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: n must be >= 1, got -1\n"
+    assert not out.exists()
 
 
 def test_repeated_suite_exits_2(tmp_path, capsys):
@@ -322,6 +334,8 @@ def test_nan_lambda_params_file_exits_2(tmp_path):
                  '[{"i": 1, "j": 0, "re": 0.1}, {"i": 1, "j": 0, "im": 0.2}]}',
                  id="repeated-coefficient"),
     pytest.param("show-params", None, id="show-missing-file"),
+    pytest.param("verify", '{"n": -1, "lambdas": []}', id="negative-n"),
+    pytest.param("show-params", '{"n": -1, "lambdas": []}', id="show-negative-n"),
 ])
 def test_bad_params_file_exits_2(tmp_path, capsys, command, text):
     pfile = tmp_path / "p.json"
@@ -358,10 +372,10 @@ def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     assert not out.exists()
 
 
-def test_leading_coefficient_overflow_exits_2(tmp_path, capsys):
-    # At r = 1e-300 the factor r^(-2m(n+1-m)) overflows every mean.
+def test_flux_tail_overflow_exits_2(tmp_path, capsys):
+    # At R = 1e-300 the tail pi C_i / R^2 leaves the double range.
     out = tmp_path / "rep"
-    code = run_cli(["verify", "--suite", "asymptotics", "--radius", "1e-300", "--out", str(out)])
+    code = run_cli(["verify", "--suite", "mass", "--radius", "1e-300", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown:") and len(err.strip().splitlines()) == 1

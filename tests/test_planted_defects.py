@@ -40,23 +40,23 @@ def scale_radial_tangent(factor):
     return mass, "log_det_k_tangent", patched
 
 
-def scale_parameter_tangents(factor):
-    """Every parameter tangent times `factor` in the far-field probes."""
+def perturb_far_field_call(shift=0.0, factor=1.0):
+    """Every U^m plus `shift` and every parameter tangent times `factor` in the far-field call."""
     original = asymptotics.log_det_k_tangent
 
     def patched(*args, **kwargs):
         upper, tangents = original(*args, **kwargs)
-        return upper, factor * tangents
+        return upper + shift, factor * tangents
 
     return asymptotics, "log_det_k_tangent", patched
 
 
 def scale_fourier_normalisation(factor):
-    """The circle DFT's 2 / SAMPLES normalisation times `factor`."""
+    """The circle DFT's 2 / (sample count) normalisation times `factor`."""
     original = asymptotics.fourier_coeffs
 
-    def patched(component, r):
-        return factor * original(component, r)
+    def patched(vals):
+        return factor * original(vals)
 
     return asymptotics, "fourier_coeffs", patched
 
@@ -67,7 +67,8 @@ DEFECTS = [
     pytest.param(scale_radial_tangent(1.004), "-flux-i", id="radial-tangent-x1.004"),
 ]
 FAR_FIELD_DEFECTS = [
-    pytest.param(scale_parameter_tangents(1.02), "-freq2-", id="parameter-tangents-x1.02"),
+    pytest.param(perturb_far_field_call(factor=1.02), "-freq2-", id="parameter-tangents-x1.02"),
+    pytest.param(perturb_far_field_call(shift=1e-4), "-leading-", id="upper-components-plus-1e-4"),
     pytest.param(scale_fourier_normalisation(1.01), "-freq1-", id="dft-normalisation-x1.01"),
 ]
 
