@@ -105,11 +105,11 @@ def _detail_rows(path: Path, columns) -> list:
 
 
 def emit_plot_data(report_dir) -> list:
-    """Tidy CSVs for plotting: error vs radius and residual vs h."""
+    """Tidy CSVs for plotting: the far-field errors (all at R_FAR) and residual vs h."""
     report_dir = Path(report_dir)
-    columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
+    columns = ["label", "check", "m", "which", "measured", "predicted", "rel_err"]
     tables = {
-        "error_vs_radius.csv": [columns]
+        "far_field_errors.csv": [columns]
         + _detail_rows(report_dir / "asymptotics_detail.csv", columns),
         "residual_vs_h.csv": [["suite", "label", "h", "max_residual"]] + [
             [suite] + row for suite in ("pde", "linearized")

@@ -12,6 +12,7 @@ is pure discretization error too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ __all__ = [
     "linearized_residual",
 ]
 
-# Interior grid points per row tile of the stencils (plus two halo rows).
+# Points per window of the stencils, carried rows included.
 TILE_POINTS = 2**14
+# Rows each window hands on to the next: the h stencil on the even rows reaches 2 back.
+CARRY = 4
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,8 @@ class GridSpec:
             pps += 1
         return cls(points_per_side=pps)
 
-    def row_tiles(self):
-        """z on successive blocks of rows (x fixed along a row), with a halo row each side."""
-        axis = np.linspace(-self.half_width, self.half_width, self.points_per_side)
-        rows = max(1, TILE_POINTS // self.points_per_side)
-        for start in range(1, self.points_per_side - 1, rows):
-            yield axis[start - 1 : start + rows + 1, None] + 1j * axis
-
     def refined(self) -> "GridSpec":
+        """The grid of spacing h/2, whose even rows and columns are this grid bit for bit."""
         return GridSpec(points_per_side=2 * self.points_per_side - 1)
 
 
@@ -82,17 +79,21 @@ class ResidualReport:
 
 
 class _Peak:
-    """Running max |residual| per component over the tiles, and where the largest lies."""
+    """Running max |residual| per component over the windows, and where the largest lies."""
 
     def __init__(self, n: int):
         self.per_component, self.component, self.z = np.zeros(n), 0, complex("nan")
 
-    def fold(self, res: np.ndarray, z: np.ndarray) -> None:  # res on the interior of tile z
-        tile = np.max(np.abs(res, out=res), axis=(1, 2))
-        if np.max(tile) > np.max(self.per_component):
-            i, x, y = np.unravel_index(np.argmax(res), res.shape)
-            self.component, self.z = int(i) + 1, complex(z[x + 1, y + 1])
-        np.maximum(self.per_component, tile, out=self.per_component)
+    def fold(self, field, source, h: float, buf: np.ndarray, x, y) -> None:
+        """Delta_h field + source on the interior x[a] + i y[b] of (n, P, Q) views, built in buf."""
+        n, p, q = field.shape
+        res = _laplacian(field, h, out=_front(buf, (n, p - 2, q - 2)))
+        res += source[:, 1:-1, 1:-1]
+        window = np.max(np.abs(res, out=res), axis=(1, 2))
+        if np.max(window) > np.max(self.per_component):
+            i, a, b = np.unravel_index(np.argmax(res), res.shape)
+            self.component, self.z = int(i) + 1, complex(x[a], y[b])
+        np.maximum(self.per_component, window, out=self.per_component)
 
 
 def _laplacian(field: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -104,13 +105,66 @@ def _laplacian(field: np.ndarray, h: float, out=None) -> np.ndarray:
     return np.divide(out, h**2, out=out)
 
 
-def _pde_residual_once(sp: SolutionParams, g: GridSpec) -> _Peak:
-    a = cartan_matrix(sp.n)
-    peak = _Peak(sp.n)
-    for z in g.row_tiles():
-        u = lower_components(sp, z)
-        peak.fold(_laplacian(u, g.h) + np.einsum("ij,jxy->ixy", a, np.exp(u[:, 1:-1, 1:-1])), z)
-    return peak
+def _front(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The front of a contiguous buffer as a contiguous array of the given shape."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=None) -> list:
+    """(peak at h, peak at h/2) of each residual, from one walk over the h/2 grid.
+
+    No directions: Delta U_i + sum_j a_ij e^{U_j}; else, per direction, Delta phi_i +
+    sum_j a_ij e^{U_j} phi_j on phi_i = -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
+    Windows of rows of at most TILE_POINTS points start on even rows, so the h grid is
+    the stride-2 view [..., ::2, ::2] of each, and both stencils read the fields and
+    source terms built once per window.  The kernel's output (U, or e^{U} and every
+    direction's tangents from one call) keeps its last CARRY rows for the next window,
+    so each point is evaluated once, into buffers that serve the whole walk.
+    """
+    n, a, fine = sp.n, cartan_matrix(sp.n), g.refined()
+    axis = np.linspace(-g.half_width, g.half_width, fine.points_per_side)
+    side = len(axis)
+    depth = min(side, max(CARRY + 2, TILE_POINTS // side // 2 * 2))
+    # One array per plane, all the walk's memory allocated once: the kernel's rows,
+    # carried (U_i, or e^{U_i} and each direction's d log det_k), then field, source
+    # and scratch; and z with the kernel's scratch.  Blocks of a few sizes are reused
+    # from walk to walk and returned after it; one block for all the planes stayed in
+    # the heap after a walk and raised the peak RSS of a default verify by 2 MB.
+    planes = [np.empty((n, depth, side)) for _ in range(4 + len(directions or ()))]
+    zs = [np.empty((depth, side), complex) for _ in range(4)] + [np.empty((depth, side))]
+    peaks = [(_Peak(n), _Peak(n)) for _ in directions or [None]]
+    for start in range(0, side - CARRY, depth - CARRY):
+        stop = min(start + depth, side)
+        fresh, w = CARRY if start else 0, stop - start
+        # A short last window uses the front of each array.
+        *kept, field, source, scratch = (_front(plane, (n, w, side)) for plane in planes)
+        for view, plane in zip(kept, planes):
+            view[:, :fresh] = plane[:, depth - fresh :]
+        z, *work = (_front(buf, (w - fresh, side)) for buf in zs)
+        np.add(axis[start + fresh : stop, None], 1j * axis, out=z)
+        new = slice(fresh, w)
+        if directions is None:
+            kept[0][:, new] = lower_components(sp, z)
+        else:
+            tangents = [t[:, new] for t in kept[1:]]
+            log_det_k_tangent(sp, directions, z, out=(field[:, new], tangents), work=work)
+            np.einsum("ij,jxy->ixy", a, field[:, new], out=scratch[:, new])
+            np.exp(scratch[:, new], out=kept[0][:, new])
+        rows = w if stop == side else w - 2  # the h/2 stencil ends where the next window's begins
+        for d, (coarse, peak) in enumerate(peaks):
+            if directions is None:
+                phi = kept[0]
+                np.exp(phi, out=scratch)
+            else:
+                phi = field
+                np.matmul(a, kept[1 + d].reshape(n, -1), out=phi.reshape(n, -1))
+                np.multiply(kept[0], phi, out=scratch)
+            np.matmul(a, scratch.reshape(n, -1), out=source.reshape(n, -1))
+            peak.fold(phi[:, :rows], source[:, :rows], fine.h, scratch,
+                      axis[start + 1 :], axis[1:-1])
+            coarse.fold(phi[:, ::2, ::2], source[:, ::2, ::2], g.h, scratch,
+                        axis[start + 2 :: 2], axis[2:-2:2])
+    return peaks
 
 
 def _residual_report(coarse: _Peak, fine: _Peak, h: float) -> ResidualReport:
@@ -126,47 +180,17 @@ def _residual_report(coarse: _Peak, fine: _Peak, h: float) -> ResidualReport:
 
 def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
     """Max interior residual of Delta_h U_i + sum_j a_ij e^{U_j}, with order estimate."""
-    return _residual_report(
-        _pde_residual_once(sp, g), _pde_residual_once(sp, g.refined()), g.h
-    )
-
-
-def _linearized_residual_once(sp: SolutionParams, directions, g: GridSpec) -> list:
-    """Residual peaks per component for each direction's field, on one grid.
-
-    The field along `which` is -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
-    Each tile takes one kernel call for every direction, so each q_S and det_k
-    is evaluated once per tile; its U gives the weights.
-    """
-    a = cartan_matrix(sp.n)
-    peaks = [_Peak(sp.n) for _ in directions]
-    for z in g.row_tiles():
-        upper, tangents = log_det_k_tangent(sp, directions, z)
-        weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
-        del upper
-        # One buffer each for the field, the weighted field and the residual.
-        phi, (tmp, res) = np.empty_like(tangents[0]), np.empty((2,) + weights.shape)
-        for d, peak in enumerate(peaks):
-            np.matmul(a, tangents[d].reshape(sp.n, -1), out=phi.reshape(sp.n, -1))
-            np.multiply(weights, phi[:, 1:-1, 1:-1], out=tmp)
-            np.einsum("ij,jxy->ixy", a, tmp, out=res)
-            res += _laplacian(phi, g.h, out=tmp)
-            peak.fold(res, z)
-        # Free this tile's arrays before the next call: held, they cost 3 MB of peak RSS.
-        del tangents, weights, phi, tmp, res
-    return peaks
+    return _residual_report(*_two_grid_peaks(sp, g)[0], g.h)
 
 
 def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
     """Residual of the linearized system on parameter-derivative fields.
 
     Returns {direction: ResidualReport} over kernel_directions(sp.n); one
-    evaluation per tile serves every direction.
+    kernel call per window serves every direction at h and h/2.
     """
     directions = kernel_directions(sp.n)
-    coarse = _linearized_residual_once(sp, directions, g)
-    fine = _linearized_residual_once(sp, directions, g.refined())
     return {
-        which: _residual_report(res, res_fine, g.h)
-        for which, res, res_fine in zip(directions, coarse, fine)
+        which: _residual_report(coarse, fine, g.h)
+        for which, (coarse, fine) in zip(directions, _two_grid_peaks(sp, g, directions))
     }

@@ -217,27 +217,41 @@ def _scale_exponent(z) -> int:
     return max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
 
 
-# Room for one grid tile's rows and directions up to n = 4; far-field calls rarely repeat e.
-@lru_cache(maxsize=32)
-def _scaled(sp: SolutionParams, k: int, e: int, slot=None) -> dict:
-    """Row k's {position: q_S}, or its {position: dq_S} along a slot, scaled for e.
+class _ScaledRows(dict):
+    """Row k -> {position: q_S}, or {position: dq_S} along a slot, scaled for e.
 
     c_j becomes c_j 2^((j - D_k) e), so p(z) = 2^(D_k e) scaled(z / 2^e).  Powers
     of two scale every Horner step exactly, so wherever nothing under- or
     overflows the scaled pass gives the unscaled values times 2^(-D_k e).
+    A row is built when first read, so a call on one k builds that row alone.
     """
-    _, degree, _, polys = _wronskian_minors(sp)[k - 1]
-    polys = dict(enumerate(polys)) if slot is None else _tangent_minors(sp, slot)[k - 1][2]
-    scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
-    return {position: ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
-            for position, p in polys.items()}
+
+    def __init__(self, sp: SolutionParams, e: int, slot=None):
+        super().__init__()
+        self.key = sp, e, slot
+
+    def __missing__(self, k: int) -> dict:
+        sp, e, slot = self.key
+        _, degree, _, polys = _wronskian_minors(sp)[k - 1]
+        polys = dict(enumerate(polys)) if slot is None else _tangent_minors(sp, slot)[k - 1][2]
+        scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
+        row = self[k] = {position: ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
+                         for position, p in polys.items()}
+        return row
 
 
-def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
+# One entry per (parameter set, e, slot): a window's q_S and all 9 slots at n = 5 fit.
+_scaled = lru_cache(maxsize=32)(_ScaledRows)
+
+
+def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> tuple:
     """(log det_k(f), d log det_k / d(which)) at the points z for each k in ks.
 
     The first array stacks the rows along axis 0; the second stacks, for each
-    direction, its rows the same way.  det_k = 2^(2 D_k e) sum_S |q_S(z / 2^e)|^2,
+    direction, its rows the same way.  Both go into `out` when given: the first
+    array, and the second or a list of its directions' rows.  `work` is scratch
+    of z's shape, three complex arrays and a real one.
+    det_k = 2^(2 D_k e) sum_S |q_S(z / 2^e)|^2,
     with e from _scale_exponent and q_S the _scaled sqrt(lambda_S) W_S.  As
     |z / 2^e| < 1, |q_S| <= sum_j |c_j| for q_S = sum_j c_j z^j, so the
     nonnegative terms need no logs: each k takes one Horner pass per
@@ -250,27 +264,26 @@ def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     e = _scale_exponent(z)
-    w = z * 2.0**-e
-    q, dq = np.empty_like(w), np.empty_like(w)
-    tmp = np.empty(z.shape)
-    out = np.empty((len(ks),) + z.shape)
-    tangents = np.empty((len(directions), len(ks)) + z.shape)
+    w, q, dq, tmp = work or (*(np.empty_like(z) for _ in range(3)), np.empty(z.shape))
+    np.multiply(z, 2.0**-e, out=w)
+    dets, tangents = out or (np.empty((len(ks),) + z.shape),
+                             np.empty((len(directions), len(ks)) + z.shape))
     moves = [_coefficient_slot(sp.n, which) for which in directions]
     on_slot = {}
     for d, (slot, unit) in enumerate(moves):
         on_slot.setdefault(slot, []).append((d, unit == 1))
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, (acc, k) in enumerate(zip(out, ks)):
+        for row, (acc, k) in enumerate(zip(dets, ks)):
             _, degree, const, _ = _wronskian_minors(sp)[k - 1]
             acc.fill(math.ldexp(const, -2 * degree * e))
             terms = [_tangent_minors(sp, slot)[k - 1] for slot, _ in moves]
-            sums = tangents[:, row]
+            sums = [t[row] for t in tangents]
             for total, (_, share, _), (_, unit) in zip(sums, terms, moves):
                 total.fill(math.ldexp((unit * share).real, -2 * degree * e))
-            passes = [(_scaled(sp, k, e, slot), [(sums[d], real) for d, real in rows])
+            passes = [(_scaled(sp, e, slot)[k], [(sums[d], real) for d, real in rows])
                       for slot, rows in on_slot.items()]
-            for position, p in _scaled(sp, k, e).items():
+            for position, p in _scaled(sp, e)[k].items():
                 eval_poly(p, w, q)
                 acc += np.square(q.real, out=tmp)
                 acc += np.square(q.imag, out=tmp)
@@ -293,7 +306,7 @@ def _log_dets(sp: SolutionParams, ks, z, directions=()) -> tuple:
                 total += offset
             np.log(acc, out=acc)
             acc += 2 * degree * e * math.log(2.0)
-    return out, tangents
+    return dets, tangents
 
 
 def log_det_k(sp: SolutionParams, k: int, z):
@@ -427,18 +440,19 @@ def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     return tuple(out)
 
 
-def log_det_k_tangent(sp: SolutionParams, directions, z, k=None) -> tuple:
+def log_det_k_tangent(sp: SolutionParams, directions, z, k=None, out=None, work=None) -> tuple:
     """(U^k, exact d log det_k / d(which) for each direction) at the points z.
 
     A direction is a parameter direction or "radial" (r d/dr at fixed
     parameters).  U stacks k = 1..n along axis 0 and the tangents stack
-    (direction, k) along axes 0 and 1; a given k returns only its row,
-    and only its minors are evaluated.  One _log_dets pass serves both.
+    (direction, k) along axes 0 and 1; a given k returns only its row, and only
+    its minors are evaluated.  One _log_dets pass serves both, into `out` if given
+    and with its `work` scratch.
     """
     if k is not None and not 1 <= k <= sp.n:
         raise ValueError(f"k={k} out of range 1..{sp.n}")
     ks = range(1, sp.n + 1) if k is None else (k,)
-    upper, tangents = _log_dets(sp, ks, z, directions)
+    upper, tangents = _log_dets(sp, ks, z, directions, out=out, work=work)
     for row, k_row in zip(upper, ks):
         row += k_row * (k_row - 1) * math.log(2.0)
     np.negative(upper, out=upper)

@@ -162,9 +162,9 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     calls = []
     original = solution._log_dets
 
-    def counted(sp, ks, z, directions=()):
+    def counted(sp, ks, z, directions=(), **kwargs):
         calls.append((tuple(ks), tuple(directions)))
-        return original(sp, ks, z, directions)
+        return original(sp, ks, z, directions, **kwargs)
 
     monkeypatch.setattr(solution, "_log_dets", counted)
     n = 3

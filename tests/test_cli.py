@@ -111,21 +111,23 @@ def test_plot_data_emits_csvs(tmp_path, capsys):
     code = run_cli(["plot-data", "--out", str(out)])
     assert code == 0
     plots = out / "plots"
-    assert (plots / "error_vs_radius.csv").exists()
+    assert (plots / "far_field_errors.csv").exists()
     residual_csv = (plots / "residual_vs_h.csv").read_text().splitlines()
     assert residual_csv[0] == "suite,label,h,max_residual"
     assert len(residual_csv) > 1
 
 
-def test_plot_rows_of_error_vs_radius_are_distinct(tmp_path, capsys):
+def test_plot_rows_of_far_field_errors_are_distinct(tmp_path, capsys):
     out = tmp_path / "rep"
     run_cli(["verify", "--suite", "asymptotics", "--n", "2", "--count", "2",
              "--out", str(out)])
     assert run_cli(["plot-data", "--out", str(out)]) == 0
-    with (out / "plots" / "error_vs_radius.csv").open() as fh:
-        keys = [(row["label"], row["check"], row["m"], row["which"])
-                for row in csv.DictReader(fh)]
+    with (out / "plots" / "far_field_errors.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        keys = [(row["label"], row["check"], row["m"], row["which"]) for row in reader]
     assert len(keys) > 1 and len(set(keys)) == len(keys)
+    # Every check is read at R_FAR, so the table has no radius column.
+    assert "r" not in reader.fieldnames
 
 
 def test_failing_tolerance_exits_1(tmp_path, monkeypatch):

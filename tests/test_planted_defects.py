@@ -10,11 +10,15 @@ import math
 
 import pytest
 
-from todalab import asymptotics, mass
+from todalab import asymptotics, mass, residual
 from todalab.cli import main
+from todalab.residual import GridSpec
+from todalab.suites import RunConfig
 
 MASS_ARGS = ["verify", "--suite", "mass", "--n", "2", "--count", "2", "--seed", "3"]
 FAR_FIELD_ARGS = ["verify", "--suite", "asymptotics", "--n", "2", "--count", "2", "--seed", "3"]
+GRID_ARGS = ["verify", "--suite", "pde", "--suite", "linearized", "--n", "2", "--count", "1",
+             "--seed", "3"]
 
 
 def scale_last_exp_u(factor):
@@ -61,6 +65,17 @@ def scale_fourier_normalisation(factor):
     return asymptotics, "fourier_coeffs", patched
 
 
+def stretch_h_stencil(factor):
+    """The stencil at the default grid's h, not at h/2, with spacing `factor` * h."""
+    original = residual._laplacian
+    h = GridSpec.from_h(RunConfig().grid_h).h
+
+    def patched(field, spacing, out=None):
+        return original(field, factor * spacing if spacing == h else spacing, out)
+
+    return residual, "_laplacian", patched
+
+
 # (defect, verdict kind that must fail)
 DEFECTS = [
     pytest.param(scale_last_exp_u(1.004), "-routes-i2", id="exp-u-n-in-quadrature-x1.004"),
@@ -74,10 +89,11 @@ FAR_FIELD_DEFECTS = [
 
 
 def failed_cases(tmp_path, args) -> list:
+    """Each failed case as "suite:case_id"."""
     out = tmp_path / "rep"
     code = main([*args, "--out", str(out)])
     cases = json.loads((out / "summary.json").read_text())["cases"]
-    failed = [c["case_id"] for c in cases if not c["pass"]]
+    failed = [f"{c['suite']}:{c['case_id']}" for c in cases if not c["pass"]]
     assert code == (1 if failed else 0)
     return failed
 
@@ -85,6 +101,7 @@ def failed_cases(tmp_path, args) -> list:
 def test_unpatched_run_passes(tmp_path):
     assert failed_cases(tmp_path / "mass", MASS_ARGS) == []
     assert failed_cases(tmp_path / "far", FAR_FIELD_ARGS) == []
+    assert failed_cases(tmp_path / "grid", GRID_ARGS) == []
 
 
 @pytest.mark.parametrize("patch,verdict", DEFECTS)
@@ -97,3 +114,12 @@ def test_mass_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
 def test_far_field_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
     monkeypatch.setattr(*patch)
     assert any(verdict in case_id for case_id in failed_cases(tmp_path, FAR_FIELD_ARGS))
+
+
+def test_h_stencil_at_the_wrong_spacing_fails_both_order_verdicts(tmp_path, monkeypatch):
+    # Both stencils read one walk over the h/2 grid; one that took the h
+    # grid's spacing 1% off must fail the order of the PDE and of the fields.
+    monkeypatch.setattr(*stretch_h_stencil(1.01))
+    failed = failed_cases(tmp_path, GRID_ARGS)
+    for suite in ("pde", "linearized"):
+        assert any(case.startswith(f"{suite}:") and case.endswith("-order") for case in failed)

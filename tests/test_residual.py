@@ -9,15 +9,14 @@ from gram_oracle import mp_log_det, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab import solution
+from todalab import residual, solution
 from todalab.cartan import cartan_matrix
 from todalab.cpoly import eval_poly
 from todalab.residual import (
     TILE_POINTS,
     GridSpec,
     _laplacian,
-    _linearized_residual_once,
-    _pde_residual_once,
+    _two_grid_peaks,
     linearized_residual,
     pde_residual,
 )
@@ -45,36 +44,78 @@ def meshgrid(g):
     return x + 1j * y
 
 
-def test_gridspec_h_and_mesh():
-    # A grid smaller than one tile comes out whole, halo rows included.
+def kernel_points(monkeypatch, run, *args):
+    """The z of every kernel call that run(*args) makes, in call order.
+
+    The kernel is replaced by one that writes zeros: the walk over the grid
+    does not depend on the values.
+    """
+    seen = []
+
+    def record(sp, ks, z, directions=(), out=None, work=None):
+        seen.append(z.copy())
+        shapes = ((len(ks),) + z.shape, (len(directions), len(ks)) + z.shape)
+        if out is None:
+            return tuple(np.zeros(shape) for shape in shapes)
+        dets, tangents = out
+        dets.fill(0.0)
+        for rows in tangents:
+            rows.fill(0.0)
+        return out
+
+    monkeypatch.setattr(solution, "_log_dets", record)
+    run(*args)
+    return seen
+
+
+def test_gridspec_h_and_mesh(monkeypatch):
+    # A grid smaller than one window is evaluated in one call, on its whole
+    # h/2 grid, whose even rows and columns are the grid itself.
     g = GridSpec(points_per_side=5)
     assert g.h == pytest.approx(1.0)
-    (mesh,) = g.row_tiles()
-    assert mesh.shape == (5, 5)
+    (mesh,) = kernel_points(monkeypatch, pde_residual, sample_params(1, 0, 0.3), g)
+    assert mesh.shape == (9, 9)
     assert mesh[0, 0] == -2 - 2j
     assert mesh[-1, -1] == 2 + 2j
-    assert mesh[2, 2] == 0j
-    assert np.array_equal(mesh, meshgrid(g))
+    assert mesh[4, 4] == 0j
+    assert np.array_equal(mesh, meshgrid(g.refined()))
+    assert np.array_equal(mesh[::2, ::2], meshgrid(g))
 
 
 @pytest.mark.parametrize("points_per_side", [5, 201, 401, 801])
-def test_row_tiles_cover_the_mesh_bit_for_bit(points_per_side):
-    # 201, 401 and 801 points end in a partial tile (199 = 2 * 81 + 37,
-    # 399 = 9 * 40 + 39, 799 = 39 * 20 + 19 interior rows).
+def test_row_tiles_cover_the_mesh_bit_for_bit(monkeypatch, points_per_side):
+    # The windows' kernel calls, in order, are the rows of the h/2 grid: each
+    # point once, at most TILE_POINTS per call.  201, 401 and 801 points end
+    # in a partial window (h/2 grids of 401, 801 and 1601 rows take windows
+    # of 40, 20 and 10 rows, 4 of them carried, and end in windows of 5, 17
+    # and 5 rows).  The h grid is the even rows and columns of the h/2 grid
+    # bit for bit.
+    # The stencils at h and h/2 fold every interior point of their grid once.
     g = GridSpec(points_per_side=points_per_side)
-    mesh = meshgrid(g)
-    tiles = list(g.row_tiles())
-    assert all(t.shape[1] == g.points_per_side for t in tiles)
-    assert all(t.size <= TILE_POINTS + 2 * g.points_per_side for t in tiles)
-    interior = np.concatenate([t[1:-1] for t in tiles])
-    assert np.array_equal(interior, mesh[1:-1])
-    start = 0
-    for t in tiles:
-        # Each halo row is the interior row next to the block.
-        assert np.array_equal(t[0], mesh[start])
-        assert np.array_equal(t[-1], mesh[start + len(t) - 1])
-        start += len(t) - 2
-    assert start == g.points_per_side - 2
+    mesh = meshgrid(g.refined())
+    assert np.array_equal(mesh[::2, ::2], meshgrid(g))
+    folded = {}
+    fold = residual._Peak.fold
+
+    def record(peak, field, source, h, buf, x, y):
+        folded.setdefault(h, []).append((x[: field.shape[1] - 2], y[: field.shape[2] - 2]))
+        fold(peak, field, source, h, buf, x, y)
+
+    monkeypatch.setattr(residual._Peak, "fold", record)
+    sp = sample_params(1, 0, 0.3)
+    for run, args in ((pde_residual, ()), (_two_grid_peaks, (["alpha_1"],))):
+        folded.clear()
+        calls = kernel_points(monkeypatch, run, sp, g, *args)
+        assert all(z.shape[1] == len(mesh) and z.size <= TILE_POINTS for z in calls)
+        assert np.array_equal(np.concatenate(calls), mesh)
+        if points_per_side > 5:
+            rows = [len(z) for z in calls]
+            assert len(rows) > 2 and rows[-1] < rows[1] == rows[-2] < rows[0]
+        assert sorted(folded) == sorted((g.h, g.refined().h))
+        for grid in (g, g.refined()):
+            interior = meshgrid(grid)[1:-1, 0].real
+            assert np.array_equal(np.concatenate([x for x, _ in folded[grid.h]]), interior)
+            assert all(np.array_equal(y, interior) for _, y in folded[grid.h])
 
 
 def test_gridspec_from_h_and_refined():
@@ -284,52 +325,73 @@ def whole_grid_linearized_residual(sp, which, g):
 
 
 def assert_peak_matches(peak, ref, z):
-    # Tiles scale each block by its own rho, so peaks move only at the
-    # stencil's rounding floor; the recorded worst point is a maximizer of
-    # the reference field up to that floor.
+    # Every window takes the whole grid's evaluation scale, so the kernel and
+    # the stencils give the whole-grid bits at each point: the peaks are
+    # equal, and the recorded worst point is a maximizer of the reference.
     ref = np.abs(ref)
-    assert np.max(np.abs(peak.per_component - np.max(ref, axis=(1, 2)))) <= 1e-9
+    assert np.array_equal(peak.per_component, np.max(ref, axis=(1, 2)))
     ix = np.argwhere(z[1:-1, 1:-1] == peak.z)
     assert len(ix) == 1
     x, y = ix[0]
-    assert ref[peak.component - 1, x, y] >= np.max(ref) - 1e-9
+    assert ref[peak.component - 1, x, y] == np.max(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("points_per_side", [201, 257])
+@pytest.mark.parametrize("points_per_side", [5, 201, 257])
 def test_tiled_residuals_match_whole_grid_reference(n, points_per_side):
-    # 201 points is GridSpec.from_h(2e-2); 257 points has 255 = 4 * 63 + 3
-    # interior rows, so its last tile holds 3 rows.
+    # Both peaks of one walk, at h and at h/2, against whole-grid residuals on
+    # each grid.  5 points fit one window; 201 points is GridSpec.from_h(2e-2);
+    # 257 has an h/2 grid of 513 rows in windows of 30, so its last holds 19.
     sp = sample_params(n, n, 0.3)
     g = GridSpec(points_per_side=points_per_side)
-    z = meshgrid(g)
-    assert_peak_matches(_pde_residual_once(sp, g), whole_grid_pde_residual(sp, g), z)
+    grids = (g, g.refined())
+    (pde,) = _two_grid_peaks(sp, g)
+    for peak, grid in zip(pde, grids):
+        assert_peak_matches(peak, whole_grid_pde_residual(sp, grid), meshgrid(grid))
     directions = all_directions(n)
-    for which, peak in zip(directions, _linearized_residual_once(sp, directions, g)):
-        assert_peak_matches(peak, whole_grid_linearized_residual(sp, which, g), z)
+    for which, pair in zip(directions, _two_grid_peaks(sp, g, directions)):
+        for peak, grid in zip(pair, grids):
+            ref = whole_grid_linearized_residual(sp, which, grid)
+            assert_peak_matches(peak, ref, meshgrid(grid))
 
 
 def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
-    # Every kernel call from the residuals sees one tile with its halo rows:
-    # one call per tile for the PDE, and one per tile carrying every kernel
-    # direction for the linearized fields.
+    # One kernel call per window for the PDE, and one per window carrying
+    # every kernel direction for the linearized fields: together they hold
+    # each point of the h/2 grid once, and no call more than TILE_POINTS.
     calls = []
     original = solution._log_dets
 
-    def counted(sp, ks, z, directions=()):
+    def counted(sp, ks, z, directions=(), **kwargs):
         calls.append((np.size(z), tuple(directions)))
-        return original(sp, ks, z, directions)
+        return original(sp, ks, z, directions, **kwargs)
 
     monkeypatch.setattr(solution, "_log_dets", counted)
     sp = sample_params(2, 0, 0.3)
     g = GridSpec.from_h(2e-2)
-    tiles = len(list(g.row_tiles())) + len(list(g.refined().row_tiles()))
-    every = [tuple(kernel_directions(2))]
-    for run, per_tile in ((pde_residual, [()]), (linearized_residual, every)):
+    every = tuple(kernel_directions(2))
+    for run, per_window in ((pde_residual, ()), (linearized_residual, every)):
         calls.clear()
         run(sp, g)
-        assert [directions for _, directions in calls] == per_tile * tiles
-        assert max(size for size, _ in calls) <= TILE_POINTS + 2 * g.refined().points_per_side
+        assert len(calls) > 1
+        assert all(directions == per_window for _, directions in calls)
+        assert sum(size for size, _ in calls) == g.refined().points_per_side ** 2
+        assert max(size for size, _ in calls) <= TILE_POINTS
+
+
+def test_scaled_memo_holds_a_window_at_n5():
+    # One n = 5 walk over the 401-point grid: every window's call looks up q_S
+    # and the 9 slots of the 18 kernel directions, and finds them after the first.
+    solution._scaled.cache_clear()
+    sp = sample_params(5, 3, 0.3, dilation=3.0)
+    directions = kernel_directions(5)
+    _two_grid_peaks(sp, GridSpec(points_per_side=201), directions)
+    slots = {solution._coefficient_slot(5, which)[0] for which in directions}
+    info = solution._scaled.cache_info()
+    # Every window holds a point with |z| = 2 and none with |z| >= 4: one scale, e = 2.
+    assert len(slots) == 9
+    assert info.misses == len(slots) + 1
+    assert info.hits > 0
 
 
 def test_report_names_the_worst_component_and_point():

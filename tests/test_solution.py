@@ -288,18 +288,33 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
 
 def test_scaled_coefficients_are_built_once_per_scale():
     # The scaled q_S and dq_S depend only on the parameter set, k, the
-    # direction and e, so a second call on the same points builds none.
+    # slot and e, so a second call on the same points builds none.
     solution._scaled.cache_clear()
     sp = sample_params(3, 0, 0.5)
     z = np.array([0.5, 3.0 + 1.0j])
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
     first = solution._log_dets(sp, (1, 2, 3), z, directions)
     built = solution._scaled.cache_info().misses
-    # Rows 1..3 of q_S, and each slot's dq_S: beta_1 shares alpha_1's.
-    assert built == 3 + 3 * (len(directions) - 1)
+    # One entry for q_S and one for each slot's dq_S: beta_1 shares alpha_1's.
+    assert built == 1 + (len(directions) - 1)
     second = solution._log_dets(sp, (1, 2, 3), z, directions)
     assert solution._scaled.cache_info().misses == built
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    e = solution._scale_exponent(z)
+    assert sorted(solution._scaled(sp, e)) == [1, 2, 3]
+
+
+def test_scaled_rows_are_built_only_where_read():
+    # A call on one k, as the far-field probes make, builds that row alone.
+    solution._scaled.cache_clear()
+    sp = sample_params(4, 1, 0.5)
+    z = 1e3 * np.exp(1j * np.linspace(0.0, 6.0, 8))
+    solution.log_det_k_tangent(sp, ("alpha_2", "beta_2"), z, k=3)
+    e = solution._scale_exponent(z)
+    slot = solution._coefficient_slot(4, "alpha_2")[0]
+    assert solution._scaled.cache_info().misses == 2
+    assert list(solution._scaled(sp, e)) == [3]
+    assert list(solution._scaled(sp, e, slot)) == [3]
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
