@@ -77,12 +77,18 @@ def eval_poly(p: ComplexPoly, z, out=None):
     """Horner evaluation; z may be a scalar or ndarray.
 
     The loop updates one array in place: `out` when given (a complex array
-    of z's shape), else a new one.
+    of z's shape), else a new one.  Its first step c_d z is one multiply,
+    scalar first, which rounds as fill-then-*= does on two or more points.
     """
     z = np.asarray(z, dtype=complex)
     acc = np.empty(z.shape, dtype=complex) if out is None else out
-    acc.fill(p.coeffs[-1] if p.coeffs else 0j)
-    for c in reversed(p.coeffs[:-1]):
+    *lower, top = p.coeffs or (0j,)
+    if lower and z.size > 1:
+        np.multiply(np.complex128(top), z, out=acc)
+        acc += lower.pop()
+    else:
+        acc.fill(top)
+    for c in reversed(lower):
         acc *= z
         acc += c
     return acc if acc.shape else complex(acc)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import cartan_matrix
-from .solution import SolutionParams, kernel_directions, log_det_k_tangent, lower_components
+from .solution import SolutionParams, log_det_k_tangent
 
 __all__ = [
     "GridSpec",
     "ResidualReport",
-    "pde_residual",
-    "linearized_residual",
+    "grid_residuals",
 ]
 
 # Points per window of the stencils, carried rows included.
@@ -87,7 +86,8 @@ class _Peak:
     def fold(self, field, source, h: float, buf: np.ndarray, x, y) -> None:
         """Delta_h field + source on the interior x[a] + i y[b] of (n, P, Q) views, built in buf."""
         n, p, q = field.shape
-        res = _laplacian(field, h, out=_front(buf, (n, p - 2, q - 2)))
+        shape = (n, p - 2, q - 2)
+        res = _laplacian(field, h, _front(buf, shape), _front(buf[math.prod(shape) :], shape))
         res += source[:, 1:-1, 1:-1]
         window = np.max(np.abs(res, out=res), axis=(1, 2))
         if np.max(window) > np.max(self.per_component):
@@ -96,12 +96,12 @@ class _Peak:
         np.maximum(self.per_component, window, out=self.per_component)
 
 
-def _laplacian(field: np.ndarray, h: float, out=None) -> np.ndarray:
-    """5-point Laplacian on the interior of a (..., P, Q) array, into out if given."""
+def _laplacian(field: np.ndarray, h: float, out=None, centre=None) -> np.ndarray:
+    """5-point Laplacian on the interior of a (..., P, Q) array, into out and centre if given."""
     out = np.add(field[..., 2:, 1:-1], field[..., :-2, 1:-1], out=out)
     out += field[..., 1:-1, 2:]
     out += field[..., 1:-1, :-2]
-    out -= 4.0 * field[..., 1:-1, 1:-1]
+    out -= np.multiply(field[..., 1:-1, 1:-1], 4.0, out=centre)
     return np.divide(out, h**2, out=out)
 
 
@@ -110,59 +110,57 @@ def _front(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=None) -> list:
-    """(peak at h, peak at h/2) of each residual, from one walk over the h/2 grid.
+def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=()) -> list:
+    """(peak at h, peak at h/2) of the PDE residual, then of each direction's, from one walk.
 
-    No directions: Delta U_i + sum_j a_ij e^{U_j}; else, per direction, Delta phi_i +
+    The PDE residual is Delta U_i + sum_j a_ij e^{U_j}; a direction's is Delta phi_i +
     sum_j a_ij e^{U_j} phi_j on phi_i = -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
     Windows of rows of at most TILE_POINTS points start on even rows, so the h grid is
-    the stride-2 view [..., ::2, ::2] of each, and both stencils read the fields and
-    source terms built once per window.  The kernel's output (U, or e^{U} and every
-    direction's tangents from one call) keeps its last CARRY rows for the next window,
-    so each point is evaluated once, into buffers that serve the whole walk.
+    the stride-2 view [..., ::2, ::2] of each.  One kernel call per window gives U^k and
+    every direction's tangents on its new rows; U_i = A U (bit for bit lower_components),
+    e^{U_i} and each phi are built once per row and keep their last CARRY rows for the
+    next window, so each point is evaluated once, into buffers that serve the whole walk.
     """
     n, a, fine = sp.n, cartan_matrix(sp.n), g.refined()
     axis = np.linspace(-g.half_width, g.half_width, fine.points_per_side)
     side = len(axis)
     depth = min(side, max(CARRY + 2, TILE_POINTS // side // 2 * 2))
-    # One array per plane, all the walk's memory allocated once: the kernel's rows,
-    # carried (U_i, or e^{U_i} and each direction's d log det_k), then field, source
-    # and scratch; and z with the kernel's scratch.  Blocks of a few sizes are reused
-    # from walk to walk and returned after it; one block for all the planes stayed in
-    # the heap after a walk and raised the peak RSS of a default verify by 2 MB.
-    planes = [np.empty((n, depth, side)) for _ in range(4 + len(directions or ()))]
-    zs = [np.empty((depth, side), complex) for _ in range(4)] + [np.empty((depth, side))]
-    peaks = [(_Peak(n), _Peak(n)) for _ in directions or [None]]
+    cells = depth * side
+    # All the walk's memory, allocated once: one array per plane (carried U_i, e^{U_i}
+    # and each phi, then source and scratch, which only the directions touch), and a
+    # block for z and the kernel's w, q, dq, tmp, then the stencils' residual and
+    # 4·centre.  One block for all the planes stayed in the heap after a walk and
+    # raised the peak RSS of a default verify by 2 MB.
+    planes = [np.empty((n, depth, side)) for _ in range(4 + len(directions))]
+    block = np.empty(max(9, 2 * n) * cells)
+    zs = np.split(block[: 8 * cells].view(complex), 4) + [block[8 * cells : 9 * cells]]
+    peaks = [(_Peak(n), _Peak(n)) for _ in range(1 + len(directions))]
     for start in range(0, side - CARRY, depth - CARRY):
         stop = min(start + depth, side)
         fresh, w = CARRY if start else 0, stop - start
         # A short last window uses the front of each array.
-        *kept, field, source, scratch = (_front(plane, (n, w, side)) for plane in planes)
-        for view, plane in zip(kept, planes):
+        u, weights, *phis, source, scratch = views = [_front(p, (n, w, side)) for p in planes]
+        for view, plane in zip(views[:-2], planes):
             view[:, :fresh] = plane[:, depth - fresh :]
         z, *work = (_front(buf, (w - fresh, side)) for buf in zs)
-        np.add(axis[start + fresh : stop, None], 1j * axis, out=z)
+        z.real, z.imag = axis[start + fresh : stop, None], axis
         new = slice(fresh, w)
-        if directions is None:
-            kept[0][:, new] = lower_components(sp, z)
-        else:
-            tangents = [t[:, new] for t in kept[1:]]
-            log_det_k_tangent(sp, directions, z, out=(field[:, new], tangents), work=work)
-            np.einsum("ij,jxy->ixy", a, field[:, new], out=scratch[:, new])
-            np.exp(scratch[:, new], out=kept[0][:, new])
+        # U^k lands in source and each tangent in its phi plane; A turns them into
+        # U_i and phi on the new rows.
+        log_det_k_tangent(sp, directions, z, out=(source[:, new], [p[:, new] for p in phis]),
+                          work=work)
+        np.matmul(a, source[:, new].reshape(n, -1), out=u[:, new].reshape(n, -1))
+        np.exp(u[:, new], out=weights[:, new])
+        for phi in phis:
+            np.matmul(a, phi[:, new].reshape(n, -1), out=scratch[:, new].reshape(n, -1))
+            phi[:, new] = scratch[:, new]
         rows = w if stop == side else w - 2  # the h/2 stencil ends where the next window's begins
-        for d, (coarse, peak) in enumerate(peaks):
-            if directions is None:
-                phi = kept[0]
-                np.exp(phi, out=scratch)
-            else:
-                phi = field
-                np.matmul(a, kept[1 + d].reshape(n, -1), out=phi.reshape(n, -1))
-                np.multiply(kept[0], phi, out=scratch)
-            np.matmul(a, scratch.reshape(n, -1), out=source.reshape(n, -1))
-            peak.fold(phi[:, :rows], source[:, :rows], fine.h, scratch,
+        for phi, (coarse, peak) in zip((u, *phis), peaks):
+            weighted = weights if phi is u else np.multiply(weights, phi, out=scratch)
+            np.matmul(a, weighted.reshape(n, -1), out=source.reshape(n, -1))
+            peak.fold(phi[:, :rows], source[:, :rows], fine.h, block,
                       axis[start + 1 :], axis[1:-1])
-            coarse.fold(phi[:, ::2, ::2], source[:, ::2, ::2], g.h, scratch,
+            coarse.fold(phi[:, ::2, ::2], source[:, ::2, ::2], g.h, block,
                         axis[start + 2 :: 2], axis[2:-2:2])
     return peaks
 
@@ -178,19 +176,12 @@ def _residual_report(coarse: _Peak, fine: _Peak, h: float) -> ResidualReport:
     )
 
 
-def pde_residual(sp: SolutionParams, g: GridSpec) -> ResidualReport:
-    """Max interior residual of Delta_h U_i + sum_j a_ij e^{U_j}, with order estimate."""
-    return _residual_report(*_two_grid_peaks(sp, g)[0], g.h)
+def grid_residuals(sp: SolutionParams, g: GridSpec, directions=()) -> tuple:
+    """(PDE report, {direction: linearized report}) from one walk over the h/2 grid.
 
-
-def linearized_residual(sp: SolutionParams, g: GridSpec) -> dict:
-    """Residual of the linearized system on parameter-derivative fields.
-
-    Returns {direction: ResidualReport} over kernel_directions(sp.n); one
-    kernel call per window serves every direction at h and h/2.
+    Delta_h U_i + sum_j a_ij e^{U_j}, and Delta_h phi_i + sum_j a_ij e^{U_j} phi_j on
+    each direction's parameter-derivative field, at h and h/2 with order estimates.
     """
-    directions = kernel_directions(sp.n)
-    return {
-        which: _residual_report(coarse, fine, g.h)
-        for which, (coarse, fine) in zip(directions, _two_grid_peaks(sp, g, directions))
-    }
+    pde, *fields = (_residual_report(coarse, fine, g.h)
+                    for coarse, fine in _two_grid_peaks(sp, g, directions))
+    return pde, dict(zip(directions, fields))

@@ -55,12 +55,15 @@ class PositivityError(ArithmeticError):
 
 
 def lambda_product_target(n: int) -> float:
-    """Required product lambda_0 * ... * lambda_n."""
+    """Required product lambda_0 * ... * lambda_n; below the normal doubles from n = 18."""
     prod = 1.0
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             prod *= float(j - i + 1) ** -2
-    return 2.0 ** (-n * (n + 1)) * prod
+    target = 2.0 ** (-n * (n + 1)) * prod
+    if target < 2.0**-1022:  # the least normal double
+        raise ValueError(f"n = {n}: the lambda product target underflows to {target} (n <= 17)")
+    return target
 
 
 def normalize_lambdas(raw, n: int):

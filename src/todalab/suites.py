@@ -18,8 +18,8 @@ from .asymptotics import far_field_checks, t_integral
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
 from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
-from .residual import GridSpec, linearized_residual, pde_residual
-from .solution import _coefficient_slot, load_params, sample_params
+from .residual import GridSpec, grid_residuals
+from .solution import _coefficient_slot, kernel_directions, load_params, sample_params
 
 __all__ = ["Case", "RunConfig", "SUITES", "build_param_sets", "run_suites"]
 
@@ -155,28 +155,24 @@ def _residual_rows(rep, **key) -> list:
             {**key, "h": rep.h / 2, "max_residual": max(rep.max_abs_residual_refined)}]
 
 
-def suite_pde(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    cases, details = [], []
-    grid = GridSpec.from_h(cfg.grid_h)
-    for label, sp in param_sets:
-        rep = pde_residual(sp, grid)
-        cases.append(_order_case("pde", f"{label}-order", rep))
-        details += _residual_rows(rep, label=label, n=sp.n)
-    return cases, details
+def _grid_suites(cfg: RunConfig, param_sets) -> dict:
+    """{suite: (cases, detail rows)} of pde and linearized, from one grid walk per set.
 
-
-def suite_linearized(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    cases, details = [], []
+    The walk takes every kernel direction if and only if the run selects linearized.
+    """
     grid = GridSpec.from_h(cfg.grid_h)
+    (pde, pde_rows), (linear, linear_rows) = suites = ([], []), ([], [])
     for label, sp in param_sets:
-        for which, rep in linearized_residual(sp, grid).items():
-            cases.append(
-                Case("linearized", f"{label}-{which}-residual", rep.max_residual, 0.0,
-                     LINEARIZED_MAX_RESIDUAL, rep.max_residual <= LINEARIZED_MAX_RESIDUAL)
-            )
-            cases.append(_order_case("linearized", f"{label}-{which}-order", rep))
-            details += _residual_rows(rep, label=label, which=which)
-    return cases, details
+        directions = kernel_directions(sp.n) if "linearized" in cfg.suites else ()
+        rep, reports = grid_residuals(sp, grid, directions)
+        pde.append(_order_case("pde", f"{label}-order", rep))
+        pde_rows += _residual_rows(rep, label=label, n=sp.n)
+        for which, rep in reports.items():
+            case, peak, tol = f"{label}-{which}", rep.max_residual, LINEARIZED_MAX_RESIDUAL
+            linear.append(Case("linearized", f"{case}-residual", peak, 0.0, tol, peak <= tol))
+            linear.append(_order_case("linearized", f"{case}-order", rep))
+            linear_rows += _residual_rows(rep, label=label, which=which)
+    return dict(zip(("pde", "linearized"), suites))
 
 
 def _expansion_case(case_id: str, ck, tol: float) -> Case:
@@ -246,10 +242,8 @@ def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
     return cases, details
 
 
-SUITES = {
+SUITES = {  # pde and linearized come from _grid_suites
     "identities": suite_identities,
-    "pde": suite_pde,
-    "linearized": suite_linearized,
     "asymptotics": suite_asymptotics,
     "mass": suite_mass,
     "t-integrals": suite_t_integrals,
@@ -259,16 +253,22 @@ SUITES = {
 def run_suites(cfg: RunConfig) -> tuple[list, dict, dict]:
     """Run the configured suites; returns (cases, {suite: detail rows}, {suite: seconds}).
 
-    Each suite's seconds are its wall time, parameter sets excluded.  Raises
-    ValueError when the configuration selects no case at all.
+    pde and linearized share one grid walk per parameter set, timed with the first
+    of them to run.  Each suite's seconds are its wall time, parameter sets excluded.
+    Raises ValueError when the configuration selects no case at all.
     """
     param_sets = build_param_sets(cfg)
+    grids: dict = {}
     cases: list = []
     details: dict = {}
     seconds: dict = {}
     for name in cfg.suites:
         t0 = time.perf_counter()
-        suite_cases, details[name] = SUITES[name](cfg, param_sets)
+        if name in SUITES:
+            suite_cases, details[name] = SUITES[name](cfg, param_sets)
+        else:
+            grids = grids or _grid_suites(cfg, param_sets)
+            suite_cases, details[name] = grids[name]
         seconds[name] = time.perf_counter() - t0
         cases.extend(suite_cases)
     if not cases:

@@ -24,7 +24,7 @@ from todalab.cli import main as cli_main
 from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
 from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
-from todalab.residual import GridSpec, linearized_residual, pde_residual
+from todalab.residual import GridSpec, grid_residuals
 from todalab.solution import SolutionParams, kernel_directions, sample_params
 
 GRID = GridSpec.from_h(1e-2)
@@ -60,7 +60,7 @@ def test_02_closed_form_reference_residual():
     sp = SolutionParams(
         n=1, lambdas=(0.5, 0.5), polys=(ComplexPoly((0j, 1 + 0j)),)
     )
-    rep = pde_residual(sp, GRID)
+    rep = grid_residuals(sp, GRID)[0]
     ratio = rep.max_residual / max(rep.max_abs_residual_refined)
     ok = rep.max_residual <= 1e-3 and 3.5 <= ratio <= 4.5
     assert _report(
@@ -75,7 +75,7 @@ def test_03_random_parameter_pde_order():
     for n in (2, 3):
         for seed in range(5):
             sp = sample_params(n, seed, 0.3)
-            rep = pde_residual(sp, GRID)
+            rep = grid_residuals(sp, GRID)[0]
             orders.append(rep.convergence_order)
     ok = all(1.5 <= o <= 2.5 for o in orders)
     assert _report(
@@ -152,7 +152,7 @@ def test_07_linearized_kernel():
     for n in (1, 2, 3):
         for seed in range(2):
             sp = sample_params(n, seed, 0.3, dilation=3.0)
-            reports = linearized_residual(sp, GRID)
+            reports = grid_residuals(sp, GRID, kernel_directions(n))[1]
             assert list(reports) == kernel_directions(n)
             for which, rep in reports.items():
                 worst_res = max(worst_res, rep.max_residual)

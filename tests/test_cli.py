@@ -283,6 +283,20 @@ def test_n_below_one_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "show-params"])
+@pytest.mark.parametrize("n", [18, 40])
+def test_n_past_the_lambda_product_range_exits_2(tmp_path, capsys, command, n):
+    # From n = 18 the product 2^(-n(n+1)) prod (j-i+1)^-2 underflows to 0.0,
+    # and the one line says so instead of "math domain error".
+    out = tmp_path / "rep"
+    assert run_cli([command, "--n", str(n), "--suite", "identities", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"configuration error: n = {n}: "
+                   "the lambda product target underflows to 0.0 (n <= 17)\n")
+    assert not out.exists()
+    assert run_cli(["verify", "--n", "17", "--suite", "identities", "--out", str(out)]) == 0
+
+
 def test_repeated_suite_exits_2(tmp_path, capsys):
     out = tmp_path / "r"
     code = run_cli(["verify", "--suite", "identities", "--suite", "identities", "--out", str(out)])

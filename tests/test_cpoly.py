@@ -73,3 +73,37 @@ def test_wronskian_vandermonde():
     # Each sub-determinant of 2 or more columns is built once: rows r..3 of
     # the 1 + 4 + 6 column subsets of sizes 4, 3 and 2.
     assert sorted(len(subset) for _, subset in table) == [2] * 6 + [3] * 4 + [4]
+
+
+def reference_horner(p, z):
+    """Horner as fill c_d, then *= z and += c_j per step."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.empty(z.shape, dtype=complex)
+    acc.fill(p.coeffs[-1] if p.coeffs else 0j)
+    for c in reversed(p.coeffs[:-1]):
+        acc *= z
+        acc += c
+    return acc
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_horner_first_multiply_matches_fill_then_multiply_bit_for_bit(degree):
+    # The first step c_d z is one multiply, scalar first, and rounds as the
+    # fill-then-*= form does: every bit of both parts, on arrays, into out,
+    # and at a scalar z.
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    coeffs[-1] = complex(1.0 + rng.random(), rng.standard_normal())
+    p = ComplexPoly.from_coeffs(coeffs)
+    assert p.degree == degree
+    z = rng.standard_normal(4096) * 3.0 + 1j * rng.standard_normal(4096) * 3.0
+    ref = reference_horner(p, z)
+    assert np.array_equal(eval_poly(p, z).view(float), ref.view(float))
+    out = np.empty_like(z)
+    assert eval_poly(p, z, out) is out
+    assert np.array_equal(out.view(float), ref.view(float))
+    for point in z[:64]:
+        got = eval_poly(p, point)
+        assert isinstance(got, complex)
+        ref_point = reference_horner(p, point)[None]
+        assert np.array_equal(np.array([got]).view(float), ref_point.view(float))

@@ -114,3 +114,19 @@ def test_only_solution_spells_a_direction_name():
                     and re.search(r"(alpha|beta)\d*_|loglambda_", node.value)):
                 spelled.append((path.name, node.lineno, node.value))
     assert not spelled
+
+
+def test_residual_reaches_the_kernel_through_log_det_k_tangent_alone():
+    # One walk per grid: the residuals take U and every tangent from one
+    # log_det_k_tangent call per window and build U_i = A U themselves, so
+    # todalab.residual calls no other evaluator of todalab.solution.
+    tree = ast.parse((ROOT / "src" / "todalab" / "residual.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    from_solution = {alias.name for node in imports
+                     if isinstance(node, ast.ImportFrom) and node.module == "solution"
+                     for alias in node.names}
+    # No route through the module itself (import todalab.solution, from . import solution).
+    assert not [alias.name for node in imports for alias in node.names if "solution" in alias.name]
+    assert "lower_components" not in from_solution
+    called = {name for name in from_solution if _callers(tree, "residual", name)}
+    assert called == {"log_det_k_tangent"}

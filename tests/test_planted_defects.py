@@ -70,8 +70,8 @@ def stretch_h_stencil(factor):
     original = residual._laplacian
     h = GridSpec.from_h(RunConfig().grid_h).h
 
-    def patched(field, spacing, out=None):
-        return original(field, factor * spacing if spacing == h else spacing, out)
+    def patched(field, spacing, out=None, centre=None):
+        return original(field, factor * spacing if spacing == h else spacing, out, centre)
 
     return residual, "_laplacian", patched
 

@@ -1,5 +1,6 @@
 """Finite-difference residuals of the system and its linearization."""
 
+import collections
 import math
 
 import mpmath as mp
@@ -17,8 +18,7 @@ from todalab.residual import (
     GridSpec,
     _laplacian,
     _two_grid_peaks,
-    linearized_residual,
-    pde_residual,
+    grid_residuals,
 )
 from todalab.solution import (
     kernel_directions,
@@ -27,6 +27,7 @@ from todalab.solution import (
     lower_components,
     sample_params,
 )
+from todalab.suites import RunConfig, run_suites
 
 
 def all_directions(n):
@@ -42,6 +43,14 @@ def meshgrid(g):
     axis = np.linspace(-g.half_width, g.half_width, g.points_per_side)
     x, y = np.meshgrid(axis, axis, indexing="ij")
     return x + 1j * y
+
+
+def pde_residual(sp, g):
+    return grid_residuals(sp, g)[0]
+
+
+def linearized_residual(sp, g):
+    return grid_residuals(sp, g, kernel_directions(sp.n))[1]
 
 
 def kernel_points(monkeypatch, run, *args):
@@ -103,18 +112,22 @@ def test_row_tiles_cover_the_mesh_bit_for_bit(monkeypatch, points_per_side):
 
     monkeypatch.setattr(residual._Peak, "fold", record)
     sp = sample_params(1, 0, 0.3)
-    for run, args in ((pde_residual, ()), (_two_grid_peaks, (["alpha_1"],))):
+    for directions in ((), ("alpha_1",)):
         folded.clear()
-        calls = kernel_points(monkeypatch, run, sp, g, *args)
+        calls = kernel_points(monkeypatch, _two_grid_peaks, sp, g, directions)
         assert all(z.shape[1] == len(mesh) and z.size <= TILE_POINTS for z in calls)
         assert np.array_equal(np.concatenate(calls), mesh)
         if points_per_side > 5:
             rows = [len(z) for z in calls]
             assert len(rows) > 2 and rows[-1] < rows[1] == rows[-2] < rows[0]
+        # The PDE field and each direction's, window by window.
         assert sorted(folded) == sorted((g.h, g.refined().h))
+        fields = 1 + len(directions)
         for grid in (g, g.refined()):
             interior = meshgrid(grid)[1:-1, 0].real
-            assert np.array_equal(np.concatenate([x for x, _ in folded[grid.h]]), interior)
+            xs = [x for x, _ in folded[grid.h]]
+            for field in range(fields):
+                assert np.array_equal(np.concatenate(xs[field::fields]), interior)
             assert all(np.array_equal(y, interior) for _, y in folded[grid.h])
 
 
@@ -340,25 +353,29 @@ def assert_peak_matches(peak, ref, z):
 @pytest.mark.parametrize("points_per_side", [5, 201, 257])
 def test_tiled_residuals_match_whole_grid_reference(n, points_per_side):
     # Both peaks of one walk, at h and at h/2, against whole-grid residuals on
-    # each grid.  5 points fit one window; 201 points is GridSpec.from_h(2e-2);
-    # 257 has an h/2 grid of 513 rows in windows of 30, so its last holds 19.
+    # each grid: the PDE's from a walk alone and from one with every direction,
+    # and each direction's.  5 points fit one window; 201 points is
+    # GridSpec.from_h(2e-2); 257 has an h/2 grid of 513 rows in windows of 30,
+    # so its last holds 19.
     sp = sample_params(n, n, 0.3)
     g = GridSpec(points_per_side=points_per_side)
     grids = (g, g.refined())
-    (pde,) = _two_grid_peaks(sp, g)
-    for peak, grid in zip(pde, grids):
-        assert_peak_matches(peak, whole_grid_pde_residual(sp, grid), meshgrid(grid))
     directions = all_directions(n)
-    for which, pair in zip(directions, _two_grid_peaks(sp, g, directions)):
+    (alone,) = _two_grid_peaks(sp, g)
+    pde, *fields = _two_grid_peaks(sp, g, directions)
+    for pair in (alone, pde):
+        for peak, grid in zip(pair, grids):
+            assert_peak_matches(peak, whole_grid_pde_residual(sp, grid), meshgrid(grid))
+    for which, pair in zip(directions, fields, strict=True):
         for peak, grid in zip(pair, grids):
             ref = whole_grid_linearized_residual(sp, which, grid)
             assert_peak_matches(peak, ref, meshgrid(grid))
 
 
 def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
-    # One kernel call per window for the PDE, and one per window carrying
-    # every kernel direction for the linearized fields: together they hold
-    # each point of the h/2 grid once, and no call more than TILE_POINTS.
+    # One kernel call per window, with no direction or with every kernel
+    # direction: together the calls hold each point of the h/2 grid once, and
+    # no call more than TILE_POINTS.
     calls = []
     original = solution._log_dets
 
@@ -370,13 +387,45 @@ def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
     sp = sample_params(2, 0, 0.3)
     g = GridSpec.from_h(2e-2)
     every = tuple(kernel_directions(2))
-    for run, per_window in ((pde_residual, ()), (linearized_residual, every)):
+    for per_window in ((), every):
         calls.clear()
-        run(sp, g)
+        grid_residuals(sp, g, per_window)
         assert len(calls) > 1
         assert all(directions == per_window for _, directions in calls)
         assert sum(size for size, _ in calls) == g.refined().points_per_side ** 2
         assert max(size for size, _ in calls) <= TILE_POINTS
+
+
+@pytest.mark.parametrize("order", [["pde", "linearized"], ["linearized", "pde"]])
+def test_grid_suites_share_one_walk_per_parameter_set(monkeypatch, order):
+    # Selected together, pde and linearized read one walk per parameter set,
+    # in either order: one kernel call per window, each with every kernel
+    # direction, whose sizes sum to count x (2N - 1)^2; and the cases and
+    # detail rows are those of each suite run alone.
+    def config(suites):
+        return RunConfig(suites=suites, n=2, count=2, grid_h=4e-2)
+
+    alone = {name: run_suites(config([name])) for name in order}
+    cfg = config(order)
+    g = GridSpec.from_h(cfg.grid_h)
+    calls = []
+    original = solution._log_dets
+
+    def counted(sp, ks, z, directions=(), **kwargs):
+        calls.append((sp, np.size(z), tuple(directions)))
+        return original(sp, ks, z, directions, **kwargs)
+
+    windows = len(kernel_points(monkeypatch, _two_grid_peaks, sample_params(2, 0, 0.3), g))
+    monkeypatch.setattr(solution, "_log_dets", counted)
+    cases, details, seconds = run_suites(cfg)
+    every = tuple(kernel_directions(2))
+    per_set = collections.Counter(sp for sp, _, _ in calls)
+    assert list(per_set.values()) == [windows] * cfg.count
+    assert all(directions == every for _, _, directions in calls)
+    assert sum(size for _, size, _ in calls) == cfg.count * g.refined().points_per_side ** 2
+    assert cases == alone[order[0]][0] + alone[order[1]][0]
+    assert details == {name: alone[name][1][name] for name in order}
+    assert list(seconds) == order
 
 
 def test_scaled_memo_holds_a_window_at_n5():
