@@ -178,13 +178,16 @@ class TIntegralResult:
 def t_integral(sp: SolutionParams, ratio: float) -> dict:
     """Integrals over the plane of -dU^{l-1}/d(which), which in frequency_directions(n, 2)[l].
 
-    Returns {which: TIntegralResult} for l = 2..n; each radial panel takes
-    one kernel call per l, on the minors of det_{l-1} alone.  Integration is
-    angular-first: the frequency-2 leading term has zero mean on every
-    circle, so the radial integrand decays fast enough for the partial
-    integrals over B_R to form a Cauchy sequence.  A result converges when
-    each successive difference is at most 1/ratio of the one before.  The
-    radii are T_RADII times sp.length_scale(): a dilated bubble has the same partials.
+    Returns {which: TIntegralResult} for l = 2..n.  Integration is angular-first:
+    the frequency-2 leading term has zero mean on every circle, so the radial
+    integrand decays fast enough for the partial integrals over B_R to form a
+    Cauchy sequence.  A result converges when each successive difference is at
+    most 1/ratio of the one before.  The radii are T_RADII times
+    sp.length_scale(): a dilated bubble has the same partials.  The nine radial
+    panels form three runs, [0, r0/8], [r0/8, r0] and [r0, 8 r0] for r0 the
+    first radius; each run takes one kernel call per l on the minors of
+    det_{l-1} alone.  Its one scale 2^e is exact in every Horner step, and a run
+    spans at most 2.9 decades of |z| (one call per l: 4.7; the kernel allows 150/D_k).
     """
     pairs = frequency_directions(sp.n, 2)
     if not pairs:
@@ -194,25 +197,20 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     # so the last len(T_RADII) panels end exactly on the radii.  Each panel
     # adds its Gauss-Legendre rule for int 2 pi r g(r) dr, g the circle mean.
     radii = [sp.length_scale() * R for R in T_RADII]
-    bounds = [0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:]
+    bounds = np.array([0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:])
     x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
-    totals, total = [], 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes = mid + half * x_gl
-        z = circle(r_nodes, T_SAMPLES)
+    half = 0.5 * (bounds[1:] - bounds[:-1])
+    r_nodes = 0.5 * (bounds[1:] + bounds[:-1])[:, None] + half[:, None] * x_gl
+    sums = []
+    for r_run, half_run in zip(r_nodes.reshape(3, 3, T_NODES), half.reshape(3, 3)):
+        z = circle(r_run, T_SAMPLES)
         g = np.concatenate([np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
                             for l, pair in pairs.items()])
-        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
-        totals.append(total)
-    totals = totals[-len(radii):]
+        sums.append(np.sum(w_gl * 2.0 * np.pi * r_run * g, axis=-1) * half_run)
+    totals = np.cumsum(np.concatenate(sums, axis=-1), axis=-1)[:, -len(radii):]
     out = {}
-    for index, which in enumerate(which for pair in pairs.values() for which in pair):
-        values = [float(total[index]) for total in totals]
+    for which, values in zip((which for pair in pairs.values() for which in pair), totals.tolist()):
         diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-        out[which] = TIntegralResult(
-            value=values[-1],
-            partials=tuple(zip(radii, values)),
-            converged=all(d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:])),
-        )
+        converged = all(d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
+        out[which] = TIntegralResult(values[-1], tuple(zip(radii, values)), converged)
     return out

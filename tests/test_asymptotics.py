@@ -1,5 +1,6 @@
 """Large-radius Fourier probes and plane integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from todalab import solution
 from todalab.asymptotics import (
     SAMPLES,
+    T_NODES,
     T_RADII,
+    T_SAMPLES,
     _signature,
     circle,
     far_field_checks,
@@ -16,7 +19,7 @@ from todalab.asymptotics import (
     t_integral,
 )
 from todalab.mass import mass_flux, mass_quadrature
-from todalab.solution import sample_params
+from todalab.solution import frequency_directions, log_det_k_tangent, sample_params
 from todalab.suites import (
     CONSTANT_TERM_REL,
     FIRST_FREQUENCY_REL,
@@ -154,11 +157,52 @@ def test_t_integral_radii_follow_the_length_scale(n):
             assert abs(a - b) <= 1e-12, which
 
 
+def per_panel_partials(sp):
+    """{which: partials} from one kernel call per l and radial panel, summed panel by panel."""
+    pairs = frequency_directions(sp.n, 2)
+    radii = [sp.length_scale() * R for R in T_RADII]
+    bounds = [0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:]
+    x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
+    totals, total = [], 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        r_nodes = mid + half * x_gl
+        z = circle(r_nodes, T_SAMPLES)
+        g = np.concatenate([np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
+                            for l, pair in pairs.items()])
+        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
+        totals.append(total)
+    directions = [which for pair in pairs.values() for which in pair]
+    return {which: tuple(zip(radii, (float(t[index]) for t in totals[-len(radii):])))
+            for index, which in enumerate(directions)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_t_integral_runs_of_panels_match_one_call_per_panel_bit_for_bit(n):
+    # Three panels share one kernel call: its one scale 2^e is exact in every
+    # Horner step, so values, partials and verdicts equal the per-panel loop's.
+    def bits(partials):
+        return [(R.hex(), v.hex()) for R, v in partials]
+
+    sets = [(2.0, 100.0)] if n == 7 else itertools.product((0.0, 0.3, 5.0), (0.01, 1.0, 100.0))
+    for magnitude, dilation in sets:
+        sp = sample_params(n, 1, magnitude, dilation=dilation)
+        expected = per_panel_partials(sp)
+        results = t_integral(sp, ratio=1.5)
+        assert list(results) == list(expected)
+        for which, res in results.items():
+            values = [v for _, v in expected[which]]
+            diffs = [abs(b - a) for a, b in zip(values[:-1], values[1:])]
+            assert bits(res.partials) == bits(expected[which]), (magnitude, dilation, which)
+            assert res.value.hex() == values[-1].hex()
+            assert res.converged == all(d2 * 1.5 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
+
+
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     # Every evaluation goes through the det_k kernel, which returns all k
     # and every tangent direction in one call, however many components and
-    # directions a probe checks.  The T-integral takes one call per l on
-    # row l - 1 alone, with its two directions.
+    # directions a probe checks.  The T-integral takes one call per l and
+    # run of three radial panels, on row l - 1 alone, with its two directions.
     calls = []
     original = solution._log_dets
 
@@ -178,8 +222,8 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
         (lambda: suite_asymptotics(cfg, build_param_sets(cfg)), [(rows, second)] * 2),
         (lambda: mass_flux(sp, R=1e3), [(rows, ("radial",))]),
         (lambda: mass_quadrature(sp), [(rows, ())]),  # every sphere node at once
-        (lambda: t_integral(sp, ratio=1.5),  # 9 radial panels
-         [((1,), second[:2]), ((2,), second[2:])] * 9),
+        (lambda: t_integral(sp, ratio=1.5),  # 9 radial panels in 3 runs
+         [((1,), second[:2]), ((2,), second[2:])] * 3),
     ):
         calls.clear()
         probe()

@@ -1,16 +1,20 @@
 """Planted defects: each small, named error must fail at least one verdict.
 
-Every row patches one function with a mistake of at most 2%, runs one
-`todalab verify` and names the verdict kind that must catch it.  The
-unpatched run passes every verdict, so a failure is the defect's alone.
+Every row plants one small, named mistake (a factor at most 2% off, one
+entry or sample moved, one term left out), runs one `todalab verify` on the
+cheapest suite that catches it and names the verdict kind that must fail.
+The unpatched run passes every verdict, so a failure is the defect's alone.
+The memoized minor and Cartan tables are cleared around each row, so a patch
+neither reads entries built without it nor leaves its own behind.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
-from todalab import asymptotics, mass, residual
+from todalab import asymptotics, cartan, mass, residual, solution, suites
 from todalab.cli import main
 from todalab.residual import GridSpec
 from todalab.suites import RunConfig
@@ -19,6 +23,18 @@ MASS_ARGS = ["verify", "--suite", "mass", "--n", "2", "--count", "2", "--seed", 
 FAR_FIELD_ARGS = ["verify", "--suite", "asymptotics", "--n", "2", "--count", "2", "--seed", "3"]
 GRID_ARGS = ["verify", "--suite", "pde", "--suite", "linearized", "--n", "2", "--count", "1",
              "--seed", "3"]
+T_INTEGRAL_ARGS = ["verify", "--suite", "t-integrals", "--n", "3", "--count", "2", "--seed", "3"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    def clear():
+        for table in (solution._scaled, solution._tangent_minors, cartan.cartan_matrix):
+            table.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 def scale_last_exp_u(factor):
@@ -30,7 +46,7 @@ def scale_last_exp_u(factor):
         u[-1] += math.log(factor)
         return u
 
-    return mass, "lower_components", patched
+    return [(mass, "lower_components", patched)]
 
 
 def scale_radial_tangent(factor):
@@ -41,7 +57,7 @@ def scale_radial_tangent(factor):
         log_dets, tangents = original(*args, **kwargs)
         return log_dets, [factor * t for t in tangents]
 
-    return mass, "log_det_k_tangent", patched
+    return [(mass, "log_det_k_tangent", patched)]
 
 
 def perturb_far_field_call(shift=0.0, factor=1.0):
@@ -52,7 +68,7 @@ def perturb_far_field_call(shift=0.0, factor=1.0):
         upper, tangents = original(*args, **kwargs)
         return upper + shift, factor * tangents
 
-    return asymptotics, "log_det_k_tangent", patched
+    return [(asymptotics, "log_det_k_tangent", patched)]
 
 
 def scale_fourier_normalisation(factor):
@@ -62,7 +78,7 @@ def scale_fourier_normalisation(factor):
     def patched(vals):
         return factor * original(vals)
 
-    return asymptotics, "fourier_coeffs", patched
+    return [(asymptotics, "fourier_coeffs", patched)]
 
 
 def stretch_h_stencil(factor):
@@ -73,18 +89,63 @@ def stretch_h_stencil(factor):
     def patched(field, spacing, out=None, centre=None):
         return original(field, factor * spacing if spacing == h else spacing, out, centre)
 
-    return residual, "_laplacian", patched
+    return [(residual, "_laplacian", patched)]
+
+
+def scale_lambda_product_target(factor):
+    """The normalisation's target for lambda_0 ... lambda_n times `factor`."""
+    original = solution.lambda_product_target
+    return [(solution, "lambda_product_target", lambda n: factor * original(n))]
+
+
+def drop_last_minor_of_det_n():
+    """The last non-constant minor of det_n left out of the kernel's sum."""
+    original = solution._wronskian_minors
+
+    def patched(sp):
+        rows = original(sp)
+        minors, degree, const, scaled = rows[sp.n - 1]
+        return (*rows[: sp.n - 1], (minors, degree, const, scaled[:-1]), *rows[sp.n :])
+
+    return [(solution, "_wronskian_minors", patched)]
+
+
+def perturb_cartan_entry(value):
+    """a_12 of the Cartan matrix set to `value` wherever the matrix is read."""
+    original = cartan.cartan_matrix
+
+    def patched(n):
+        a = original(n).copy()
+        a[0, 1] = value
+        return a
+
+    return [(module, "cartan_matrix", patched) for module in (solution, asymptotics, residual, suites)]
+
+
+def shift_circle_samples(fraction):
+    """Every circle's samples turned by `fraction` of the angular step."""
+    original = asymptotics.circle
+
+    def patched(r, M):
+        return original(r, M) * np.exp(2j * np.pi * fraction / M)
+
+    return [(module, "circle", patched) for module in (asymptotics, mass)]
 
 
 # (defect, verdict kind that must fail)
 DEFECTS = [
     pytest.param(scale_last_exp_u(1.004), "-routes-i2", id="exp-u-n-in-quadrature-x1.004"),
     pytest.param(scale_radial_tangent(1.004), "-flux-i", id="radial-tangent-x1.004"),
+    pytest.param(scale_lambda_product_target(1 + 1e-3), "-routes-i",
+                 id="lambda-product-target-x1.001"),
 ]
 FAR_FIELD_DEFECTS = [
     pytest.param(perturb_far_field_call(factor=1.02), "-freq2-", id="parameter-tangents-x1.02"),
     pytest.param(perturb_far_field_call(shift=1e-4), "-leading-", id="upper-components-plus-1e-4"),
     pytest.param(scale_fourier_normalisation(1.01), "-freq1-", id="dft-normalisation-x1.01"),
+    pytest.param(drop_last_minor_of_det_n(), "-leading-m2", id="last-minor-of-det-n-dropped"),
+    pytest.param(perturb_cartan_entry(-1.01), "-const-term-i1", id="cartan-a12-is-minus-1.01"),
+    pytest.param(shift_circle_samples(0.5), "-freq1-", id="circle-samples-shifted-half-a-step"),
 ]
 
 
@@ -102,24 +163,35 @@ def test_unpatched_run_passes(tmp_path):
     assert failed_cases(tmp_path / "mass", MASS_ARGS) == []
     assert failed_cases(tmp_path / "far", FAR_FIELD_ARGS) == []
     assert failed_cases(tmp_path / "grid", GRID_ARGS) == []
+    assert failed_cases(tmp_path / "t", T_INTEGRAL_ARGS) == []
 
 
 @pytest.mark.parametrize("patch,verdict", DEFECTS)
 def test_mass_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
-    monkeypatch.setattr(*patch)
+    for target in patch:
+        monkeypatch.setattr(*target)
     assert any(verdict in case_id for case_id in failed_cases(tmp_path, MASS_ARGS))
 
 
 @pytest.mark.parametrize("patch,verdict", FAR_FIELD_DEFECTS)
 def test_far_field_defect_fails_a_verdict(tmp_path, monkeypatch, patch, verdict):
-    monkeypatch.setattr(*patch)
+    for target in patch:
+        monkeypatch.setattr(*target)
     assert any(verdict in case_id for case_id in failed_cases(tmp_path, FAR_FIELD_ARGS))
 
 
 def test_h_stencil_at_the_wrong_spacing_fails_both_order_verdicts(tmp_path, monkeypatch):
     # Both stencils read one walk over the h/2 grid; one that took the h
     # grid's spacing 1% off must fail the order of the PDE and of the fields.
-    monkeypatch.setattr(*stretch_h_stencil(1.01))
+    monkeypatch.setattr(*stretch_h_stencil(1.01)[0])
     failed = failed_cases(tmp_path, GRID_ARGS)
     for suite in ("pde", "linearized"):
         assert any(case.startswith(f"{suite}:") and case.endswith("-order") for case in failed)
+
+
+def test_scaled_t_integrand_passes_every_verdict(tmp_path, monkeypatch):
+    # A known blind spot: contract 9 passes when the partials form a Cauchy
+    # sequence, and a uniform scale leaves that unchanged, so an integrand
+    # 1% off (or zero) passes.  It must fail once a verdict checks the values.
+    monkeypatch.setattr(*perturb_far_field_call(factor=1.01)[0])
+    assert failed_cases(tmp_path, T_INTEGRAL_ARGS) == []
