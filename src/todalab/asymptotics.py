@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "ExpansionCheck",
     "TIntegralResult",
     "circle",
+    "gauss_legendre",
     "fourier_coeffs",
     "far_field_checks",
     "t_integral",
@@ -62,6 +64,38 @@ def circle(r, M: int) -> np.ndarray:
     """
     theta = 2.0 * np.pi * np.arange(M) / M
     return np.multiply.outer(r, np.exp(1j * theta))
+
+
+def _legval(x, c: list):
+    """sum_k c[k] L_k(x) by Clenshaw, in numpy's legval order of operations."""
+    nd, (c0, c1) = len(c), (c[-2:] if len(c) > 1 else (c[0], 0.0))
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(m: int) -> tuple:
+    """The m-node Gauss-Legendre rule (x, w) on [-1, 1], read-only and built once per m.
+
+    numpy's leggauss(m) bit for bit, by its own steps: the eigenvalues of the
+    symmetric companion matrix of L_m, one Newton step, then weights from
+    L_m' L_{m-1}, symmetrised and normalised to sum 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(m) + 1)
+    off = np.arange(1, m) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * m + [1.0]
+    df = _legval(x, [0.0 if (m - k) % 2 == 0 else 2.0 * k + 1.0 for k in range(m)])  # L_m'
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x = (x - x[::-1]) / 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def fourier_coeffs(vals) -> np.ndarray:
@@ -198,7 +232,7 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     # adds its Gauss-Legendre rule for int 2 pi r g(r) dr, g the circle mean.
     radii = [sp.length_scale() * R for R in T_RADII]
     bounds = np.array([0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:])
-    x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
+    x_gl, w_gl = gauss_legendre(T_NODES)
     half = 0.5 * (bounds[1:] - bounds[:-1])
     r_nodes = 0.5 * (bounds[1:] + bounds[:-1])[:, None] + half[:, None] * x_gl
     sums = []

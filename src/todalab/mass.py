@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .asymptotics import SAMPLES, circle, constant_term_prediction
+from .asymptotics import SAMPLES, circle, constant_term_prediction, gauss_legendre
 from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
 
 __all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
@@ -65,7 +65,7 @@ def mass_quadrature(sp: SolutionParams) -> list:
     PositivityError.
     """
     t = sp.length_scale()
-    x, w = np.polynomial.legendre.leggauss(SPHERE_NODES)  # x = cos(theta)
+    x, w = gauss_legendre(SPHERE_NODES)  # x = cos(theta)
     u = lower_components(sp, circle(t * np.sqrt((1.0 + x) / (1.0 - x)), SPHERE_SAMPLES))
     # 1 / rho = t^2 / (1 - x)^2 at |z| = t cot(theta / 2).
     v = np.exp(u + 2.0 * np.log(t / (1.0 - x))[:, None])

@@ -23,6 +23,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,6 +126,52 @@ class SolutionParams:
         return math.exp((math.log(self.lambdas[0]) - math.log(self.lambdas[self.n])) / (2 * self.n))
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hashmixer(const: int, mult: int):
+    """SeedSequence's hashmix: a 32-bit hash whose constant advances on every call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        const, value = const * mult & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _pcg64(seed: int):
+    """The 64-bit outputs of numpy's default_rng(seed): PCG64 seeded through SeedSequence.
+
+    NEP 19 freezes these two streams but not Generator's methods, so
+    sample_params draws from the outputs as numpy 2.4.6's Generator does.
+    """
+    seed = operator.index(seed)  # TypeError on a float or str, as in SeedSequence, and on None
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    # SeedSequence: the seed's little-endian 32-bit words mixed into a pool of 4.
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmixer(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+
+    def mix(j: int, value: int):
+        pool[j] = (0xCA01F9DD * pool[j] - 0x4973F715 * hashmix(value)) & _M32
+        pool[j] ^= pool[j] >> 16
+
+    for i, j in itertools.permutations(range(4), 2):
+        mix(j, pool[i])
+    for word, j in itertools.product(words[4:], range(4)):
+        mix(j, word)
+    hashmix = _hashmixer(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64)
+    w = [hashmix(pool[i]) | hashmix(pool[i + 1]) << 32 for i in (0, 2, 0, 2)]
+    # PCG64 from state 0: step, add the first two words, step; inc from the last two.
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (x >> rot | x << (-rot & 63)) & _M64
+
+
 def sample_params(
     n: int, seed: int, magnitude: float, dilation: float = 1.0
 ) -> SolutionParams:
@@ -136,22 +183,31 @@ def sample_params(
     lambda_i picks up dilation^(-2i) and c_ij picks up dilation^(i-j),
     so dilation > 1 widens the bubble without leaving the family.
     Sampled coefficient magnitudes stay in [magnitude/4, magnitude] so
-    relative comparisons against them are well conditioned.
+    relative comparisons against them are well conditioned.  The draws are
+    numpy's default_rng(seed) draws bit for bit (_pcg64), on any numpy.
     """
     if not (math.isfinite(dilation) and dilation > 0):
         raise ValueError("dilation must be positive and finite")
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError("magnitude must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    outputs, halves = _pcg64(seed), []
+
+    def uniform(low: float, high: float) -> float:
+        return low + (high - low) * ((next(outputs) >> 11) * 2.0**-53)
+
     # An overflow gives inf or NaN, which normalize_lambdas rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         raw = dilation ** (-2.0 * np.arange(n + 1))
-        raw = raw * np.exp(magnitude * rng.uniform(-1.0, 1.0, size=n + 1))
+        raw = raw * np.exp(magnitude * np.array([uniform(-1.0, 1.0) for _ in range(n + 1)]))
     lambdas = normalize_lambdas(raw, n)
     bound = magnitude / math.sqrt(2.0)
 
     def draw() -> float:
-        return rng.choice([-1.0, 1.0]) * rng.uniform(0.25 * bound, bound)
+        # choice([-1.0, 1.0]) is the top bit of a 32-bit draw: the low half
+        # of a 64-bit output, then its high half.
+        if not halves:
+            halves[:] = divmod(next(outputs), 2**32)
+        return (-1.0, 1.0)[halves.pop() >> 31] * uniform(0.25 * bound, bound)
 
     polys = []
     for i in range(1, n + 1):

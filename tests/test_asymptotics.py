@@ -16,6 +16,7 @@ from todalab.asymptotics import (
     circle,
     far_field_checks,
     fourier_coeffs,
+    gauss_legendre,
     t_integral,
 )
 from todalab.mass import mass_flux, mass_quadrature
@@ -155,6 +156,17 @@ def test_t_integral_radii_follow_the_length_scale(n):
         assert radii == pytest.approx([wide.length_scale() * R for R in T_RADII], rel=1e-15)
         for (_, a), (_, b) in zip(base[which].partials, res.partials):
             assert abs(a - b) <= 1e-12, which
+
+
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    for m in range(1, 101):
+        x, w = gauss_legendre(m)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), m
+    # Built once per node count and shared, so no caller may write into it.
+    assert gauss_legendre(T_NODES) is gauss_legendre(T_NODES)
+    with pytest.raises(ValueError, match="read-only"):
+        gauss_legendre(T_NODES)[1][0] = 0.0
 
 
 def per_panel_partials(sp):

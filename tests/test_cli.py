@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -61,6 +64,33 @@ def test_determinism_byte_identical(tmp_path):
     assert run_cli(args + ["--out", str(out2)]) == 0
     for name in ("summary.json", "identities_detail.csv", "mass_detail.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# The benchmark's three commands: the default run, far field at n = 5 and the grid at n = 4.
+BENCHMARK_COMMANDS = [
+    [],
+    ["--suite", "asymptotics", "--suite", "mass", "--suite", "t-integrals", "--n", "5", "--count", "2"],
+    ["--suite", "pde", "--n", "4", "--count", "2"],
+]
+
+
+def test_runs_import_neither_numpy_random_nor_polynomial_nor_openssl(tmp_path):
+    # A fresh interpreter runs each command, then lists which of these
+    # modules it loaded: numpy.random brings secrets and hashlib, whose
+    # OpenSSL alone adds about 3.6 MB of peak RSS.
+    script = (
+        "import json, sys\n"
+        "from todalab.cli import main\n"
+        f"for k, args in enumerate({BENCHMARK_COMMANDS!r}):\n"
+        f"    assert main(['verify', *args, '--seed', '3', '--out', {str(tmp_path)!r} + f'/{{k}}']) == 0\n"
+        "print(json.dumps(sorted(m for m in ('numpy.random', 'numpy.polynomial', 'secrets', '_hashlib')"
+        " if m in sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_params_file_round(tmp_path):

@@ -130,3 +130,28 @@ def test_residual_reaches_the_kernel_through_log_det_k_tangent_alone():
     assert "lower_components" not in from_solution
     called = {name for name in from_solution if _callers(tree, "residual", name)}
     assert called == {"log_det_k_tangent"}
+
+
+def _spelled_modules(tree: ast.AST):
+    """Dotted module paths a module's code imports or reads an attribute of (np read as numpy)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{'numpy' if node.value.id == 'np' else node.value.id}.{node.attr}"
+
+
+def test_no_module_reaches_numpy_random_polynomial_or_hashlib():
+    # A run imports only the numpy it computes with: numpy.random (which
+    # loads secrets, hashlib and OpenSSL) and numpy.polynomial are replaced by
+    # solution._pcg64 and asymptotics.gauss_legendre.
+    banned = ("numpy.random", "numpy.polynomial", "hashlib", "secrets")
+    spelled = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for module in _spelled_modules(ast.parse(path.read_text(), filename=str(path))):
+            if any(module == b or module.startswith(b + ".") for b in banned):
+                spelled.append((path.name, module))
+    assert not spelled

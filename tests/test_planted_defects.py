@@ -1,8 +1,9 @@
 """Planted defects: each small, named error must fail at least one verdict.
 
 Every row plants one small, named mistake (a factor at most 2% off, one
-entry or sample moved, one term left out), runs one `todalab verify` on the
-cheapest suite that catches it and names the verdict kind that must fail.
+entry, sample or index moved, one term left out), runs one `todalab verify`
+on the cheapest suite that catches it and names the verdict kind that must
+fail.
 The unpatched run passes every verdict, so a failure is the defect's alone.
 The memoized minor and Cartan tables are cleared around each row, so a patch
 neither reads entries built without it nor leaves its own behind.
@@ -122,6 +123,19 @@ def perturb_cartan_entry(value):
     return [(module, "cartan_matrix", patched) for module in (solution, asymptotics, residual, suites)]
 
 
+def log2_term_one_k_up():
+    """U^k's k(k-1) log 2 taken at k + 1, as (k+1) k log 2, wherever U^k is formed."""
+    original = solution.log_det_k_tangent
+
+    def patched(sp, directions, z, k=None, **kwargs):
+        upper, tangents = original(sp, directions, z, k=k, **kwargs)
+        for k_row, row in zip(range(1, sp.n + 1), upper) if k is None else [(k, upper)]:
+            row -= 2 * k_row * math.log(2.0)
+        return upper, tangents
+
+    return [(module, "log_det_k_tangent", patched) for module in (solution, asymptotics, mass, residual)]
+
+
 def shift_circle_samples(fraction):
     """Every circle's samples turned by `fraction` of the angular step."""
     original = asymptotics.circle
@@ -146,6 +160,7 @@ FAR_FIELD_DEFECTS = [
     pytest.param(drop_last_minor_of_det_n(), "-leading-m2", id="last-minor-of-det-n-dropped"),
     pytest.param(perturb_cartan_entry(-1.01), "-const-term-i1", id="cartan-a12-is-minus-1.01"),
     pytest.param(shift_circle_samples(0.5), "-freq1-", id="circle-samples-shifted-half-a-step"),
+    pytest.param(log2_term_one_k_up(), "-const-term-i2", id="k-k-minus-1-log-2-one-k-up"),
 ]
 
 

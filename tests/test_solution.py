@@ -466,6 +466,75 @@ def test_perturbed_rejects_out_of_range():
 # -- sampling and serialization ---------------------------------------------
 
 
+def default_rng_params(n, seed, magnitude, dilation=1.0):
+    """sample_params as it drew from numpy's Generator, the reference for its own stream."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = dilation ** (-2.0 * np.arange(n + 1))
+        raw = raw * np.exp(magnitude * rng.uniform(-1.0, 1.0, size=n + 1))
+    lambdas = normalize_lambdas(raw, n)
+    bound = magnitude / math.sqrt(2.0)
+
+    def draw() -> float:
+        return rng.choice([-1.0, 1.0]) * rng.uniform(0.25 * bound, bound)
+
+    polys = []
+    for i in range(1, n + 1):
+        coeffs = [
+            complex(draw(), draw()) * dilation ** (i - j) if magnitude > 0 else 0j
+            for j in range(i)
+        ] + [1 + 0j]
+        polys.append(ComplexPoly(tuple(coeffs)))
+    return SolutionParams(n=n, lambdas=lambdas, polys=tuple(polys))
+
+
+SEEDS = [*range(256), 2**32 + 5, 2**64 + 1, 10**30, 2**128 + 3, 2**200 - 1]
+
+
+def test_pcg64_outputs_are_numpy_pcg64_outputs():
+    # Every seed, as many 64-bit outputs as sample_params takes at n = 7
+    # (8 uniforms, then 56 uniforms and 28 outputs for 56 signs).
+    for seed in SEEDS:
+        ours = solution._pcg64(seed)
+        assert [next(ours) for _ in range(100)] == np.random.PCG64(seed).random_raw(100).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sample_params_equal_the_default_rng_reference_bit_for_bit(n):
+    # The draws from the outputs (uniforms, and signs two to an output),
+    # for every size and scale; the outputs themselves are checked for every
+    # seed above.  Every draw is nonzero and finite, so == on the frozen
+    # dataclass is equality of bits; a set that overflows raises on both sides.
+    for seed, magnitude, dilation in itertools.product(
+            [0, 1, 255, 2**32 + 5, 2**64 + 1, 10**30], [0.0, 0.3, 5.0], [0.01, 1.0, 3.0, 100.0]):
+        try:
+            ref = default_rng_params(n, seed, magnitude, dilation)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sample_params(n, seed, magnitude, dilation)
+            continue
+        assert sample_params(n, seed, magnitude, dilation) == ref
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError),
+                                        (2.0, TypeError), ("3", TypeError), (np.float64(2.0), TypeError)])
+def test_bad_seed_raises_what_default_rng_raised(seed, error):
+    with pytest.raises(error):
+        default_rng_params(2, seed, 0.3)
+    with pytest.raises(error):
+        sample_params(2, seed, 0.3)
+
+
+def test_none_seed_is_a_type_error():
+    # default_rng(None) drew fresh entropy; a parameter set always has a seed.
+    with pytest.raises(TypeError):
+        sample_params(2, None, 0.3)
+
+
+def test_numpy_integer_seed_is_its_int():
+    assert sample_params(3, np.int64(4), 0.3) == sample_params(3, 4, 0.3) == default_rng_params(3, 4, 0.3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sample_params_deterministic_and_valid(n):
     a = sample_params(n, 11, 0.5)
