@@ -216,12 +216,14 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     the frequency-2 leading term has zero mean on every circle, so the radial
     integrand decays fast enough for the partial integrals over B_R to form a
     Cauchy sequence.  A result converges when each successive difference is at
-    most 1/ratio of the one before.  The radii are T_RADII times
-    sp.length_scale(): a dilated bubble has the same partials.  The nine radial
-    panels form three runs, [0, r0/8], [r0/8, r0] and [r0, 8 r0] for r0 the
-    first radius; each run takes one kernel call per l on the minors of
-    det_{l-1} alone.  Its one scale 2^e is exact in every Horner step, and a run
-    spans at most 2.9 decades of |z| (one call per l: 4.7; the kernel allows 150/D_k).
+    most 1/ratio of the one before, or settled: at most eps times the same rule
+    applied to the circle mean of |field|, the rounding level of the partials.
+    The radii are T_RADII times sp.length_scale(): a dilated bubble has the
+    same partials.  The nine radial panels form three runs, [0, r0/8],
+    [r0/8, r0] and [r0, 8 r0] for r0 the first radius; each run takes one
+    kernel call per l on the minors of det_{l-1} alone.  Its one scale 2^e is
+    exact in every Horner step, and a run spans at most 2.9 decades of |z|
+    (one call per l: 4.7; the kernel allows 150/D_k).
     """
     pairs = frequency_directions(sp.n, 2)
     if not pairs:
@@ -238,13 +240,17 @@ def t_integral(sp: SolutionParams, ratio: float) -> dict:
     sums = []
     for r_run, half_run in zip(r_nodes.reshape(3, 3, T_NODES), half.reshape(3, 3)):
         z = circle(r_run, T_SAMPLES)
-        g = np.concatenate([np.mean(log_det_k_tangent(sp, pair, z, k=l - 1)[1], axis=-1)
-                            for l, pair in pairs.items()])
+        fields = np.concatenate([log_det_k_tangent(sp, pair, z, k=l - 1)[1]
+                                 for l, pair in pairs.items()])
+        g = np.stack([np.mean(fields, axis=-1), np.mean(np.abs(fields), axis=-1)])
         sums.append(np.sum(w_gl * 2.0 * np.pi * r_run * g, axis=-1) * half_run)
-    totals = np.cumsum(np.concatenate(sums, axis=-1), axis=-1)[:, -len(radii):]
+    sums, sizes = np.concatenate(sums, axis=-1)
+    totals = np.cumsum(sums, axis=-1)[:, -len(radii):]
+    floors = np.finfo(float).eps * np.sum(sizes, axis=-1)
     out = {}
-    for which, values in zip((which for pair in pairs.values() for which in pair), totals.tolist()):
+    names = (which for pair in pairs.values() for which in pair)
+    for which, values, floor in zip(names, totals.tolist(), floors):
         diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-        converged = all(d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
+        converged = all(d2 <= floor or d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
         out[which] = TIntegralResult(values[-1], tuple(zip(radii, values)), converged)
     return out

@@ -1,4 +1,4 @@
-"""Dense complex polynomials with exact differentiation.
+"""Dense complex polynomials and their Horner evaluation.
 
 Degrees stay small (at most the system size n), so a dense coefficient
 tuple is the whole representation.  Evaluation is vectorized over numpy
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ComplexPoly",
-    "derivative",
     "eval_poly",
 ]
 
@@ -39,38 +38,8 @@ class ComplexPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, v in enumerate(b):
-            out[k] += v
-        return ComplexPoly.from_coeffs(out)
-
-    def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
-        if self.is_zero() or other.is_zero():
-            return ComplexPoly(())
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ComplexPoly.from_coeffs(out)
-
     def scale(self, s: complex) -> "ComplexPoly":
         return ComplexPoly.from_coeffs(s * c for c in self.coeffs)
-
-
-def derivative(p: ComplexPoly, order: int = 1) -> ComplexPoly:
-    """Exact order-th derivative; order past the degree gives the zero polynomial."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs = p.coeffs
-    for _ in range(order):
-        if len(coeffs) <= 1:
-            return ComplexPoly(())
-        coeffs = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-    return ComplexPoly.from_coeffs(coeffs)
 
 
 def eval_poly(p: ComplexPoly, z, out=None):

@@ -15,10 +15,15 @@ Every term is nonnegative, so the sum has no cancellation and stays
 accurate at radii ~1e3 where direct elimination on (f^{p,q}) loses all
 significant digits for k >= 3.  The minors are fixed polynomials computed
 once per parameter set and summed directly under one common scale factor.
+With c the lower-triangular matrix of the coefficients of (1, P_1, ..., P_n),
+Cauchy-Binet writes each W_S, and each derivative dW_S / dc_ij, as a sum of
+Wronskians of monomials times the scalar minors of c, which one memoized
+table holds.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import json
@@ -31,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import cartan_matrix
-from .cpoly import ComplexPoly, derivative, eval_poly
+from .cpoly import ComplexPoly, eval_poly
 
 __all__ = [
     "PositivityError",
@@ -222,48 +227,81 @@ def sample_params(
 # -- Wronskian minors and Gram determinants --------------------------------
 
 
-@lru_cache(maxsize=256)
-def _derivative_table(sp: SolutionParams) -> tuple:
-    """derivs[i][p] = p-th derivative of P_i, including P_0 = 1."""
-    family = (ComplexPoly((1 + 0j,)),) + sp.polys
-    return tuple(
-        tuple(derivative(p, order) for order in range(sp.n + 1)) for p in family
-    )
+def _coefficient_minors(sp: SolutionParams, rows: tuple, table: dict) -> dict:
+    """{cols: det c[rows, cols]} for the coefficient matrix c, built once into `table`.
 
-
-def _laplace_minor(cols, r: int, subset: tuple, table: dict) -> ComplexPoly:
-    """det( cols[t][p] )_{p = r..r+|subset|-1, t in subset}, expanded along row r.
-
-    Every sub-determinant is built once and kept in `table` under (r, subset).
+    Row t of c holds the coefficients of P_t, with P_0 = 1, so c is lower
+    triangular with unit diagonal and det c[rows, cols] vanishes unless
+    cols[s] <= rows[s] at every s: only those cols are listed.  Each minor is
+    the Laplace expansion along the last row over the minors of rows[:-1].
     """
-    if len(subset) == 1:
-        return cols[subset[0]][r]
-    key = (r, subset)
-    if key not in table:
-        acc = ComplexPoly(())
-        for j, t in enumerate(subset):
-            term = cols[t][r] * _laplace_minor(cols, r + 1, subset[:j] + subset[j + 1 :], table)
-            acc = acc + (term if j % 2 == 0 else term.scale(-1))
-        table[key] = acc
-    return table[key]
+    if not rows:
+        return {(): 1}
+    if rows not in table:
+        top, minors = rows[-1], {}
+        row = sp.polys[top - 1].coeffs if top else (1 + 0j,)
+        for cols, minor in _coefficient_minors(sp, rows[:-1], table).items():
+            for a in range(top + 1):
+                if a in cols or not row[a]:
+                    continue
+                pos = bisect.bisect(cols, a)
+                key = cols[:pos] + (a,) + cols[pos:]
+                minors[key] = minors.get(key, 0) + (-1) ** (len(cols) - pos) * row[a] * minor
+        table[rows] = minors
+    return table[rows]
+
+
+@lru_cache(maxsize=None)
+def _monomial_wronskian(exponents: tuple) -> int:
+    """V(A) = prod_{a < b in A} (b - a).
+
+    The monomials z^a, a in A, have the Wronskian V(A) z^(sum A - k(k-1)/2), k = |A|.
+    """
+    return math.prod(b - a for a, b in itertools.combinations(exponents, 2))
+
+
+def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> ComplexPoly:
+    """W_S for S = subset, or dW_S / dc_ij for slot (i, j), from the minors of c.
+
+    The columns P_t = sum_a c[t, a] z^a give, by Cauchy-Binet,
+    W_S = sum_A V(A) det c[S, A] z^(sum A - k(k-1)/2).  Along c_ij the
+    cofactor of (i, j) gives dW_S = sum_{A containing j} +-V(A)
+    det c[S - i, A - j] z^(...).  A coefficient no minor reaches stays an
+    exact zero, so the degrees are exact.
+    """
+    k = len(subset)
+    shift = k * (k - 1) // 2
+    coeffs = [0j] * (sum(subset) - shift + 1)
+    if slot is None:
+        for cols, minor in _coefficient_minors(sp, subset, table).items():
+            coeffs[sum(cols) - shift] += _monomial_wronskian(cols) * minor
+    else:
+        i, j = slot
+        rows = tuple(t for t in subset if t != i)
+        for cols, minor in _coefficient_minors(sp, rows, table).items():
+            if j not in cols:
+                pos = bisect.bisect(cols, j)
+                cols = cols[:pos] + (j,) + cols[pos:]
+                sign = (-1) ** (subset.index(i) + pos)
+                coeffs[sum(cols) - shift] += sign * _monomial_wronskian(cols) * minor
+    return ComplexPoly.from_coeffs(coeffs)
 
 
 @lru_cache(maxsize=256)
 def _wronskian_minors(sp: SolutionParams) -> tuple:
-    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k; last, the minor table.
+    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k; last, the coefficient minors.
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
     with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
     for each S, D_k is the top minor degree, `const` sums lambda_S |W_S|^2
     over constant minors, and `scaled` is sqrt(lambda_S) W_S for the others.
     """
-    derivs = _derivative_table(sp)
     table = {}
     out = []
     for k in range(1, sp.n + 2):
         minors = []
         for subset in itertools.combinations(range(sp.n + 1), k):
-            w = _laplace_minor(derivs, 0, subset, table)
+            w = _cauchy_binet(sp, subset, table)
             minors.append((subset, math.prod(sp.lambdas[i] for i in subset), w))
         const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
         scaled = tuple(w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0)
@@ -430,20 +468,6 @@ def _coefficient_slot(n: int, which: str) -> tuple:
     return (n + f - m, n - m), (1 if kind == "alpha" else 1j)
 
 
-def _swapped_degree(derivs, i: int, j: int, subset: tuple) -> int:
-    """Exact degree of W_S with column i replaced by z^j; -1 where that vanishes.
-
-    Reducing z^j from the top against the other columns' monic P_t = derivs[t][0]
-    leaves W_S unchanged and a remainder r of a degree apart from theirs; k
-    columns of distinct degrees d_t have a Wronskian of degree sum(d_t) - k(k-1)/2.
-    """
-    others = [t for t in subset if t != i]
-    r = ComplexPoly.from_coeffs([0j] * j + [1])
-    while r.degree in others:
-        r = r + derivs[r.degree][0].scale(-r.coeffs[-1])
-    return sum(others) + r.degree - len(others) * (len(others) + 1) // 2 if r.coeffs else -1
-
-
 @lru_cache(maxsize=256)
 def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     """For each k = 1..n, (offset, share, {position: dq_S}) with
@@ -454,12 +478,11 @@ def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     where q_S = sqrt(lambda_S) W_S sits at that position of the non-constant
     minors in _wronskian_minors, dq_S = 2 sqrt(lambda_S) dW_S at unit 1, and
     share sums 2 lambda_S conj(W_S) dW_S over the constant minors.  This is
-    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is multilinear
-    in its columns, so along c_ij, dW_S is W_S with column i replaced by the
-    derivatives of z^j; only subsets S containing i contribute, and only
-    minors with column i are rebuilt.  Each is cut to its _swapped_degree, so
-    top coefficients that cancel exactly carry no rounding residue (the
-    constant W_S, on the columns P_0..P_{k-1}, reduces z^j to 0: its dW_S vanishes).
+    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is linear in
+    c_ij, so along c_ij only subsets S containing i contribute, and
+    _cauchy_binet assembles dW_S from the cofactors det c[S - i, A - j]
+    already in the minor table.  Coefficients no cofactor reaches are exact
+    zeros: the constant W_S, on the columns P_0..P_{k-1}, has no c_ij tangent.
     The lambda slot (I, -1) moves only the weights, d log lambda_S =
     [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
     plus the offset -k/(n+1).  The "radial" slot, r d/dr, generates
@@ -469,12 +492,7 @@ def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     radial = slot == "radial"
     if not radial:
         i, j = slot
-    *per_k, base = _wronskian_minors(sp)
-    if not radial and j >= 0:
-        shift = ComplexPoly.from_coeffs([0j] * j + [1 + 0j])
-        derivs = list(_derivative_table(sp))
-        derivs[i] = [derivative(shift, p) for p in range(n + 1)]
-        table = {key: w for key, w in base.items() if i not in key[1]}
+    *per_k, table = _wronskian_minors(sp)
     out = []
     for k, (minors, *_) in enumerate(per_k[:n], start=1):
         share, polys, position = 0.0, {}, -1
@@ -487,8 +505,7 @@ def _tangent_minors(sp: SolutionParams, slot) -> tuple:
             elif j < 0:
                 dw = w.scale(0.5)
             else:
-                dw = _laplace_minor(derivs, 0, subset, table).coeffs
-                dw = ComplexPoly.from_coeffs(dw[: _swapped_degree(derivs, i, j, subset) + 1])
+                dw = _cauchy_binet(sp, subset, table, slot)
             if dw.is_zero():
                 continue
             if w.degree > 0:

@@ -3,9 +3,9 @@
 `mp_log_det` builds the k x k Gram matrix of f from the polynomial
 coefficients and the lambdas in mpmath, at the working precision of the
 caller, and takes its determinant by elimination: an independent route
-with no Wronskian minors.  `laplace_det` is the plain, unmemoized Laplace
-expansion of a polynomial matrix, the bit-for-bit reference of the
-memoized minor builder in `todalab.solution`.  `det_k_lu` takes det_k by
+with no Wronskian minors.  `laplace_det` is the plain Laplace expansion of
+a matrix of polynomials, a reference for the Cauchy-Binet minor builder in
+`todalab.solution` that shares none of its steps.  `det_k_lu` takes det_k by
 scaled LU on the double-precision matrix (f^{p,q}) of `mixed_derivative`,
 a cross-check at moderate radii, and `perturbed` moves a parameter set
 by a finite step along one direction, the reference of the exact tangents.
@@ -17,8 +17,8 @@ import re
 import mpmath as mp
 import numpy as np
 
-from todalab.cpoly import ComplexPoly, derivative, eval_poly
-from todalab.solution import PositivityError, SolutionParams, _derivative_table, normalize_lambdas
+from todalab.cpoly import ComplexPoly, eval_poly
+from todalab.solution import PositivityError, SolutionParams, normalize_lambdas
 
 
 def direction_move(n: int, which: str) -> tuple:
@@ -38,19 +38,30 @@ def direction_move(n: int, which: str) -> tuple:
     return n + f - m, n - m, 1 if kind == "alpha" else 1j
 
 
+def derivative(coeffs, order: int) -> tuple:
+    """Coefficients of the order-th derivative of sum_k coeffs[k] z^k; () past the degree."""
+    coeffs = tuple(coeffs)
+    for _ in range(order):
+        coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
+    return coeffs
+
+
+def family(sp: SolutionParams) -> list:
+    """The coefficient tuples of (1, P_1, ..., P_n)."""
+    return [(1 + 0j,)] + [p.coeffs for p in sp.polys]
+
+
 def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
     """f^{p,q} = d_zbar^q d_z^p f, via the separable structure of f."""
     if p < 0 or q < 0:
         raise ValueError("derivative orders must be >= 0")
-    derivs = _derivative_table(sp)
     z = np.asarray(z, dtype=complex)
     acc = np.zeros(z.shape, dtype=complex)
-    for i in range(sp.n + 1):
-        dp = derivs[i][p] if p <= sp.n else derivative(derivs[i][min(p, sp.n)], p - sp.n)
-        dq = derivs[i][q] if q <= sp.n else derivative(derivs[i][min(q, sp.n)], q - sp.n)
-        if dp.is_zero() or dq.is_zero():
+    for lam, coeffs in zip(sp.lambdas, family(sp)):
+        dp, dq = derivative(coeffs, p), derivative(coeffs, q)
+        if not dp or not dq:
             continue
-        acc = acc + sp.lambdas[i] * eval_poly(dp, z) * np.conj(eval_poly(dq, z))
+        acc = acc + lam * eval_poly(ComplexPoly(dp), z) * np.conj(eval_poly(ComplexPoly(dq), z))
     return acc if acc.shape else complex(acc)
 
 
@@ -90,18 +101,23 @@ def perturbed(sp: SolutionParams, which: str, delta: float) -> SolutionParams:
     return SolutionParams(n=n, lambdas=sp.lambdas, polys=tuple(polys))
 
 
-def laplace_det(rows: list) -> ComplexPoly:
-    """Determinant of a small square matrix of ComplexPoly, by Laplace expansion."""
+def laplace_det(rows: list) -> list:
+    """Determinant of a small square matrix of polynomials, by Laplace expansion.
+
+    Each entry is a coefficient sequence, z^0 first; so is the result.
+    """
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("matrix must be square")
     if k == 1:
-        return rows[0][0]
-    acc = ComplexPoly(())
+        return list(rows[0][0])
+    acc = []
     for j in range(k):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * laplace_det(minor)
-        acc = acc + (term if j % 2 == 0 else term.scale(-1))
+        minor = laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        acc += [0j] * (len(rows[0][j]) + len(minor) - 1 - len(acc))
+        for a, x in enumerate(rows[0][j]):
+            for b, y in enumerate(minor):
+                acc[a + b] += x * y if j % 2 == 0 else -x * y
     return acc
 
 

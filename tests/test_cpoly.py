@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from todalab.cpoly import (
-    ComplexPoly,
-    derivative,
-    eval_poly,
-)
-from todalab.solution import _laplace_minor
+from todalab import solution
+from todalab.cpoly import ComplexPoly, eval_poly
+from todalab.solution import SolutionParams, normalize_lambdas
 
 finite_c = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -33,14 +30,6 @@ def test_degree_of_zero_poly():
     assert ComplexPoly(()).degree == -1
 
 
-def test_derivative_exact():
-    p = ComplexPoly.from_coeffs([1, 2, 3])  # 1 + 2z + 3z^2
-    assert derivative(p).coeffs == (2 + 0j, 6 + 0j)
-    assert derivative(p, 2).coeffs == (6 + 0j,)
-    assert derivative(p, 3).is_zero()
-    assert derivative(p, 0) is not None and derivative(p, 0).coeffs == p.coeffs
-
-
 def test_eval_scalar_and_array():
     p = ComplexPoly.from_coeffs([1, 0, 1])  # 1 + z^2
     assert eval_poly(p, 2.0) == 5.0
@@ -48,31 +37,21 @@ def test_eval_scalar_and_array():
     assert np.allclose(eval_poly(p, z), 1 + z**2)
 
 
-@given(p=poly_strategy(), q=poly_strategy(), z=finite_c)
-def test_ring_ops_match_pointwise(p, q, z):
-    tol = 1e-6 * (1 + abs(z)) ** 12
-    assert abs(eval_poly(p + q, z) - (eval_poly(p, z) + eval_poly(q, z))) <= tol
-    assert abs(eval_poly(p * q, z) - eval_poly(p, z) * eval_poly(q, z)) <= tol
-    assert abs(eval_poly(p.scale(-1), z) + eval_poly(p, z)) <= tol
-
-
-@given(p=poly_strategy())
-def test_derivative_linearity_vs_product_rule(p):
-    q = ComplexPoly.from_coeffs([1, 1])  # 1 + z
-    lhs = derivative(p * q)
-    rhs = derivative(p) * q + p * derivative(q)
-    assert lhs.coeffs == pytest.approx(rhs.coeffs)
+@given(p=poly_strategy(), s=finite_c, z=finite_c)
+def test_scale_matches_pointwise(p, s, z):
+    tol = 1e-6 * (1 + abs(z)) ** 6 * (1 + abs(s))
+    assert abs(eval_poly(p.scale(s), z) - s * eval_poly(p, z)) <= tol
 
 
 def test_wronskian_vandermonde():
     # Wronskian of (1, z, z^2, z^3) is the constant prod k! = 0!1!2!3! = 12.
-    fam = [ComplexPoly.from_coeffs([0] * k + [1]) for k in range(4)]
-    cols = [[derivative(p, order) for order in range(4)] for p in fam]
-    table = {}
-    assert _laplace_minor(cols, 0, (0, 1, 2, 3), table).coeffs == (12 + 0j,)
-    # Each sub-determinant of 2 or more columns is built once: rows r..3 of
-    # the 1 + 4 + 6 column subsets of sizes 4, 3 and 2.
-    assert sorted(len(subset) for _, subset in table) == [2] * 6 + [3] * 4 + [4]
+    monomials = tuple(ComplexPoly.from_coeffs([0] * k + [1]) for k in range(1, 4))
+    sp = SolutionParams(n=3, lambdas=normalize_lambdas([1.0] * 4, 3), polys=monomials)
+    *per_k, table = solution._wronskian_minors(sp)
+    assert [(subset, w.coeffs) for subset, _, w in per_k[3][0]] == [((0, 1, 2, 3), (12 + 0j,))]
+    # The coefficient matrix is the identity: each row set has one nonzero minor, itself.
+    assert len(table) == 2**4 - 1
+    assert all(minors == {rows: 1} for rows, minors in table.items())
 
 
 def reference_horner(p, z):

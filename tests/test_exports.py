@@ -98,6 +98,22 @@ def test_only_the_det_k_kernel_evaluates_polynomials():
     assert callers == {"solution._log_dets"}
 
 
+def test_one_cauchy_binet_builder_makes_every_minor():
+    # Every W_S and every dW_S is the Cauchy-Binet sum over one table of
+    # coefficient minors: only the assembly reads that table (whose entries
+    # recurse on themselves), and only the two minor builders assemble.
+    tree = ast.parse((ROOT / "src" / "todalab" / "solution.py").read_text())
+    assert _callers(tree, "solution", "_coefficient_minors") == {
+        "solution._cauchy_binet", "solution._coefficient_minors"}
+    assert _callers(tree, "solution", "_cauchy_binet") == {
+        "solution._wronskian_minors", "solution._tangent_minors"}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name != "solution.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert not _callers(tree, path.stem, "_coefficient_minors") | _callers(
+                tree, path.stem, "_cauchy_binet"), path.name
+
+
 def test_only_solution_spells_a_direction_name():
     # One rule names the directions: every other module takes the names
     # from todalab.solution, so no string in its code (docstrings aside)

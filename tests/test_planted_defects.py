@@ -9,8 +9,10 @@ The memoized minor and Cartan tables are cleared around each row, so a patch
 neither reads entries built without it nor leaves its own behind.
 """
 
+import inspect
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ T_INTEGRAL_ARGS = ["verify", "--suite", "t-integrals", "--n", "3", "--count", "2
 @pytest.fixture(autouse=True)
 def fresh_caches():
     def clear():
-        for table in (solution._scaled, solution._tangent_minors, cartan.cartan_matrix):
+        for table in (solution._scaled, solution._tangent_minors, solution._wronskian_minors,
+                      solution._monomial_wronskian, cartan.cartan_matrix):
             table.cache_clear()
 
     clear()
@@ -111,6 +114,34 @@ def drop_last_minor_of_det_n():
     return [(solution, "_wronskian_minors", patched)]
 
 
+def vandermonde_factor_off_by_one():
+    """The factor a_1 - a_0 of V(A) = prod_{a < b in A} (b - a) taken as a_1 - a_0 + 1."""
+    original = solution._monomial_wronskian
+
+    def patched(exponents):
+        value = original(exponents)
+        if len(exponents) > 1:
+            gap = exponents[1] - exponents[0]
+            value = value // gap * (gap + 1)
+        return value
+
+    return [(solution, "_monomial_wronskian", patched)]
+
+
+def tangent_minor_sign_dropped():
+    """Every term of dW_S / dc_ij added with sign +1, not its cofactor's sign.
+
+    The patch is the package's own Cauchy-Binet assembly with that one factor
+    taken out of its source.
+    """
+    source = textwrap.dedent(inspect.getsource(solution._cauchy_binet))
+    signed = "sign * _monomial_wronskian"
+    assert source.count(signed) == 1
+    namespace = dict(vars(solution))
+    exec(source.replace(signed, "_monomial_wronskian"), namespace)
+    return [(solution, "_cauchy_binet", namespace["_cauchy_binet"])]
+
+
 def perturb_cartan_entry(value):
     """a_12 of the Cartan matrix set to `value` wherever the matrix is read."""
     original = cartan.cartan_matrix
@@ -158,6 +189,9 @@ FAR_FIELD_DEFECTS = [
     pytest.param(perturb_far_field_call(shift=1e-4), "-leading-", id="upper-components-plus-1e-4"),
     pytest.param(scale_fourier_normalisation(1.01), "-freq1-", id="dft-normalisation-x1.01"),
     pytest.param(drop_last_minor_of_det_n(), "-leading-m2", id="last-minor-of-det-n-dropped"),
+    pytest.param(vandermonde_factor_off_by_one(), "-leading-m2",
+                 id="vandermonde-factor-off-by-one"),
+    pytest.param(tangent_minor_sign_dropped(), "-freq2-", id="tangent-minor-sign-dropped"),
     pytest.param(perturb_cartan_entry(-1.01), "-const-term-i1", id="cartan-a12-is-minus-1.01"),
     pytest.param(shift_circle_samples(0.5), "-freq1-", id="circle-samples-shifted-half-a-step"),
     pytest.param(log2_term_one_k_up(), "-const-term-i2", id="k-k-minus-1-log-2-one-k-up"),

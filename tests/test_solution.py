@@ -8,14 +8,14 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import (det_k_lu, direction_move, laplace_det, mixed_derivative, mp_log_det,
-                         perturbed)
+from gram_oracle import (derivative, det_k_lu, direction_move, family, laplace_det,
+                         mixed_derivative, mp_log_det, perturbed)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import solution
 from todalab.cartan import cartan_matrix
-from todalab.cpoly import ComplexPoly, derivative
+from todalab.cpoly import ComplexPoly
 from todalab.solution import (
     SolutionParams,
     frequency_directions,
@@ -136,42 +136,46 @@ def test_top_determinant_is_constant(n):
 
 
 def test_laplace_det_2x2():
-    a = ComplexPoly.from_coeffs([0, 1])  # z
-    one = ComplexPoly.from_coeffs([1])
     # det [[1, z], [0, 1]] = 1
-    d = laplace_det([[one, a], [ComplexPoly(()), one]])
-    assert d.coeffs == (1 + 0j,)
+    assert laplace_det([[(1,), (0, 1)], [(), (1,)]]) == [1]
+
+
+def _relative_error(got, ref) -> float:
+    """max |got - ref| over the coefficients, relative to the largest |ref|."""
+    got, ref = (np.asarray(x, dtype=complex) for x in (got, ref))
+    size = max(len(got), len(ref))
+    got, ref = (np.pad(x, (0, size - len(x))) for x in (got, ref))
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_minors_match_plain_laplace_expansion_bit_for_bit(n):
-    # The memoized builder does the products and sums of the plain expansion
-    # in the same order, so every coefficient is the same double; a tangent
-    # minor keeps those up to its exact degree.
+def test_minors_match_plain_laplace_expansion(n):
+    # Cauchy-Binet over the coefficient minors and the plain Laplace
+    # expansion of the matrix of derivatives share no step, yet give W_S and
+    # each dW_S to rounding (dW_S: W_S with column i replaced by z^j).
     for seed in (0, 5):
         sp = sample_params(n, seed, 0.5)
-        derivs = solution._derivative_table(sp)
+        cols = [[derivative(p, order) for order in range(n + 1)] for p in family(sp)]
         per_k = solution._wronskian_minors(sp)[: n + 1]
         for k, (minors, *_) in enumerate(per_k, start=1):
             for subset, _, w in minors:
-                rows = [[derivs[t][p] for t in subset] for p in range(k)]
-                assert w.coeffs == laplace_det(rows).coeffs, (seed, subset)
+                rows = [[cols[t][p] for t in subset] for p in range(k)]
+                assert _relative_error(w.coeffs, laplace_det(rows)) <= 1e-14, (seed, subset)
         for i, j in coefficient_slots(n):
-            column = [derivative(ComplexPoly.from_coeffs([0j] * j + [1]), p)
-                      for p in range(n + 1)]
+            column = [derivative([0] * j + [1], p) for p in range(n + 1)]
             for k, (_, share, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
-                expected = {}
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
                 for position, (subset, lam, _) in enumerate(nonconstant):
-                    rows = [[column[p] if t == i else derivs[t][p] for t in subset]
+                    if i not in subset:
+                        assert position not in polys
+                        continue
+                    rows = [[column[p] if t == i else cols[t][p] for t in subset]
                             for p in range(k)]
-                    dw = ComplexPoly(())
-                    if i in subset:
-                        top = solution._swapped_degree(derivs, i, j, subset)
-                        dw = ComplexPoly.from_coeffs(laplace_det(rows).coeffs[: top + 1])
-                    if not dw.is_zero():
-                        expected[position] = dw.scale(2.0 * math.sqrt(lam)).coeffs
-                assert {pos: v.coeffs for pos, v in polys.items()} == expected, (seed, i, j, k)
+                    dw = 2.0 * math.sqrt(lam) * np.array(laplace_det(rows) or [0j])
+                    if position in polys:
+                        assert _relative_error(polys[position].coeffs, dw) <= 1e-14
+                    else:
+                        assert np.max(np.abs(dw)) <= 1e-14 * 2.0 * math.sqrt(lam)
                 # The constant minor's columns are P_0..P_{k-1}: it has no c_ij tangent.
                 assert share == 0.0
 
@@ -206,59 +210,76 @@ def _exact_columns(coeffs, n) -> list:
     return cols
 
 
+def _assert_matches_exact(got: ComplexPoly, exact: list, scale: int, what) -> None:
+    """got equals exact / scale to 2e-15 of the largest coefficient, with the same degree."""
+    nonzero = [d for d, c in enumerate(exact) if c != (0, 0)]
+    assert got.degree == nonzero[-1], what
+    ref = [complex(Fraction(re, scale), Fraction(im, scale)) for re, im in exact[: got.degree + 1]]
+    assert _relative_error(got.coeffs, ref) <= 2e-15, what
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_tangent_minor_degrees_match_exact_expansion(n):
-    # Along c_ij, top coefficients of dW_S that cancel in exact arithmetic on
-    # the double coefficients are exact zeros in V_S, and a dW_S that
-    # vanishes exactly contributes no term.  Every double is a dyadic
-    # rational; multiplying each P_t by the largest denominator (a power of
-    # two) multiplies every minor by a nonzero constant, so the degrees are
-    # those of the rational expansion, taken here in integers.
+    # Every double is a dyadic rational; multiplying each P_t by the largest
+    # denominator (a power of two) multiplies every minor by a power of it,
+    # so the exact minors of the double coefficients come out in integers.
+    # Every W_S and dW_S coefficient (measured worst: 7.7e-16) is within
+    # 2e-15 of them, relative to the largest coefficient, and every degree is
+    # exact: a top coefficient that cancels is an exact zero, and a dW_S that
+    # vanishes exactly contributes no term.
     for seed in range(4):
         sp = sample_params(n, seed, 0.5)
         exact = [[(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs] for p in sp.polys]
         scale = max(x.denominator for p in exact for c in p for x in c)
-        family = [[(1, 0)]] + [[(int(re * scale), int(im * scale)) for re, im in p] for p in exact]
-        cols = [_exact_columns(p, n) for p in family]
+        gaussian = [[(1, 0)]] + [[(int(re * scale), int(im * scale)) for re, im in p]
+                                 for p in exact]
+        cols = [_exact_columns(p, n) for p in gaussian]
         base = {}
-        for k in range(2, n + 1):
-            for subset in itertools.combinations(range(n + 1), k):
-                _exact_minor(cols, 0, subset, base)
         per_k = solution._wronskian_minors(sp)
+        for minors, *_ in per_k[: n + 1]:
+            for subset, _, w in minors:
+                dw = _exact_minor(cols, 0, subset, base)
+                _assert_matches_exact(w, dw, scale ** sum(t > 0 for t in subset), (seed, subset))
         for i, j in coefficient_slots(n):
             swapped = list(cols)
             swapped[i] = _exact_columns([(0, 0)] * j + [(1, 0)], n)
             table = {key: w for key, w in base.items() if i not in key[1]}
             for k, (*_, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
-                expected = {}
+                expected = set()
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
-                for position, (subset, *_) in enumerate(nonconstant):
+                for position, (subset, lam, _) in enumerate(nonconstant):
                     if i in subset:
                         dw = _exact_minor(swapped, 0, subset, table)
-                        nonzero = [d for d, c in enumerate(dw) if c != (0, 0)]
-                        if nonzero:
-                            expected[position] = nonzero[-1]
-                assert {pos: v.degree for pos, v in polys.items()} == expected, (seed, i, j, k)
+                        if any(c != (0, 0) for c in dw):
+                            expected.add(position)
+                            got = polys[position].scale(0.5 / math.sqrt(lam))
+                            power = sum(t > 0 for t in subset if t != i)
+                            _assert_matches_exact(got, dw, scale**power, (seed, i, j, subset))
+                assert set(polys) == expected, (seed, i, j, k)
 
 
 def test_minor_builds_share_sub_determinants(monkeypatch):
-    # At n = 5 the plain expansion takes 3276 products for the base minors
-    # and 1525 for the alpha2_2 tangent; the shared table takes 636 and 235.
+    # The minors det c[rows, cols] of one row set are built once, from those
+    # of its rows less the last, and every W_S and dW_S reads them: the base
+    # minors build one entry per nonempty row set, a tangent builds none.
     sp = sample_params(5, 0, 0.5)
-    count = [0]
-    mul = ComplexPoly.__mul__
+    built = []
+    original = solution._coefficient_minors
 
-    def counted(a, b):
-        count[0] += 1
-        return mul(a, b)
+    def counted(sp, rows, table):
+        if rows and rows not in table:
+            built.append(rows)
+        return original(sp, rows, table)
 
-    monkeypatch.setattr(ComplexPoly, "__mul__", counted)
-    solution._wronskian_minors.__wrapped__(sp)
-    assert count[0] <= 636
-    solution._wronskian_minors(sp)
-    count[0] = 0
+    monkeypatch.setattr(solution, "_coefficient_minors", counted)
+    solution._wronskian_minors.cache_clear()
+    *_, table = solution._wronskian_minors(sp)
+    assert len(set(built)) == len(built) == 2**6 - 1
+    # Lower triangular: only the cols with cols[s] <= rows[s] at every s are listed.
+    assert all(all(a <= t for a, t in zip(cols, rows)) for rows in table for cols in table[rows])
+    built.clear()
     solution._tangent_minors.__wrapped__(sp, (5, 3))  # c_53, which alpha2_2 moves
-    assert count[0] <= 235
+    assert built == []
 
 
 def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
