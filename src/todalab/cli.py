@@ -140,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--magnitude", type=float)
         p.add_argument("--dilation", type=float)
-        p.add_argument("--radius", type=float)
         p.add_argument("--grid-h", dest="grid_h", type=float)
         p.add_argument("--out")
 
@@ -153,7 +152,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        print(f"configuration error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     if args.command == "plot-data":
         report_dir = Path(args.out)
         if not report_dir.is_dir():

@@ -25,29 +25,18 @@ __all__ = [
 ]
 
 
-def _falling_product(n: int, start: int, stop: int) -> int:
-    """prod_{j=start}^{stop-1} (n - j); empty range gives 1."""
-    out = 1
-    for j in range(start, stop):
-        out *= n - j
-    return out
-
-
 def falling_factorial_matrix(m: int, n: int, last_column_skip: bool = False) -> list:
-    """m x m integer matrix with entry(r,c) = prod_{j=c}^{c+r-1}(n-j).
+    """m x m integer matrix with entry(r,c) = prod_{j=c}^{c+r-1}(n-j), row by row.
 
     With last_column_skip, the last column starts its products at j=m
     instead of j=m-1 (the G layout).
     """
     if m < 1:
         raise ValueError("matrix size must be >= 1")
-    rows = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            start = m if (last_column_skip and c == m - 1) else c
-            row.append(_falling_product(n, start, start + r))
-        rows.append(row)
+    starts = [*range(m - 1), m if last_column_skip else m - 1]
+    rows = [[1] * m]
+    for r in range(m - 1):
+        rows.append([x * (n - start - r) for x, start in zip(rows[-1], starts)])
     return rows
 
 

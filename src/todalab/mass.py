@@ -5,7 +5,8 @@ of radius R is the mass of e^{U_i} in B_R.  r dU^i/dr is exact (Jacobi's
 formula), and the flux falls short of the total by the tail pi C_i / R^2
 of e^{U_i} ~ C_i r^-4, whose C_i is known in closed form (see
 asymptotics.constant_term_prediction); flux plus tail is off by
-O((t / R)^4), t the solution's length scale below.
+O((L / R)^4), L = SolutionParams.outer_scale(); the mass suite takes
+R = FLUX_RADIUS L.
 
 The direct route integrates e^{U_i} over the Riemann sphere.  With
 z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
@@ -27,6 +28,7 @@ from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_
 
 __all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
 
+FLUX_RADIUS = 1e4  # the mass suite's flux circle, in units of SolutionParams.outer_scale
 # mass_quadrature: Gauss-Legendre nodes in cos(theta), trapezoid nodes in phi.
 SPHERE_NODES = 64
 SPHERE_SAMPLES = 128
@@ -38,6 +40,8 @@ def predicted_mass(n: int, i: int) -> float:
 
 def mass_flux(sp: SolutionParams, R: float) -> list:
     """-oint_{|z|=R} dU^i/dr, i = 1..n: exact r d/dr log det_i + angular trapezoid."""
+    if not R < math.inf:
+        raise PositivityError(f"the flux circle |z| = {R} is past the double range")
     z = circle(R, SAMPLES)
     (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), z)[1]
     if not np.all(np.isfinite(r_dlog_det)):

@@ -130,6 +130,12 @@ class SolutionParams:
         """t = (lambda_0 / lambda_n)^(1/2n), the solution's own length scale (D t at dilation D)."""
         return math.exp((math.log(self.lambdas[0]) - math.log(self.lambdas[self.n])) / (2 * self.n))
 
+    def outer_scale(self) -> float:
+        """L = max(t, max_ij |c_ij|^(1/(i-j))); hypot makes a modulus past the double range inf."""
+        return max([self.length_scale()] + [math.hypot(c.real, c.imag) ** (1.0 / (i - j))
+                                            for i, p in enumerate(self.polys, start=1)
+                                            for j, c in enumerate(p.coeffs[:-1])])
+
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from .asymptotics import far_field_checks, t_integral
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
-from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
+from .mass import FLUX_RADIUS, flux_tail, mass_flux, mass_quadrature, predicted_mass
 from .residual import GridSpec, grid_residuals
 from .solution import _coefficient_slot, kernel_directions, load_params, sample_params
 
@@ -29,7 +29,7 @@ KNOWN_SUITES = ("pde", "linearized", "identities", "asymptotics", "mass", "t-int
 PDE_ORDER_CENTER = 2.0
 PDE_ORDER_SLACK = 0.5
 LINEARIZED_MAX_RESIDUAL = 1e-3
-MASS_REL = 1e-5  # flux plus its closed-form tail: O((dilation / radius)^4)
+MASS_REL = 1e-5  # flux plus tail is off by O(FLUX_RADIUS^-4); the sphere rule needs 1e-5
 FIRST_FREQUENCY_REL = 1e-7  # every far-field check is read at R_FAR
 KERNEL_SIGNATURE_REL = 1e-7
 LEADING_COEFFICIENT_REL = 1e-7
@@ -56,7 +56,6 @@ class RunConfig:
     seed: int = 0
     magnitude: float = 0.3
     dilation: float = 3.0
-    radius: float = 1000.0
     grid_h: float = 1e-2
     out_dir: str = "reports"
 
@@ -76,7 +75,7 @@ class RunConfig:
             least = 1 if name == "n" else 0
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name in ("radius", "grid_h", "dilation"):
+        for name in ("grid_h", "dilation"):
             value = getattr(self, name)
             _check_real(name, value)
             if value <= 0:
@@ -203,12 +202,12 @@ def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
 
 
 def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    """Flux plus its tail pi C_i / R^2 against 4 pi i(n+1-i), the sphere rule and the sum rule."""
+    """Flux plus tail at R = FLUX_RADIUS L against 4 pi i(n+1-i), the sphere and sum rules."""
     cases, details = [], []
     for label, sp in param_sets:
         n = sp.n
-        fluxes = mass_flux(sp, cfg.radius)
-        tails = flux_tail(sp, cfg.radius)
+        R = FLUX_RADIUS * sp.outer_scale()
+        fluxes, tails = mass_flux(sp, R), flux_tail(sp, R)
         quads = mass_quadrature(sp)
         masses = [flux + tail for flux, tail in zip(fluxes, tails)]
         for i, (mass, quad) in enumerate(zip(masses, quads), start=1):
@@ -218,7 +217,7 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
             cases.append(Case("mass", f"{label}-flux-i{i}", mass, pred, MASS_REL, rel <= MASS_REL))
             cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
                               MASS_REL, agree <= MASS_REL))
-            details.append({"label": label, "i": i, "flux": fluxes[i - 1],
+            details.append({"label": label, "i": i, "R": R, "flux": fluxes[i - 1],
                             "tail": tails[i - 1], "quadrature": quad, "predicted": pred})
         a = cartan_matrix(sp.n)
         for i in range(n):

@@ -23,7 +23,7 @@ from todalab.cartan import cartan_matrix
 from todalab.cli import main as cli_main
 from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
-from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
+from todalab.mass import FLUX_RADIUS, flux_tail, mass_flux, mass_quadrature, predicted_mass
 from todalab.residual import GridSpec, grid_residuals
 from todalab.solution import SolutionParams, kernel_directions, sample_params
 
@@ -86,14 +86,16 @@ def test_03_random_parameter_pde_order():
 
 
 def test_04_mass_quantization():
-    # The flux through |z| = 1e3 plus its closed-form tail pi C_i / R^2,
-    # against the quantized mass, the sphere rule, and the Cartan sum rule.
-    R, tol = 1e3, suites.MASS_REL
+    # The flux through |z| = R plus its closed-form tail pi C_i / R^2, at the
+    # suite's R = FLUX_RADIUS L, against the quantized mass, the sphere rule,
+    # and the Cartan sum rule.
+    tol = suites.MASS_REL
     worst_flux, worst_route, worst_sum, worst_time = 0.0, 0.0, 0.0, 0.0
     for n in (1, 2, 3):
         for seed in range(5):
             sp = sample_params(n, seed, 0.3)
             t0 = time.perf_counter()
+            R = FLUX_RADIUS * sp.outer_scale()
             masses = [flux + tail for flux, tail in zip(mass_flux(sp, R=R), flux_tail(sp, R=R))]
             quads = mass_quadrature(sp)
             for i, (mass, quad) in enumerate(zip(masses, quads, strict=True), 1):

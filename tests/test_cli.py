@@ -161,7 +161,8 @@ def test_plot_rows_of_far_field_errors_are_distinct(tmp_path, capsys):
 
 
 def test_failing_tolerance_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(suites, "MASS_REL", 1e-12)
+    # No mass verdict is exact to the last bit.
+    monkeypatch.setattr(suites, "MASS_REL", 0.0)
     out = tmp_path / "rep"
     code = run_cli(["verify", "--suite", "mass", "--n", "1", "--count", "1", "--out", str(out)])
     assert code == 1
@@ -272,13 +273,13 @@ def test_readme_lists_every_config_key():
     ({"n": 2.5}, "n"),
     ({"count": True}, "count"),
     ({"seed": "0"}, "seed"),
-    ({"radius": "1e3"}, "radius"),
+    ({"dilation": "1e3"}, "dilation"),
     ({"magnitude": "x"}, "magnitude"),
     ({"grid_h": False}, "grid_h"),
     ({"seed": None}, "seed"),
     ({"suites": "pde"}, "str"),
     # JSON integers past float range.
-    ({"radius": 10**400}, "radius"),
+    ({"dilation": 10**400}, "dilation"),
     ({"magnitude": 10**400}, "magnitude"),
     # Paths that are not strings; out_dir is then not overridden by --out.
     ({"params_file": 5}, "params_file"),
@@ -402,9 +403,13 @@ def test_bad_params_file_exits_2(tmp_path, capsys, command, text):
                                               {"i": 2, "j": 1, "re": 1e200}]},
     # e^{U_1} underflows to 0 everywhere: the quadrature mass is 0.
     {"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e300}]},
-    # A bubble of radius 1e160: C_1 = e^{U_1} r^4 at infinity, and so the
-    # flux tail pi C_1 / R^2 at R = 1e3, leave the double range.
-    {"n": 1, "lambdas": [1e160, 1e-160], "coeffs": []},
+    # c_10 = 1e306 puts the flux circle 1e4 |c_10| past the double range;
+    # a c_10 of modulus 2.4e308 is past it itself.
+    pytest.param({"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e306}]},
+                 id="flux-circle-past-the-double-range"),
+    pytest.param({"n": 1, "lambdas": [1, 1],
+                  "coeffs": [{"i": 1, "j": 0, "re": 1.7e308, "im": 1.7e308}]},
+                 id="coefficient-modulus-past-the-double-range"),
 ])
 def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     pfile = tmp_path / "p.json"
@@ -418,13 +423,29 @@ def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     assert not out.exists()
 
 
-def test_flux_tail_overflow_exits_2(tmp_path, capsys):
-    # At R = 1e-300 the tail pi C_i / R^2 leaves the double range.
+def test_mass_passes_on_a_bubble_of_radius_1e160(tmp_path):
+    # A bubble of scale L = 1e160: C_1 = e^{U_1} r^4 at infinity is 4e320,
+    # past the double range, but the flux circle follows the bubble to
+    # R = 1e4 L, where the tail pi C_1 / R^2 is 1.3e-7.
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"n": 1, "lambdas": [1e160, 1e-160], "coeffs": []}))
     out = tmp_path / "rep"
-    code = run_cli(["verify", "--suite", "mass", "--radius", "1e-300", "--out", str(out)])
-    assert code == 2
+    assert run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["total"] == 3
+
+
+@pytest.mark.parametrize("source", ["config", "argument"])
+def test_a_flux_radius_setting_exits_2(tmp_path, capsys, source):
+    # The mass suite's flux radius follows the solution; no setting chooses it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius": 1000.0}))
+    out = tmp_path / "rep"
+    option = ["--config", str(cfg)] if source == "config" else ["--radius", "1000"]
+    assert run_cli(["verify", "--suite", "mass", *option, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical breakdown:") and len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error:") and "radius" in err
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -436,20 +457,6 @@ def test_overflowing_sampling_exits_2_with_one_line(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and len(err.strip().splitlines()) == 1
     assert not out.exists()
-
-
-def test_negative_radius_exits_2(tmp_path):
-    code = run_cli(["verify", "--suite", "mass", "--n", "1", "--count", "1",
-                    "--radius", "-1000", "--out", str(tmp_path / "rep")])
-    assert code == 2
-
-
-def test_mass_passes_at_the_largest_radius(tmp_path):
-    # The tail pi C / R^2 underflows to 0 instead of overflowing R^2.
-    out = tmp_path / "rep"
-    assert run_cli(["verify", "--suite", "mass", "--radius", "1e300", "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["all_pass"] is True and summary["total"] == 12
 
 
 def test_case_runtimes_split_across_cases(tmp_path):

@@ -1,5 +1,6 @@
 """Quantized total masses by flux and by quadrature on the sphere."""
 
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from todalab.cartan import cartan_matrix
 from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from todalab.solution import PositivityError, sample_params
+from todalab.suites import RunConfig, suite_mass
 
 
 def test_predicted_mass_values():
@@ -45,6 +47,30 @@ def test_flux_overflow_is_a_breakdown_not_a_value():
         assert mass_flux(sp, R=1e300) == pytest.approx(predicted, rel=1e-2)
     except PositivityError:
         pass
+
+
+def test_flux_tail_leaves_the_double_range_as_a_breakdown():
+    # At R = 1e-300 the tail pi C_i / R^2 is past the double range.
+    with pytest.raises(PositivityError, match="overflows"):
+        flux_tail(sample_params(2, 0, 0.3), 1e-300)
+
+
+def test_flux_tail_underflows_to_zero_at_the_largest_radius():
+    # Taken in logs, the tail underflows to 0 instead of overflowing R^2.
+    assert flux_tail(sample_params(2, 0, 0.3), 1e300) == [0.0, 0.0]
+
+
+def test_outer_scale_follows_the_dilation_and_the_widest_root():
+    # Radial: L is the length scale t.  Otherwise every root scale
+    # |c_ij|^(1/(i-j)), like t, is proportional to the dilation.
+    radial = sample_params(3, 0, 0.0, dilation=7.0)
+    assert radial.outer_scale() == radial.length_scale()
+    # Here t = 0.48, and |c_10| = 3.7 sets L.
+    sp = sample_params(3, 1, 5.0)
+    assert sp.outer_scale() == abs(sp.c(1, 0))
+    assert sp.outer_scale() > 7 * sp.length_scale()
+    wide = sample_params(3, 1, 5.0, dilation=100.0)
+    assert wide.outer_scale() == pytest.approx(100 * sp.outer_scale(), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 0), (3, 2)])
@@ -108,3 +134,16 @@ def test_sum_rule():
         s = sum(a[i][j] * masses[j] for j in range(3))
         assert s == pytest.approx(8.0 * math.pi, rel=0.01)
 
+
+def test_every_flux_and_sum_rule_verdict_passes_on_the_envelope():
+    # 64 pinned sets, n in {1, 2, 3, 5}, magnitudes 0 to 5, dilations 0.01
+    # to 100, seed 0.  The flux circle follows each solution's outer scale;
+    # at the absolute R = 1e3, 90 of these 352 verdicts failed.  The routes
+    # verdicts are left out: the sphere rule misses 1e-5 at n = 5 and
+    # magnitude >= 2 (README lists the cells).
+    sets = [(f"n{n}-m{m}-d{d}", sample_params(n, 0, m, dilation=d))
+            for n, m, d in itertools.product((1, 2, 3, 5), (0, 0.3, 2, 5), (0.01, 1, 3, 100))]
+    cases = [c for c in suite_mass(RunConfig(suites=["mass"]), sets)[0]
+             if "-routes-" not in c.case_id]
+    assert len(cases) == 352
+    assert [c.case_id for c in cases if not c.passed] == []
