@@ -8,9 +8,9 @@ and the frequency-0/1/2 coefficients from one kernel call on one circle
 a radius R_FAR large enough that the O(r^-2) truncation error sits near
 rounding, and compares them with the predicted values.
 
-Also here: the conditionally convergent plane integrals of the
-second-frequency derivative fields, computed angular-first so that the
-leading cos/sin(2 theta) term drops out on every circle.
+Also here: sphere_rule, the one rule for plane integrals (the mass
+quadrature shares it), and the plane integrals of the second-frequency
+derivative fields, taken angular-first so the cos/sin(2 theta) term drops out.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "TIntegralResult",
     "circle",
     "gauss_legendre",
+    "sphere_rule",
     "fourier_coeffs",
     "far_field_checks",
     "t_integral",
@@ -41,11 +42,10 @@ __all__ = [
 # 1e8), and samples per circle shared by it and the mass flux.
 R_FAR = 1e6
 SAMPLES = 256
-# t_integral: partial-integral radii in units of the solution's length scale,
-# samples per circle, nodes per radial panel.
-T_RADII = (50.0, 100.0, 200.0, 400.0)
-T_SAMPLES = 128
-T_NODES = 16
+# sphere_rule's nodes in cos(theta) for the mass quadrature and the coarser
+# T-integral (the finer takes twice as many); the T-integral's nodes in phi.
+SPHERE_NODES = 64
+T_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,19 @@ def gauss_legendre(m: int) -> tuple:
     x = (x - x[::-1]) / 2
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def sphere_rule(t: float, nodes: int, samples: int) -> tuple:
+    """The Riemann-sphere rule (z, log_area, w) for integrals over the plane.
+
+    z = t cot(theta/2) e^{i phi}: one row per Gauss-Legendre node x = cos(theta), `samples`
+    trapezoid nodes in phi.  int f dA ~= 2 pi (mean(f(z) e^{log_area}, axis=-1) @ w), and the
+    column log_area = log(t^2 / (1 - x)^2), dA per dx dphi, adds to a log-valued integrand.
+    The rule converges spectrally where the ring means of f e^{log_area} are smooth in x.
+    """
+    x, w = gauss_legendre(nodes)
+    z = circle(t * np.sqrt((1.0 + x) / (1.0 - x)), samples)
+    return z, 2.0 * np.log(t / (1.0 - x))[:, None], w
 
 
 def fourier_coeffs(vals) -> np.ndarray:
@@ -204,53 +217,31 @@ def constant_term_prediction(sp: SolutionParams, i: int) -> float:
 
 @dataclass(frozen=True)
 class TIntegralResult:
-    value: float
-    partials: tuple[tuple[float, float], ...]  # (R, integral over B_R)
-    converged: bool
+    value: float  # sphere_rule on 2 SPHERE_NODES nodes
+    coarse: float  # sphere_rule on SPHERE_NODES nodes
+    scale: float  # the finer rule applied to |field|
 
 
-def t_integral(sp: SolutionParams, ratio: float) -> dict:
+def t_integral(sp: SolutionParams) -> dict:
     """Integrals over the plane of -dU^{l-1}/d(which), which in frequency_directions(n, 2)[l].
 
-    Returns {which: TIntegralResult} for l = 2..n.  Integration is angular-first:
-    the frequency-2 leading term has zero mean on every circle, so the radial
-    integrand decays fast enough for the partial integrals over B_R to form a
-    Cauchy sequence.  A result converges when each successive difference is at
-    most 1/ratio of the one before, or settled: at most eps times the same rule
-    applied to the circle mean of |field|, the rounding level of the partials.
-    The radii are T_RADII times sp.length_scale(): a dilated bubble has the
-    same partials.  The nine radial panels form three runs, [0, r0/8],
-    [r0/8, r0] and [r0, 8 r0] for r0 the first radius; each run takes one
-    kernel call per l on the minors of det_{l-1} alone.  Its one scale 2^e is
-    exact in every Horner step, and a run spans at most 2.9 decades of |z|
-    (one call per l: 4.7; the kernel allows 150/D_k).
+    Returns {which: TIntegralResult} for l = 2..n from sphere_rule centred on
+    t = sp.length_scale(), with 2 SPHERE_NODES and SPHERE_NODES nodes in
+    cos(theta) and T_SAMPLES in phi; each rule takes one kernel call per l on
+    the minors of det_{l-1} alone.  Integration is angular-first: the
+    frequency-2 leading term has zero mean on every ring, so the ring means
+    decay fast enough for the integral to converge.  The two values agree to
+    rounding, a small multiple of eps times scale, wherever the rule resolves
+    the field; a dilated bubble has the same values.
     """
-    pairs = frequency_directions(sp.n, 2)
-    if not pairs:
-        return {}
-
-    # Panel boundaries refine geometrically inward from the smallest radius,
-    # so the last len(T_RADII) panels end exactly on the radii.  Each panel
-    # adds its Gauss-Legendre rule for int 2 pi r g(r) dr, g the circle mean.
-    radii = [sp.length_scale() * R for R in T_RADII]
-    bounds = np.array([0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:])
-    x_gl, w_gl = gauss_legendre(T_NODES)
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    r_nodes = 0.5 * (bounds[1:] + bounds[:-1])[:, None] + half[:, None] * x_gl
-    sums = []
-    for r_run, half_run in zip(r_nodes.reshape(3, 3, T_NODES), half.reshape(3, 3)):
-        z = circle(r_run, T_SAMPLES)
-        fields = np.concatenate([log_det_k_tangent(sp, pair, z, k=l - 1)[1]
-                                 for l, pair in pairs.items()])
-        g = np.stack([np.mean(fields, axis=-1), np.mean(np.abs(fields), axis=-1)])
-        sums.append(np.sum(w_gl * 2.0 * np.pi * r_run * g, axis=-1) * half_run)
-    sums, sizes = np.concatenate(sums, axis=-1)
-    totals = np.cumsum(sums, axis=-1)[:, -len(radii):]
-    floors = np.finfo(float).eps * np.sum(sizes, axis=-1)
-    out = {}
-    names = (which for pair in pairs.values() for which in pair)
-    for which, values, floor in zip(names, totals.tolist(), floors):
-        diffs = tuple(abs(b - a) for a, b in zip(values[:-1], values[1:]))
-        converged = all(d2 <= floor or d2 * ratio <= d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
-        out[which] = TIntegralResult(values[-1], tuple(zip(radii, values)), converged)
-    return out
+    sums = {}
+    for nodes in (2 * SPHERE_NODES, SPHERE_NODES):
+        z, log_area, w = sphere_rule(sp.length_scale(), nodes, T_SAMPLES)
+        weights = 2.0 * np.pi * w * np.exp(log_area[:, 0])
+        for l, pair in frequency_directions(sp.n, 2).items():
+            fields = log_det_k_tangent(sp, pair, z, k=l - 1)[1]
+            for which, value, scale in zip(pair, np.mean(fields, axis=-1) @ weights,
+                                           np.mean(np.abs(fields), axis=-1) @ weights):
+                sums.setdefault(which, []).append((float(value), float(scale)))
+    return {which: TIntegralResult(value, coarse, scale)
+            for which, ((value, scale), (coarse, _)) in sums.items()}

@@ -125,8 +125,15 @@ def emit_plot_data(report_dir) -> list:
     return [plots / name for name in tables]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="todalab")
+    parser = _Parser(prog="todalab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -152,11 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
-    if unknown:
-        print(f"configuration error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
+    try:
+        args = _build_parser().parse_args(argv)
+        cfg = None if args.command == "plot-data" else _config_from_args(args)
+    except (ValueError, TypeError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "plot-data":
+    if cfg is None:
         report_dir = Path(args.out)
         if not report_dir.is_dir():
             print(f"no report directory at {report_dir}", file=sys.stderr)
@@ -169,11 +178,6 @@ def main(argv=None) -> int:
         for path in written:
             print(path)
         return 0
-    try:
-        cfg = _config_from_args(args)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     try:
         if args.command == "show-params":
             for label, sp in build_param_sets(cfg):

@@ -12,9 +12,9 @@ The direct route integrates e^{U_i} over the Riemann sphere.  With
 z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
 rho = 4 t^2 / (t^2 + |z|^2)^2, and V_i = e^{U_i} / rho is smooth on the
 whole sphere, so a Gauss-Legendre rule in cos(theta) times the trapezoid
-rule in phi converges spectrally.  The centre t = (lambda_0 /
-lambda_n)^(1/2n) is the solution's own length scale
-(SolutionParams.length_scale).  Both routes must approach 4 pi i(n+1-i).
+rule in phi (asymptotics.sphere_rule, shared with the T-integrals) converges
+spectrally.  The centre t = (lambda_0 / lambda_n)^(1/2n) is the solution's
+own length scale (SolutionParams.length_scale).  Both routes must approach 4 pi i(n+1-i).
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ import math
 
 import numpy as np
 
-from .asymptotics import SAMPLES, circle, constant_term_prediction, gauss_legendre
+from .asymptotics import SAMPLES, SPHERE_NODES, circle, constant_term_prediction, sphere_rule
 from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
 
 __all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
 
 FLUX_RADIUS = 1e4  # the mass suite's flux circle, in units of SolutionParams.outer_scale
-# mass_quadrature: Gauss-Legendre nodes in cos(theta), trapezoid nodes in phi.
-SPHERE_NODES = 64
-SPHERE_SAMPLES = 128
+SPHERE_SAMPLES = 128  # mass_quadrature's trapezoid nodes in phi (SPHERE_NODES in cos(theta))
 
 
 def predicted_mass(n: int, i: int) -> float:
@@ -68,11 +66,9 @@ def mass_quadrature(sp: SolutionParams) -> list:
     An integral that is not positive (e^{U_i} underflowed) raises
     PositivityError.
     """
-    t = sp.length_scale()
-    x, w = gauss_legendre(SPHERE_NODES)  # x = cos(theta)
-    u = lower_components(sp, circle(t * np.sqrt((1.0 + x) / (1.0 - x)), SPHERE_SAMPLES))
-    # 1 / rho = t^2 / (1 - x)^2 at |z| = t cot(theta / 2).
-    v = np.exp(u + 2.0 * np.log(t / (1.0 - x))[:, None])
+    z, log_area, w = sphere_rule(sp.length_scale(), SPHERE_NODES, SPHERE_SAMPLES)
+    # 1 / rho = t^2 / (1 - x)^2 at |z| = t cot(theta / 2), x = cos(theta).
+    v = np.exp(lower_components(sp, z) + log_area)
     value = 2.0 * np.pi * (np.mean(v, axis=-1) @ w)
     for i, q in enumerate(value, start=1):
         if not q > 0:

@@ -34,7 +34,7 @@ FIRST_FREQUENCY_REL = 1e-7  # every far-field check is read at R_FAR
 KERNEL_SIGNATURE_REL = 1e-7
 LEADING_COEFFICIENT_REL = 1e-7
 CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR
-T_INTEGRAL_RATIO = 1.5  # least shrink of successive partial-integral differences
+T_INTEGRAL_REL = 1e-12  # of the T-integral's two sphere rules, relative to the rule on |field|
 
 
 @dataclass(frozen=True)
@@ -229,15 +229,17 @@ def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
 
 
 def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
+    """T on 2N sphere nodes against N, within T_INTEGRAL_REL of a scale that must be positive."""
     cases, details = [], []
     for label, sp in param_sets:
-        for which, res in t_integral(sp, T_INTEGRAL_RATIO).items():
+        for which, res in t_integral(sp).items():
             (_, j), unit = _coefficient_slot(sp.n, which)
             l, part = sp.n - j, "alpha" if unit == 1 else "beta"
-            cases.append(Case("t-integrals", f"{label}-l{l}-{part}", res.value,
-                              res.value, T_INTEGRAL_RATIO, res.converged))
-            details += [{"label": label, "l": l, "which": part, "R": R, "partial": v}
-                        for R, v in res.partials]
+            passed = 0 < res.scale and abs(res.value - res.coarse) <= T_INTEGRAL_REL * res.scale
+            cases.append(Case("t-integrals", f"{label}-l{l}-{part}", res.value, res.coarse,
+                              T_INTEGRAL_REL, passed))
+            details.append({"label": label, "l": l, "which": part, "value": res.value,
+                            "coarse": res.coarse, "scale": res.scale})
     return cases, details
 
 

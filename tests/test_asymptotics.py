@@ -1,6 +1,6 @@
 """Large-radius Fourier probes and plane integrals."""
 
-import itertools
+import cmath
 import math
 
 import numpy as np
@@ -9,23 +9,24 @@ import pytest
 from todalab import asymptotics, solution
 from todalab.asymptotics import (
     SAMPLES,
-    T_NODES,
-    T_RADII,
-    T_SAMPLES,
+    SPHERE_NODES,
     _signature,
     circle,
     far_field_checks,
     fourier_coeffs,
     gauss_legendre,
+    sphere_rule,
     t_integral,
 )
 from todalab.mass import mass_flux, mass_quadrature
-from todalab.solution import frequency_directions, log_det_k_tangent, sample_params
+from todalab.cpoly import ComplexPoly
+from todalab.solution import SolutionParams, frequency_directions, sample_params
 from todalab.suites import (
     CONSTANT_TERM_REL,
     FIRST_FREQUENCY_REL,
     KERNEL_SIGNATURE_REL,
     LEADING_COEFFICIENT_REL,
+    T_INTEGRAL_REL,
     RunConfig,
     build_param_sets,
     suite_asymptotics,
@@ -106,7 +107,7 @@ def test_kernel_signature_check_n2():
 def test_second_frequency_probes_have_nothing_to_check_at_n1():
     sp = sample_params(1, 0, 0.3)
     assert far_field_checks(sp)["freq2"] == [{}]
-    assert t_integral(sp, ratio=1.5) == {}
+    assert t_integral(sp) == {}
 
 
 def test_constant_term_probe_measures_sums_not_table():
@@ -134,30 +135,34 @@ def test_far_field_coefficients_at_rounding_level(n):
         assert max(ck.rel_error for ck in checks["const-term"]) <= CONSTANT_TERM_REL
 
 
+def agree(res) -> bool:
+    """Contract 9: the two sphere rules agree within T_INTEGRAL_REL of a positive scale."""
+    return 0 < res.scale and abs(res.value - res.coarse) <= T_INTEGRAL_REL * res.scale
+
+
 def test_t_integral_converges_n2():
     sp = sample_params(2, 0, 0.3)
-    results = t_integral(sp, ratio=1.5)
+    results = t_integral(sp)
     assert list(results) == ["alpha2_2", "beta2_2"]
     for res in results.values():
-        assert res.converged
-        assert len(res.partials) == 4
+        assert agree(res)
         assert math.isfinite(res.value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_radial_t_integrals_settle_at_rounding_level(n):
-    # On a radial set every partial is 0 by symmetry, so its differences are
-    # rounding noise that no ratio orders; they sit at most 0.05 of the floor
-    # eps * (the rule on the circle mean of |field|), so they count as settled.
+    # On a radial set every ring mean is 0 by symmetry, so both rules give 0
+    # to rounding, far inside the contract's 1e-12 of the rule on |field|.
     for seed in range(2):
-        for which, res in t_integral(sample_params(n, seed, 0.0), ratio=1.5).items():
-            assert res.converged, (seed, which)
+        for which, res in t_integral(sample_params(n, seed, 0.0)).items():
+            assert agree(res), (seed, which)
+            assert max(abs(res.value), abs(res.coarse)) <= 1e-15 * res.scale, (seed, which)
 
 
 @pytest.mark.parametrize("magnitude", [0.0, 0.3])
 def test_t_integral_that_does_not_settle_fails(monkeypatch, magnitude):
-    # A field 1e-9 off its true value at every point adds 1e-9 pi R^2 to the
-    # partials, so their differences grow with R, far above the floor.
+    # A field 1e-9 off its true value at every point has no plane integral:
+    # the two rules weigh the far rings differently, far above 1e-12.
     original = asymptotics.log_det_k_tangent
 
     def patched(*args, **kwargs):
@@ -165,23 +170,53 @@ def test_t_integral_that_does_not_settle_fails(monkeypatch, magnitude):
         return upper, tangents + 1e-9
 
     monkeypatch.setattr(asymptotics, "log_det_k_tangent", patched)
-    results = t_integral(sample_params(3, 0, magnitude), ratio=1.5)
+    results = t_integral(sample_params(3, 0, magnitude))
     assert len(results) == 4
-    assert not any(res.converged for res in results.values())
+    assert not any(agree(res) for res in results.values())
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_t_integral_radii_follow_the_length_scale(n):
     # Dilating the bubble by D rescales the plane and the frequency-2
-    # coefficients alike, so partials taken at D times the radii agree.
-    base = t_integral(sample_params(n, 1, 0.3, dilation=1.0), ratio=1.5)
-    wide = sample_params(n, 1, 0.3, dilation=100.0)
-    for which, res in t_integral(wide, ratio=1.5).items():
-        assert res.converged
-        radii = [R for R, _ in res.partials]
-        assert radii == pytest.approx([wide.length_scale() * R for R in T_RADII], rel=1e-15)
-        for (_, a), (_, b) in zip(base[which].partials, res.partials):
-            assert abs(a - b) <= 1e-12, which
+    # coefficients alike, and the sphere rule is centred on t, which becomes
+    # D t, so the values agree.
+    base = t_integral(sample_params(n, 1, 0.3, dilation=1.0))
+    for which, res in t_integral(sample_params(n, 1, 0.3, dilation=100.0)).items():
+        assert agree(res)
+        assert abs(res.value - base[which].value) <= 1e-12, which
+
+
+def rotated(sp: SolutionParams, theta: float) -> SolutionParams:
+    """The solution turned by z -> e^{i theta} z: c_ij times e^{i (j - i) theta}."""
+    polys = tuple(ComplexPoly(tuple(c * cmath.exp(1j * (j - i) * theta)
+                                    for j, c in enumerate(p.coeffs)))
+                  for i, p in enumerate(sp.polys, start=1))
+    return SolutionParams(sp.n, sp.lambdas, polys)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_t_integral_turns_with_a_rotated_plane(n):
+    # Turning the plane by theta multiplies each coefficient of frequency 2 by
+    # e^{-2 i theta}, so T_alpha + i T_beta turns by the same factor.
+    theta = 0.7
+    sp = sample_params(n, 1, 0.3)
+    base, turned = t_integral(sp), t_integral(rotated(sp, theta))
+    for alpha, beta in frequency_directions(n, 2).values():
+        expected = complex(base[alpha].value, base[beta].value) * cmath.exp(-2j * theta)
+        measured = complex(turned[alpha].value, turned[beta].value)
+        scale = max(res.scale for res in (base[alpha], base[beta], turned[alpha], turned[beta]))
+        assert abs(measured - expected) <= 1e-14 * scale, alpha
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5, 7.0])
+def test_sphere_rule_integrates_the_round_metric(t):
+    # int dA / (1 + |z|^2)^2 = pi.  At t = 1 the integrand times the area is
+    # 1/4; off centre the ring means are smooth in cos(theta), and 64 nodes
+    # meet pi within 3.1e-14 at t = 7.
+    z, log_area, w = sphere_rule(t, SPHERE_NODES, 8)
+    assert z.shape == (SPHERE_NODES, 8) and log_area.shape == (SPHERE_NODES, 1)
+    value = 2.0 * np.pi * (np.mean(np.exp(log_area) / (1.0 + np.abs(z) ** 2) ** 2, axis=-1) @ w)
+    assert value == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
@@ -190,67 +225,16 @@ def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
         ref_x, ref_w = np.polynomial.legendre.leggauss(m)
         assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), m
     # Built once per node count and shared, so no caller may write into it.
-    assert gauss_legendre(T_NODES) is gauss_legendre(T_NODES)
+    assert gauss_legendre(SPHERE_NODES) is gauss_legendre(SPHERE_NODES)
     with pytest.raises(ValueError, match="read-only"):
-        gauss_legendre(T_NODES)[1][0] = 0.0
-
-
-def per_panel_partials(sp):
-    """{which: (partials, rounding floor)} from one kernel call per l and radial panel.
-
-    The partials are summed panel by panel; the floor is eps times the same
-    rule applied to the circle mean of |field|.
-    """
-    pairs = frequency_directions(sp.n, 2)
-    radii = [sp.length_scale() * R for R in T_RADII]
-    bounds = [0.0] + [radii[0] / 2**k for k in range(5, -1, -1)] + radii[1:]
-    x_gl, w_gl = np.polynomial.legendre.leggauss(T_NODES)
-    totals, total, size = [], 0.0, 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r_nodes = mid + half * x_gl
-        z = circle(r_nodes, T_SAMPLES)
-        fields = np.concatenate([log_det_k_tangent(sp, pair, z, k=l - 1)[1]
-                                 for l, pair in pairs.items()])
-        g = np.mean(fields, axis=-1)
-        total = total + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
-        totals.append(total)
-        g = np.mean(np.abs(fields), axis=-1)
-        size = size + np.sum(w_gl * 2.0 * np.pi * r_nodes * g, axis=-1) * half
-    directions = [which for pair in pairs.values() for which in pair]
-    return {which: (tuple(zip(radii, (float(t[index]) for t in totals[-len(radii):]))),
-                    np.finfo(float).eps * size[index])
-            for index, which in enumerate(directions)}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
-def test_t_integral_runs_of_panels_match_one_call_per_panel_bit_for_bit(n):
-    # Three panels share one kernel call: its one scale 2^e is exact in every
-    # Horner step, so values, partials and verdicts equal the per-panel loop's.
-    def bits(partials):
-        return [(R.hex(), v.hex()) for R, v in partials]
-
-    sets = [(2.0, 100.0)] if n == 7 else itertools.product((0.0, 0.3, 5.0), (0.01, 1.0, 100.0))
-    for magnitude, dilation in sets:
-        sp = sample_params(n, 1, magnitude, dilation=dilation)
-        expected = per_panel_partials(sp)
-        results = t_integral(sp, ratio=1.5)
-        assert list(results) == list(expected)
-        for which, res in results.items():
-            partials, floor = expected[which]
-            values = [v for _, v in partials]
-            diffs = [abs(b - a) for a, b in zip(values[:-1], values[1:])]
-            assert bits(res.partials) == bits(partials), (magnitude, dilation, which)
-            assert res.value.hex() == values[-1].hex()
-            assert res.converged == all(d2 <= floor or d2 * 1.5 <= d1
-                                        for d1, d2 in zip(diffs, diffs[1:]))
+        gauss_legendre(SPHERE_NODES)[1][0] = 0.0
 
 
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     # Every evaluation goes through the det_k kernel, which returns all k
     # and every tangent direction in one call, however many components and
     # directions a probe checks.  The T-integral takes one call per l and
-    # run of three radial panels, on row l - 1 alone, with its two directions.
+    # sphere rule, on row l - 1 alone, with its two directions.
     calls = []
     original = solution._log_dets
 
@@ -270,8 +254,8 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
         (lambda: suite_asymptotics(cfg, build_param_sets(cfg)), [(rows, second)] * 2),
         (lambda: mass_flux(sp, R=1e3), [(rows, ("radial",))]),
         (lambda: mass_quadrature(sp), [(rows, ())]),  # every sphere node at once
-        (lambda: t_integral(sp, ratio=1.5),  # 9 radial panels in 3 runs
-         [((1,), second[:2]), ((2,), second[2:])] * 3),
+        (lambda: t_integral(sp),  # 2N, then N sphere nodes
+         [((1,), second[:2]), ((2,), second[2:])] * 2),
     ):
         calls.clear()
         probe()

@@ -1,7 +1,8 @@
 """Planted defects: each small, named error must fail at least one verdict.
 
 Every row plants one small, named mistake (a factor at most 2% off, one
-entry, sample or index moved, one term left out), runs one `todalab verify`
+entry, sample or index moved, one term left out, an integrand shifted by
+1e-9 or zeroed), runs one `todalab verify`
 on the cheapest suite that catches it and names the verdict kind that must
 fail.
 The unpatched run passes every verdict, so a failure is the defect's alone.
@@ -64,15 +65,30 @@ def scale_radial_tangent(factor):
     return [(mass, "log_det_k_tangent", patched)]
 
 
-def perturb_far_field_call(shift=0.0, factor=1.0):
-    """Every U^m plus `shift` and every parameter tangent times `factor` in the far-field call."""
+def perturb_far_field_call(shift=0.0, factor=1.0, tangent_shift=0.0):
+    """Every U^m plus `shift`, every parameter tangent times `factor` plus `tangent_shift`.
+
+    The patch covers every kernel call of asymptotics: the far-field circle
+    and the T-integrals' sphere rules.
+    """
     original = asymptotics.log_det_k_tangent
 
     def patched(*args, **kwargs):
         upper, tangents = original(*args, **kwargs)
-        return upper + shift, factor * tangents
+        return upper + shift, factor * tangents + tangent_shift
 
     return [(asymptotics, "log_det_k_tangent", patched)]
+
+
+def drop_outer_sphere_ring():
+    """The weight of the T-integral sphere rule's outermost ring, the largest |z|, set to 0."""
+    original = asymptotics.sphere_rule
+
+    def patched(t, nodes, samples):
+        z, log_area, w = original(t, nodes, samples)
+        return z, log_area, np.where(np.arange(nodes) == nodes - 1, 0.0, w)
+
+    return [(asymptotics, "sphere_rule", patched)]
 
 
 def scale_fourier_normalisation(factor):
@@ -196,6 +212,13 @@ FAR_FIELD_DEFECTS = [
     pytest.param(shift_circle_samples(0.5), "-freq1-", id="circle-samples-shifted-half-a-step"),
     pytest.param(log2_term_one_k_up(), "-const-term-i2", id="k-k-minus-1-log-2-one-k-up"),
 ]
+# Each fails every T-integral verdict: the ring by 1.5e-9 of the rule on |field|
+# and the shift by 5.8e-6, against 1e-12; the zeroed integrand has no scale.
+T_INTEGRAL_DEFECTS = [
+    pytest.param(drop_outer_sphere_ring(), id="outer-sphere-ring-dropped"),
+    pytest.param(perturb_far_field_call(tangent_shift=1e-9), id="t-integrand-plus-1e-9"),
+    pytest.param(perturb_far_field_call(factor=0.0), id="t-integrand-x0"),
+]
 
 
 def failed_cases(tmp_path, args) -> list:
@@ -238,9 +261,17 @@ def test_h_stencil_at_the_wrong_spacing_fails_both_order_verdicts(tmp_path, monk
         assert any(case.startswith(f"{suite}:") and case.endswith("-order") for case in failed)
 
 
+@pytest.mark.parametrize("patch", T_INTEGRAL_DEFECTS)
+def test_t_integral_defect_fails_every_verdict(tmp_path, monkeypatch, patch):
+    for target in patch:
+        monkeypatch.setattr(*target)
+    failed = failed_cases(tmp_path, T_INTEGRAL_ARGS)
+    assert len(failed) == 8 and all(case.startswith("t-integrals:") for case in failed)
+
+
 def test_scaled_t_integrand_passes_every_verdict(tmp_path, monkeypatch):
-    # A known blind spot: contract 9 passes when the partials form a Cauchy
-    # sequence, and a uniform scale leaves that unchanged, so an integrand
-    # 1% off (or zero) passes.  It must fail once a verdict checks the values.
+    # A known blind spot: contract 9 compares two resolutions of one rule,
+    # and a uniform scale moves both alike, so an integrand 1% off passes.
+    # Only a closed-form value of the integral would see it.
     monkeypatch.setattr(*perturb_far_field_call(factor=1.01)[0])
     assert failed_cases(tmp_path, T_INTEGRAL_ARGS) == []
