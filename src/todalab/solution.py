@@ -320,33 +320,6 @@ def _scale_exponent(z) -> int:
     return max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
 
 
-class _ScaledRows(dict):
-    """Row k -> {position: q_S}, or {position: dq_S} along a slot, scaled for e.
-
-    c_j becomes c_j 2^((j - D_k) e), so p(z) = 2^(D_k e) scaled(z / 2^e).  Powers
-    of two scale every Horner step exactly, so wherever nothing under- or
-    overflows the scaled pass gives the unscaled values times 2^(-D_k e).
-    A row is built when first read, so a call on one k builds that row alone.
-    """
-
-    def __init__(self, sp: SolutionParams, e: int, slot=None):
-        super().__init__()
-        self.key = sp, e, slot
-
-    def __missing__(self, k: int) -> dict:
-        sp, e, slot = self.key
-        _, degree, _, polys = _wronskian_minors(sp)[k - 1]
-        polys = dict(enumerate(polys)) if slot is None else _tangent_minors(sp, slot)[k - 1][2]
-        scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
-        row = self[k] = {position: ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
-                         for position, p in polys.items()}
-        return row
-
-
-# One entry per (parameter set, e, slot): a window's q_S and all 9 slots at n = 5 fit.
-_scaled = lru_cache(maxsize=32)(_ScaledRows)
-
-
 def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> tuple:
     """(log det_k(f), d log det_k / d(which)) at the points z for each k in ks.
 
@@ -354,16 +327,18 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
     direction, its rows the same way.  Both go into `out` when given: the first
     array, and the second or a list of its directions' rows.  `work` is scratch
     of z's shape, three complex arrays and a real one.
-    det_k = 2^(2 D_k e) sum_S |q_S(z / 2^e)|^2,
-    with e from _scale_exponent and q_S the _scaled sqrt(lambda_S) W_S.  As
-    |z / 2^e| < 1, |q_S| <= sum_j |c_j| for q_S = sum_j c_j z^j, so the
-    nonnegative terms need no logs: each k takes one Horner pass per
-    non-constant minor and one log.  Each direction's tangent is the ratio of
-    _tangent_minors for its slot; the pass over q_S feeds det_k and every sum,
-    each slot's dq_S takes one pass more for all the directions on it, and
-    numerator and denominator carry the same 2^(2 D_k e).  Re(conj(q_S) unit dq_S)
-    is q.re dq.re + q.im dq.im at unit 1 and q.im dq.re - q.re dq.im at unit i.
-    One e serves all points; |z| spanning >150/D_k decades raises PositivityError.
+    det_k = 2^(2 D_k e) sum_S |s_S(z / 2^e)|^2 with e from _scale_exponent, where
+    s_S is q_S = sqrt(lambda_S) W_S = sum_j c_j z^j with c_j 2^((j - D_k) e) for c_j
+    (eval_poly's scale): powers of two scale each Horner step exactly, so where
+    nothing under- or overflows s_S(z / 2^e) = 2^(-D_k e) q_S(z).  As |z / 2^e| < 1,
+    |s_S| <= sum_j |c_j|, so the nonnegative terms need no logs: each k takes one
+    Horner pass per non-constant minor and one log.  Each direction's tangent is
+    the ratio of _tangent_minors for its slot; the pass over q_S feeds det_k and
+    every sum, each slot's dq_S takes one pass more, with the same factors, for
+    all the directions on it, and numerator and denominator carry the same
+    2^(2 D_k e).  Re(conj(q_S) unit dq_S) is q.re dq.re + q.im dq.im at unit 1 and
+    q.im dq.re - q.re dq.im at unit i.  One e serves all points; |z| spanning
+    >150/D_k decades raises PositivityError naming k and the span of |z|.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     e = _scale_exponent(z)
@@ -378,21 +353,22 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (acc, k) in enumerate(zip(dets, ks)):
-            _, degree, const, _ = _wronskian_minors(sp)[k - 1]
+            _, degree, const, polys = _wronskian_minors(sp)[k - 1]
+            scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
             acc.fill(math.ldexp(const, -2 * degree * e))
             terms = [_tangent_minors(sp, slot)[k - 1] for slot, _ in moves]
             sums = [t[row] for t in tangents]
             for total, (_, share, _), (_, unit) in zip(sums, terms, moves):
                 total.fill(math.ldexp((unit * share).real, -2 * degree * e))
-            passes = [(_scaled(sp, e, slot)[k], [(sums[d], real) for d, real in rows])
+            passes = [(_tangent_minors(sp, slot)[k - 1][2], [(sums[d], real) for d, real in rows])
                       for slot, rows in on_slot.items()]
-            for position, p in _scaled(sp, e)[k].items():
-                eval_poly(p, w, q)
+            for position, p in enumerate(polys):
+                eval_poly(p, w, q, scale)
                 acc += np.square(q.real, out=tmp)
                 acc += np.square(q.imag, out=tmp)
-                for polys, rows in passes:
-                    if position in polys:
-                        eval_poly(polys[position], w, dq)
+                for dpolys, rows in passes:
+                    if position in dpolys:
+                        eval_poly(dpolys[position], w, dq, scale)
                         for total, real in rows:
                             if real:
                                 total += np.multiply(q.real, dq.real, out=tmp)
@@ -403,7 +379,8 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
-                raise PositivityError(f"det_k is not finite and positive at scale 2^{e}")
+                raise PositivityError(f"det_{k} is not finite and positive at scale 2^{e} for "
+                                      f"|z| in [{np.min(np.abs(z)):g}, {np.max(np.abs(z)):g}]")
             for total, (offset, *_) in zip(sums, terms):
                 total /= acc
                 total += offset

@@ -69,7 +69,7 @@ def reference_horner(p, z):
 def test_horner_first_multiply_matches_fill_then_multiply_bit_for_bit(degree):
     # The first step c_d z is one multiply, scalar first, and rounds as the
     # fill-then-*= form does: every bit of both parts, on arrays, into out,
-    # and at a scalar z.
+    # at a scalar z, and with a scale, on the coefficients c_j * scale[j].
     rng = np.random.default_rng(degree)
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     coeffs[-1] = complex(1.0 + rng.random(), rng.standard_normal())
@@ -81,6 +81,10 @@ def test_horner_first_multiply_matches_fill_then_multiply_bit_for_bit(degree):
     out = np.empty_like(z)
     assert eval_poly(p, z, out) is out
     assert np.array_equal(out.view(float), ref.view(float))
+    scale = [2.0 ** (3 * (j - degree)) for j in range(degree + 1)]
+    scaled = ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
+    assert np.array_equal(eval_poly(p, z, out, scale).view(float),
+                          reference_horner(scaled, z).view(float))
     for point in z[:64]:
         got = eval_poly(p, point)
         assert isinstance(got, complex)

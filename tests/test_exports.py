@@ -114,6 +114,22 @@ def test_one_cauchy_binet_builder_makes_every_minor():
                 tree, path.stem, "_cauchy_binet"), path.name
 
 
+def test_only_the_per_parameter_set_tables_are_memoized():
+    # No memo keyed on a call's points: in solution.py lru_cache wraps only
+    # the tables built once per parameter set, each as a decorator.
+    tree = ast.parse((ROOT / "src" / "todalab" / "solution.py").read_text())
+
+    def is_lru_cache(node):
+        return "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    wrapped = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and any(is_lru_cache(n) for d in node.decorator_list for n in ast.walk(d))]
+    uses = [node for node in ast.walk(tree) if is_lru_cache(node)]
+    assert sorted(wrapped) == ["_monomial_wronskian", "_tangent_minors", "_wronskian_minors"]
+    assert len(uses) == len(wrapped)
+
+
 def test_only_solution_spells_a_direction_name():
     # One rule names the directions: every other module takes the names
     # from todalab.solution, so no string in its code (docstrings aside)

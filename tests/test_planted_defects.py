@@ -1,8 +1,8 @@
 """Planted defects: each small, named error must fail at least one verdict.
 
 Every row plants one small, named mistake (a factor at most 2% off, one
-entry, sample or index moved, one term left out, an integrand shifted by
-1e-9 or zeroed), runs one `todalab verify`
+entry, sample, index or degree moved, one term or factor left out, an
+integrand shifted by 1e-9 or zeroed), runs one `todalab verify`
 on the cheapest suite that catches it and names the verdict kind that must
 fail.
 The unpatched run passes every verdict, so a failure is the defect's alone.
@@ -33,7 +33,7 @@ T_INTEGRAL_ARGS = ["verify", "--suite", "t-integrals", "--n", "3", "--count", "2
 @pytest.fixture(autouse=True)
 def fresh_caches():
     def clear():
-        for table in (solution._scaled, solution._tangent_minors, solution._wronskian_minors,
+        for table in (solution._tangent_minors, solution._wronskian_minors,
                       solution._monomial_wronskian, cartan.cartan_matrix):
             table.cache_clear()
 
@@ -158,6 +158,20 @@ def tangent_minor_sign_dropped():
     return [(solution, "_cauchy_binet", namespace["_cauchy_binet"])]
 
 
+def edit_horner_factors(new):
+    """The kernel's power-of-two factors 2^((j - D_k) e) of c_j written as `new`.
+
+    The patch is the package's own det_k kernel with that one expression
+    replaced in its source.
+    """
+    source = textwrap.dedent(inspect.getsource(solution._log_dets))
+    factor = "2.0 ** ((j - degree) * e)"
+    assert source.count(factor) == 1
+    namespace = dict(vars(solution))
+    exec(source.replace(factor, new), namespace)
+    return [(solution, "_log_dets", namespace["_log_dets"])]
+
+
 def perturb_cartan_entry(value):
     """a_12 of the Cartan matrix set to `value` wherever the matrix is read."""
     original = cartan.cartan_matrix
@@ -199,6 +213,12 @@ DEFECTS = [
     pytest.param(scale_radial_tangent(1.004), "-flux-i", id="radial-tangent-x1.004"),
     pytest.param(scale_lambda_product_target(1 + 1e-3), "-routes-i",
                  id="lambda-product-target-x1.001"),
+    # Unscaled c_j at z / 2^e fail all 12 mass verdicts.  One degree up fails the
+    # 4 routes verdicts: it multiplies each non-constant |q_S|^2 by 2^(2e), which
+    # the flux's ratio cancels but for the constant minors' share.
+    pytest.param(edit_horner_factors("1.0"), "-routes-i", id="horner-factors-ignored"),
+    pytest.param(edit_horner_factors("2.0 ** ((j + 1 - degree) * e)"), "-routes-i",
+                 id="horner-factors-one-degree-up"),
 ]
 FAR_FIELD_DEFECTS = [
     pytest.param(perturb_far_field_call(factor=1.02), "-freq2-", id="parameter-tangents-x1.02"),

@@ -428,21 +428,6 @@ def test_grid_suites_share_one_walk_per_parameter_set(monkeypatch, order):
     assert list(seconds) == order
 
 
-def test_scaled_memo_holds_a_window_at_n5():
-    # One n = 5 walk over the 401-point grid: every window's call looks up q_S
-    # and the 9 slots of the 18 kernel directions, and finds them after the first.
-    solution._scaled.cache_clear()
-    sp = sample_params(5, 3, 0.3, dilation=3.0)
-    directions = kernel_directions(5)
-    _two_grid_peaks(sp, GridSpec(points_per_side=201), directions)
-    slots = {solution._coefficient_slot(5, which)[0] for which in directions}
-    info = solution._scaled.cache_info()
-    # Every window holds a point with |z| = 2 and none with |z| >= 4: one scale, e = 2.
-    assert len(slots) == 9
-    assert info.misses == len(slots) + 1
-    assert info.hits > 0
-
-
 def test_report_names_the_worst_component_and_point():
     sp = sample_params(2, 0, 0.3)
     g = GridSpec.from_h(2e-2)

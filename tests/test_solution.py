@@ -17,6 +17,7 @@ from todalab import solution
 from todalab.cartan import cartan_matrix
 from todalab.cpoly import ComplexPoly
 from todalab.solution import (
+    PositivityError,
     SolutionParams,
     frequency_directions,
     kernel_directions,
@@ -293,9 +294,9 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     count = [0]
     original = solution.eval_poly
 
-    def counted(p, z, out=None):
+    def counted(p, z, out=None, scale=None):
         count[0] += 1
-        return original(p, z, out)
+        return original(p, z, out, scale)
 
     monkeypatch.setattr(solution, "eval_poly", counted)
     solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
@@ -305,37 +306,6 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     terms = sum(len(solution._tangent_minors(sp, slot)[k - 1][2]) for slot in slots for k in ks)
     assert terms > 0
     assert count[0] == minors + terms
-
-
-def test_scaled_coefficients_are_built_once_per_scale():
-    # The scaled q_S and dq_S depend only on the parameter set, k, the
-    # slot and e, so a second call on the same points builds none.
-    solution._scaled.cache_clear()
-    sp = sample_params(3, 0, 0.5)
-    z = np.array([0.5, 3.0 + 1.0j])
-    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
-    first = solution._log_dets(sp, (1, 2, 3), z, directions)
-    built = solution._scaled.cache_info().misses
-    # One entry for q_S and one for each slot's dq_S: beta_1 shares alpha_1's.
-    assert built == 1 + (len(directions) - 1)
-    second = solution._log_dets(sp, (1, 2, 3), z, directions)
-    assert solution._scaled.cache_info().misses == built
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-    e = solution._scale_exponent(z)
-    assert sorted(solution._scaled(sp, e)) == [1, 2, 3]
-
-
-def test_scaled_rows_are_built_only_where_read():
-    # A call on one k, as the far-field probes make, builds that row alone.
-    solution._scaled.cache_clear()
-    sp = sample_params(4, 1, 0.5)
-    z = 1e3 * np.exp(1j * np.linspace(0.0, 6.0, 8))
-    solution.log_det_k_tangent(sp, ("alpha_2", "beta_2"), z, k=3)
-    e = solution._scale_exponent(z)
-    slot = solution._coefficient_slot(4, "alpha_2")[0]
-    assert solution._scaled.cache_info().misses == 2
-    assert list(solution._scaled(sp, e)) == [3]
-    assert list(solution._scaled(sp, e, slot)) == [3]
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
@@ -364,6 +334,18 @@ def test_log_det_scaled_evaluation_at_radius_1e100():
     sp = sample_params(2, 1, 0.5)
     z = 1e100 * np.exp(1j * (0.1 + 2.0 * np.pi * np.arange(8) / 8))
     _assert_matches_gram_oracle(sp, (1, 2), z)
+
+
+def test_breakdown_names_k_and_the_span_of_moduli():
+    # One scale 2^e serves every point of a call, so |z| spanning 16 decades
+    # at n = 5 is refused although each point alone is representable.
+    sp = sample_params(5, 0, 0.3)
+    assert log_det_k(sp, 3, 0.5) == pytest.approx(-17.05353991688395, rel=1e-14)
+    assert log_det_k(sp, 3, 1e16) == pytest.approx(643.9215906701834, rel=1e-14)
+    with pytest.raises(PositivityError) as info:
+        log_det_k(sp, 3, [0.5, 1e16])
+    message = str(info.value)
+    assert "det_3" in message and "0.5" in message and "1e+16" in message
 
 
 def test_mixed_derivative_hermitian_symmetry():
