@@ -5,8 +5,9 @@ low-frequency angular expansions with coefficients determined by the
 classification parameters.  This module reads the leading coefficient
 and the frequency-0/1/2 coefficients from one kernel call on one circle
 (uniform trapezoid DFT, spectrally accurate for smooth periodic data) at
-a radius R_FAR large enough that the O(r^-2) truncation error sits near
-rounding, and compares them with the predicted values.
+R = R_FAR L, L = SolutionParams.outer_scale(), far enough out that the
+O((L/R)^2) truncation error sits near rounding, and compares them with the
+predicted values.
 
 Also here: sphere_rule, the one rule for plane integrals (the mass
 quadrature shares it), and the plane integrals of the second-frequency
@@ -37,9 +38,10 @@ __all__ = [
     "constant_term_prediction",
 ]
 
-# Radius of the one circle that measures the expansion coefficients (their
-# truncation error is O(r^-2); beyond it rounding grows, 9e-7 for freq1 at
-# 1e8), and samples per circle shared by it and the mass flux.
+# Radius of the one circle that measures the expansion coefficients and the
+# mass flux, in units of SolutionParams.outer_scale: the truncation error is
+# O(R_FAR^-2), and at 1e5 41 of 6400 sweep verdicts miss 1e-7 (README); and
+# samples per circle.
 R_FAR = 1e6
 SAMPLES = 256
 # sphere_rule's nodes in cos(theta) for the mass quadrature and the coarser
@@ -60,8 +62,11 @@ class ExpansionCheck:
 def circle(r, M: int) -> np.ndarray:
     """M equispaced points on the circle of radius r, starting on the real axis.
 
-    For an array of radii the result has one row of M points per radius.
+    For an array of radii the result has one row of M points per radius; a
+    radius that is not finite raises PositivityError.
     """
+    if not np.all(np.abs(r) < math.inf):
+        raise PositivityError(f"the circle |z| = {r} is past the double range")
     theta = 2.0 * np.pi * np.arange(M) / M
     return np.multiply.outer(r, np.exp(1j * theta))
 
@@ -121,10 +126,10 @@ def fourier_coeffs(vals) -> np.ndarray:
     return 2.0 * np.fft.rfft(vals)[..., 1:3] / np.shape(vals)[-1]
 
 
-def _check(measured, predicted, denom, **notes) -> ExpansionCheck:
-    """A value measured at R_FAR against `predicted`, its error scaled by `denom`."""
+def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
+    """A value measured at radius r against `predicted`, its error scaled by `denom`."""
     measured, predicted = float(measured), float(predicted)
-    return ExpansionCheck(R_FAR, measured, predicted, abs(measured - predicted) / float(denom), notes)
+    return ExpansionCheck(r, measured, predicted, abs(measured - predicted) / float(denom), notes)
 
 
 def _signature(f: int, m: int, component: int) -> int:
@@ -138,7 +143,7 @@ def _signature(f: int, m: int, component: int) -> int:
 
 
 def far_field_checks(sp: SolutionParams) -> dict:
-    """Every expansion check of sp from one kernel call on circle(R_FAR, SAMPLES).
+    """Every expansion check of sp from one kernel call on circle(R, SAMPLES), R = R_FAR L.
 
     The call gives U^k and the tangents along frequency_directions(n, 2).
     Returns four lists of ExpansionCheck, one entry per m = 1..n (per i for
@@ -148,18 +153,19 @@ def far_field_checks(sp: SolutionParams) -> dict:
                     exponent variant 2m(n+2-m), off by the factor r^{2m};
       "freq1"       {"alpha": check, "beta": check}: r times the frequency-1
                     cosine and sine of -U^m, which tend to _signature(1, m, m)
-                    times Re and Im of c_{n+1-m, n-m};
+                    times Re and Im of c_{n+1-m, n-m} (a predicted 0 is
+                    measured against |_signature(1, m, m)| L);
       "freq2"       {which: check}: r^2 times the frequency-2 coefficient of
                     -dU^m/d(which) against _signature;
       "const-term"  the circle mean of U_i + 4 log r against
                     constant_term_prediction (the frequency-1 terms average out).
-    Each truncation error is O(R_FAR^-2).
+    Each truncation error is O(R_FAR^-2); each check's r is R.
     """
-    n = sp.n
+    n, R = sp.n, R_FAR * sp.outer_scale()
     directions = [which for pair in frequency_directions(n, 2).values() for which in pair]
-    upper, tangents = log_det_k_tangent(sp, directions, circle(R_FAR, SAMPLES))
+    upper, tangents = log_det_k_tangent(sp, directions, circle(R, SAMPLES))
     freq1 = fourier_coeffs(-upper)[:, 0]
-    log_r = math.log(R_FAR)
+    log_r = math.log(R)
     out = {"leading": [], "freq1": [], "freq2": [{} for _ in range(n)], "const-term": []}
     for m, (u_m, pair) in enumerate(zip(upper, frequency_directions(n, 1).values()), start=1):
         power = 2 * m * (n + 1 - m)
@@ -169,28 +175,29 @@ def far_field_checks(sp: SolutionParams) -> dict:
             measured = float(np.mean(np.exp(log_vals)))
             variant = float(np.mean(np.exp(log_vals - 2 * m * log_r)))
         if not math.isfinite(measured):
-            raise PositivityError(f"e^(-U^{m}) r^-{power} overflows at R_FAR")
+            raise PositivityError(f"e^(-U^{m}) r^-{power} overflows at R = {R:.3g}")
         fact = math.prod(math.factorial(j) for j in range(m))
         predicted = 2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m :]) * fact**2
-        out["leading"].append(_check(measured, predicted, predicted, variant_mean=variant,
-                                     variant_rel_error=abs(variant / predicted - 1.0)))
+        out["leading"].append(_check(R, measured, predicted, predicted, variant_mean=variant,
+                                        variant_rel_error=abs(variant / predicted - 1.0)))
         checks = {}
         for key, which in zip(("alpha", "beta"), pair):
             (i, j), unit = _coefficient_slot(n, which)
             # (a_1 - i b_1) unit is a_1 or b_1, as conj(c_ij) unit is Re or Im c_ij.
             pred = _signature(1, m, m) * (sp.c(i, j).conjugate() * unit).real
-            checks[key] = _check((freq1[m - 1] * unit).real * R_FAR, pred, abs(pred) or 1.0)
+            scale = abs(pred) or abs(_signature(1, m, m)) * sp.outer_scale()
+            checks[key] = _check(R, (freq1[m - 1] * unit).real * R, pred, scale)
         out["freq1"].append(checks)
     for which, coeffs in zip(directions, fourier_coeffs(tangents)[..., 1]):
         (i, j), unit = _coefficient_slot(n, which)
         for m, coeff in enumerate((coeffs * unit).real, start=1):
             pred = _signature(i - j, n - j, m)
             denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
-            out["freq2"][m - 1][which] = _check(coeff * R_FAR**2, pred, denom)
+            out["freq2"][m - 1][which] = _check(R, coeff * R**2, pred, denom)
     means = np.mean(cartan_matrix(n) @ upper, axis=1) + 4.0 * log_r
     for i, mean in enumerate(means, start=1):
         pred = constant_term_prediction(sp, i)
-        out["const-term"].append(_check(mean, pred, max(abs(pred), 1.0)))
+        out["const-term"].append(_check(R, mean, pred, max(abs(pred), 1.0)))
     return out
 
 

@@ -105,9 +105,9 @@ def _detail_rows(path: Path, columns) -> list:
 
 
 def emit_plot_data(report_dir) -> list:
-    """Tidy CSVs for plotting: the far-field errors (all at R_FAR) and residual vs h."""
+    """Tidy CSVs for plotting: the far-field errors (each at its set's R) and residual vs h."""
     report_dir = Path(report_dir)
-    columns = ["label", "check", "m", "which", "measured", "predicted", "rel_err"]
+    columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
     tables = {
         "far_field_errors.csv": [columns]
         + _detail_rows(report_dir / "asymptotics_detail.csv", columns),

@@ -5,8 +5,8 @@ of radius R is the mass of e^{U_i} in B_R.  r dU^i/dr is exact (Jacobi's
 formula), and the flux falls short of the total by the tail pi C_i / R^2
 of e^{U_i} ~ C_i r^-4, whose C_i is known in closed form (see
 asymptotics.constant_term_prediction); flux plus tail is off by
-O((L / R)^4), L = SolutionParams.outer_scale(); the mass suite takes
-R = FLUX_RADIUS L.
+O((L / R)^4), L = SolutionParams.outer_scale(); the mass suite reads it on
+the far-field probes' circle, R = asymptotics.R_FAR L.
 
 The direct route integrates e^{U_i} over the Riemann sphere.  With
 z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
@@ -28,7 +28,6 @@ from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_
 
 __all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
 
-FLUX_RADIUS = 1e4  # the mass suite's flux circle, in units of SolutionParams.outer_scale
 SPHERE_SAMPLES = 128  # mass_quadrature's trapezoid nodes in phi (SPHERE_NODES in cos(theta))
 
 
@@ -38,10 +37,7 @@ def predicted_mass(n: int, i: int) -> float:
 
 def mass_flux(sp: SolutionParams, R: float) -> list:
     """-oint_{|z|=R} dU^i/dr, i = 1..n: exact r d/dr log det_i + angular trapezoid."""
-    if not R < math.inf:
-        raise PositivityError(f"the flux circle |z| = {R} is past the double range")
-    z = circle(R, SAMPLES)
-    (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), z)[1]
+    (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), circle(R, SAMPLES))[1]
     if not np.all(np.isfinite(r_dlog_det)):
         raise PositivityError(f"the radial derivative of log det_k overflows at R = {R:.3g}")
     return [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]

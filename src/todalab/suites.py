@@ -14,10 +14,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .asymptotics import far_field_checks, t_integral
+from .asymptotics import R_FAR, far_field_checks, t_integral
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
-from .mass import FLUX_RADIUS, flux_tail, mass_flux, mass_quadrature, predicted_mass
+from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from .residual import GridSpec, grid_residuals
 from .solution import _coefficient_slot, kernel_directions, load_params, sample_params
 
@@ -29,11 +29,11 @@ KNOWN_SUITES = ("pde", "linearized", "identities", "asymptotics", "mass", "t-int
 PDE_ORDER_CENTER = 2.0
 PDE_ORDER_SLACK = 0.5
 LINEARIZED_MAX_RESIDUAL = 1e-3
-MASS_REL = 1e-5  # flux plus tail is off by O(FLUX_RADIUS^-4); the sphere rule needs 1e-5
-FIRST_FREQUENCY_REL = 1e-7  # every far-field check is read at R_FAR
+MASS_REL = 1e-5  # flux plus tail is off by O(R_FAR^-4); the sphere rule needs 1e-5
+FIRST_FREQUENCY_REL = 1e-7  # every far-field check is read at R = R_FAR L, L = outer_scale()
 KERNEL_SIGNATURE_REL = 1e-7
 LEADING_COEFFICIENT_REL = 1e-7
-CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR
+CONSTANT_TERM_REL = 1e-7  # of U_i + 4 log r at R_FAR L
 T_INTEGRAL_REL = 1e-12  # of the T-integral's two sphere rules, relative to the rule on |field|
 
 
@@ -202,11 +202,11 @@ def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
 
 
 def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    """Flux plus tail at R = FLUX_RADIUS L against 4 pi i(n+1-i), the sphere and sum rules."""
+    """Flux plus tail at R = R_FAR L against 4 pi i(n+1-i), the sphere and sum rules."""
     cases, details = [], []
     for label, sp in param_sets:
         n = sp.n
-        R = FLUX_RADIUS * sp.outer_scale()
+        R = R_FAR * sp.outer_scale()
         fluxes, tails = mass_flux(sp, R), flux_tail(sp, R)
         quads = mass_quadrature(sp)
         masses = [flux + tail for flux, tail in zip(fluxes, tails)]

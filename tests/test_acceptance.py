@@ -23,7 +23,7 @@ from todalab.cartan import cartan_matrix
 from todalab.cli import main as cli_main
 from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
-from todalab.mass import FLUX_RADIUS, flux_tail, mass_flux, mass_quadrature, predicted_mass
+from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
 from todalab.residual import GridSpec, grid_residuals
 from todalab.solution import SolutionParams, kernel_directions, sample_params
 
@@ -87,7 +87,7 @@ def test_03_random_parameter_pde_order():
 
 def test_04_mass_quantization():
     # The flux through |z| = R plus its closed-form tail pi C_i / R^2, at the
-    # suite's R = FLUX_RADIUS L, against the quantized mass, the sphere rule,
+    # suite's R = R_FAR L, against the quantized mass, the sphere rule,
     # and the Cartan sum rule.
     tol = suites.MASS_REL
     worst_flux, worst_route, worst_sum, worst_time = 0.0, 0.0, 0.0, 0.0
@@ -95,7 +95,7 @@ def test_04_mass_quantization():
         for seed in range(5):
             sp = sample_params(n, seed, 0.3)
             t0 = time.perf_counter()
-            R = FLUX_RADIUS * sp.outer_scale()
+            R = R_FAR * sp.outer_scale()
             masses = [flux + tail for flux, tail in zip(mass_flux(sp, R=R), flux_tail(sp, R=R))]
             quads = mass_quadrature(sp)
             for i, (mass, quad) in enumerate(zip(masses, quads, strict=True), 1):
@@ -144,7 +144,7 @@ def test_06_second_frequency_kernel_signatures():
     assert _report(
         "second-frequency-kernel-signatures",
         ok,
-        f"worst signature error {worst:.1e} at r={R_FAR:.0e}, exact fields",
+        f"worst signature error {worst:.1e} at r={R_FAR:.0e} L, exact fields",
     )
 
 
@@ -175,7 +175,7 @@ def test_08_leading_coefficient_and_exponent():
         sp = sample_params(n, 0, 0.0)
         for ck in far_field_checks(sp)["leading"]:
             worst = max(worst, ck.rel_error)
-            # The competing exponent overshoots by r^{2m} = 1e12^m at R_FAR;
+            # The competing exponent overshoots by r^{2m} = (1e6 L)^{2m} at R_FAR L;
             # the variant mean must miss the prediction by orders of magnitude.
             gap = ck.predicted / max(ck.notes["variant_mean"], 1e-300)
             weakest_gap = min(weakest_gap, gap)

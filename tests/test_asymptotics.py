@@ -77,6 +77,49 @@ def test_first_frequency_both_projections(n, seed):
         assert out["beta"].rel_error <= FIRST_FREQUENCY_REL
 
 
+def _one_part(sp, keep):
+    """sp with every coefficient c_ij replaced by keep(c_ij)."""
+    polys = tuple(ComplexPoly(tuple(keep(c) for c in p.coeffs[:-1]) + (1 + 0j,))
+                  for p in sp.polys)
+    return SolutionParams(n=sp.n, lambdas=sp.lambdas, polys=polys)
+
+
+@pytest.mark.parametrize("part,zero", [("real", "beta"), ("imag", "alpha")])
+def test_first_frequency_predicted_zero_is_measured_against_the_coefficient_scale(part, zero):
+    # Purely real (imaginary) coefficients predict a freq1 beta (alpha) of
+    # exactly 0.  The measured value is r times a coefficient read at
+    # R = R_FAR L, so its rounding grows with L; its error is taken against
+    # |_signature(1, m, m)| L = 2 m L.  Against 1.0, rounding of 1e-7 or more
+    # failed some of these sets at dilation 100 and the radial n = 7 set.
+    keep = {"real": lambda c: complex(c.real, 0.0), "imag": lambda c: complex(0.0, c.imag)}[part]
+    sets = [_one_part(sample_params(n, seed, magnitude, dilation=100.0), keep)
+            for n, seed, magnitude in ((2, 0, 5.0), (3, 2, 5.0), (3, 3, 5.0), (5, 0, 0.3))]
+    sets.append(sample_params(7, 0, 0.0, dilation=100.0))
+    for sp in sets:
+        for m, out in enumerate(far_field_checks(sp)["freq1"], start=1):
+            ck = out[zero]
+            assert ck.predicted == 0.0
+            assert ck.rel_error == abs(ck.measured) / (2 * m * sp.outer_scale())
+            assert max(ck.rel_error for ck in out.values()) <= FIRST_FREQUENCY_REL, (sp.n, m)
+
+
+def test_every_check_is_read_at_R_FAR_times_the_outer_scale():
+    # One radius rule for every circle probe: the checks of a set record
+    # its R = R_FAR L, and a bubble dilated 1e4-fold moves the circle with it.
+    for dilation in (0.01, 100.0):
+        sp = sample_params(3, 1, 2.0, dilation=dilation)
+        checks = far_field_checks(sp)
+        flat = checks["leading"] + checks["const-term"] + [
+            ck for key in ("freq1", "freq2") for out in checks[key] for ck in out.values()]
+        assert {ck.r for ck in flat} == {asymptotics.R_FAR * sp.outer_scale()}
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, np.array([1.0, math.inf])])
+def test_circle_past_the_double_range_is_a_breakdown(r):
+    with pytest.raises(solution.PositivityError, match="past the double range"):
+        circle(r, 8)
+
+
 def test_second_frequency_prediction_table():
     # The closed form at f = 2 gives the table it replaced, -m(m-1) on the
     # diagonal and m(m+1) for component m along index m + 1, and at f = 1
@@ -122,7 +165,7 @@ def test_constant_term_probe_measures_sums_not_table():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_far_field_coefficients_at_rounding_level(n):
-    # One circle at R_FAR leaves an O(R_FAR^-2) truncation error; the
+    # One circle at R_FAR L leaves an O(R_FAR^-2) truncation error; the
     # C/r extrapolation this replaced was off by 1e-3 to 1e-2.
     for seed in range(4):
         sp = sample_params(n, seed, 0.3, dilation=3.0)

@@ -164,11 +164,13 @@ def test_plot_rows_of_far_field_errors_are_distinct(tmp_path, capsys):
              "--out", str(out)])
     assert run_cli(["plot-data", "--out", str(out)]) == 0
     with (out / "plots" / "far_field_errors.csv").open() as fh:
-        reader = csv.DictReader(fh)
-        keys = [(row["label"], row["check"], row["m"], row["which"]) for row in reader]
+        rows = list(csv.DictReader(fh))
+    keys = [(row["label"], row["check"], row["m"], row["which"]) for row in rows]
     assert len(keys) > 1 and len(set(keys)) == len(keys)
-    # Every check is read at R_FAR, so the table has no radius column.
-    assert "r" not in reader.fieldnames
+    # Each set's checks are read at its own R = R_FAR L, which the table carries.
+    radii = {row["label"]: row["r"] for row in rows}
+    assert len(radii) == 2 and len(set(radii.values())) == 2
+    assert len({(row["label"], row["r"]) for row in rows}) == 2
 
 
 def test_failing_tolerance_exits_1(tmp_path, monkeypatch):
@@ -397,26 +399,23 @@ def test_bad_params_file_exits_2(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("params", [
-    # |P_i|^2 overflows: log_det_k finds a non-finite det_k.
-    {"n": 2, "lambdas": [1, 1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e200},
-                                              {"i": 2, "j": 0, "re": 1e200},
-                                              {"i": 2, "j": 1, "re": 1e200}]},
-    # e^{U_1} underflows to 0 everywhere: the quadrature mass is 0.
-    {"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e300}]},
-    # c_10 = 1e306 puts the flux circle 1e4 |c_10| past the double range;
+CIRCLES_PAST_THE_DOUBLE_RANGE = [
+    # c_10 = 1e306 puts the probe circle R_FAR |c_10| past the double range;
     # a c_10 of modulus 2.4e308 is past it itself.
     pytest.param({"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e306}]},
                  id="flux-circle-past-the-double-range"),
     pytest.param({"n": 1, "lambdas": [1, 1],
                   "coeffs": [{"i": 1, "j": 0, "re": 1.7e308, "im": 1.7e308}]},
                  id="coefficient-modulus-past-the-double-range"),
-])
-def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
+]
+
+
+def _assert_breakdown(tmp_path, capsys, params, suite):
+    """verify --suite <suite> on params exits 2 with one numerical-breakdown line."""
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps(params))
     out = tmp_path / "rep"
-    code = run_cli(["verify", "--suite", "mass", "--params-file", str(pfile),
+    code = run_cli(["verify", "--suite", suite, "--params-file", str(pfile),
                     "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
@@ -424,10 +423,30 @@ def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params", [
+    # |P_i|^2 overflows: log_det_k finds a non-finite det_k.
+    {"n": 2, "lambdas": [1, 1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e200},
+                                              {"i": 2, "j": 0, "re": 1e200},
+                                              {"i": 2, "j": 1, "re": 1e200}]},
+    # e^{U_1} underflows to 0 everywhere: the quadrature mass is 0.
+    {"n": 1, "lambdas": [1, 1], "coeffs": [{"i": 1, "j": 0, "re": 1e300}]},
+    *CIRCLES_PAST_THE_DOUBLE_RANGE,
+])
+def test_numeric_breakdown_exits_2(tmp_path, capsys, params):
+    _assert_breakdown(tmp_path, capsys, params, "mass")
+
+
+@pytest.mark.parametrize("params", CIRCLES_PAST_THE_DOUBLE_RANGE)
+def test_far_field_circle_past_the_double_range_exits_2(tmp_path, capsys, params):
+    # The far-field circle is the flux circle, so it breaks down the same
+    # way, before any sample reaches the kernel (no RuntimeWarning).
+    _assert_breakdown(tmp_path, capsys, params, "asymptotics")
+
+
 def test_mass_passes_on_a_bubble_of_radius_1e160(tmp_path):
     # A bubble of scale L = 1e160: C_1 = e^{U_1} r^4 at infinity is 4e320,
     # past the double range, but the flux circle follows the bubble to
-    # R = 1e4 L, where the tail pi C_1 / R^2 is 1.3e-7.
+    # R = R_FAR L = 1e6 L, where the tail pi C_1 / R^2 is 1.3e-11.
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"n": 1, "lambdas": [1e160, 1e-160], "coeffs": []}))
     out = tmp_path / "rep"
