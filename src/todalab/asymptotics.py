@@ -7,7 +7,7 @@ and the frequency-0/1/2 coefficients from one kernel call on one circle
 (uniform trapezoid DFT, spectrally accurate for smooth periodic data) at
 R = R_FAR L, L = SolutionParams.outer_scale(), far enough out that the
 O((L/R)^2) truncation error sits near rounding, and compares them with the
-predicted values.
+predicted values.  The same call gives the mass flux through that circle.
 
 Also here: sphere_rule, the one rule for plane integrals (the mass
 quadrature shares it), and the plane integrals of the second-frequency
@@ -142,12 +142,12 @@ def _signature(f: int, m: int, component: int) -> int:
     return 2 * math.comb(m, f) * (-1) ** t * math.comb(f - 1, t) if 0 <= t < f else 0
 
 
-def far_field_checks(sp: SolutionParams) -> dict:
+def far_field_checks(sp: SolutionParams, directions=()) -> dict:
     """Every expansion check of sp from one kernel call on circle(R, SAMPLES), R = R_FAR L.
 
-    The call gives U^k and the tangents along frequency_directions(n, 2).
-    Returns four lists of ExpansionCheck, one entry per m = 1..n (per i for
-    the constant term):
+    The call gives U^k and the tangents along the given directions: frequency-2
+    directions (frequency_directions(n, 2)) and "radial".  Returns R and four
+    lists of ExpansionCheck, one entry per m = 1..n (per i for the constant term):
       "leading"     the circle mean of e^{-U^m} r^{-2m(n+1-m)} against its
                     closed form; the notes hold the same mean for the
                     exponent variant 2m(n+2-m), off by the factor r^{2m};
@@ -155,18 +155,24 @@ def far_field_checks(sp: SolutionParams) -> dict:
                     cosine and sine of -U^m, which tend to _signature(1, m, m)
                     times Re and Im of c_{n+1-m, n-m} (a predicted 0 is
                     measured against |_signature(1, m, m)| L);
-      "freq2"       {which: check}: r^2 times the frequency-2 coefficient of
-                    -dU^m/d(which) against _signature;
+      "freq2"       {which: check} per given frequency-2 direction: r^2 times
+                    the frequency-2 coefficient of -dU^m/d(which) against _signature;
       "const-term"  the circle mean of U_i + 4 log r against
                     constant_term_prediction (the frequency-1 terms average out).
-    Each truncation error is O(R_FAR^-2); each check's r is R.
+    Given "radial", it also returns "flux": -oint dU^i/dr = 2 pi times the circle
+    mean of the exact r d/dr log det_i, i = 1..n; a flux that is not finite raises
+    PositivityError.  Each truncation error is O(R_FAR^-2); each check's r is R.
     """
     n, R = sp.n, R_FAR * sp.outer_scale()
-    directions = [which for pair in frequency_directions(n, 2).values() for which in pair]
     upper, tangents = log_det_k_tangent(sp, directions, circle(R, SAMPLES))
+    out = {"R": R, "leading": [], "freq1": [], "freq2": [{} for _ in range(n)], "const-term": []}
+    if "radial" in directions:
+        r_dlog_det = tangents[list(directions).index("radial")]
+        if not np.all(np.isfinite(r_dlog_det)):
+            raise PositivityError(f"the radial derivative of log det_k overflows at R = {R:.3g}")
+        out["flux"] = [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]
     freq1 = fourier_coeffs(-upper)[:, 0]
     log_r = math.log(R)
-    out = {"leading": [], "freq1": [], "freq2": [{} for _ in range(n)], "const-term": []}
     for m, (u_m, pair) in enumerate(zip(upper, frequency_directions(n, 1).values()), start=1):
         power = 2 * m * (n + 1 - m)
         log_vals = -u_m - power * log_r
@@ -189,6 +195,8 @@ def far_field_checks(sp: SolutionParams) -> dict:
             checks[key] = _check(R, (freq1[m - 1] * unit).real * R, pred, scale)
         out["freq1"].append(checks)
     for which, coeffs in zip(directions, fourier_coeffs(tangents)[..., 1]):
+        if which == "radial":
+            continue
         (i, j), unit = _coefficient_slot(n, which)
         for m, coeff in enumerate((coeffs * unit).real, start=1):
             pred = _signature(i - j, n - j, m)

@@ -2,7 +2,7 @@
 
 Subcommands:
   verify       run verification suites, write JSON summary + per-suite CSV
-  plot-data    reshape suite detail CSVs into plot-ready tables
+  plot-data    reshape the grid suites' detail CSVs into a plot-ready table
   show-params  print normalized parameter sets for a config
 
 Exit codes: 0 all cases pass, 1 any case fails, 2 configuration error or
@@ -105,24 +105,21 @@ def _detail_rows(path: Path, columns) -> list:
 
 
 def emit_plot_data(report_dir) -> list:
-    """Tidy CSVs for plotting: the far-field errors (each at its set's R) and residual vs h."""
+    """plots/residual_vs_h.csv from the pde and linearized details; returns [its path].
+
+    The far-field errors need no reshaping: asymptotics_detail.csv holds them, each at its R.
+    """
     report_dir = Path(report_dir)
-    columns = ["label", "check", "m", "which", "r", "measured", "predicted", "rel_err"]
-    tables = {
-        "far_field_errors.csv": [columns]
-        + _detail_rows(report_dir / "asymptotics_detail.csv", columns),
-        "residual_vs_h.csv": [["suite", "label", "h", "max_residual"]] + [
-            [suite] + row for suite in ("pde", "linearized")
-            for row in _detail_rows(report_dir / f"{suite}_detail.csv",
-                                    ["label", "h", "max_residual"])
-        ],
-    }
+    rows = [["suite", "label", "h", "max_residual"]] + [
+        [suite] + row for suite in ("pde", "linearized")
+        for row in _detail_rows(report_dir / f"{suite}_detail.csv", ["label", "h", "max_residual"])
+    ]
     plots = report_dir / "plots"
     plots.mkdir(exist_ok=True)
-    for name, rows in tables.items():
-        with (plots / name).open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    return [plots / name for name in tables]
+    path = plots / "residual_vs_h.csv"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return [path]
 
 
 class _Parser(argparse.ArgumentParser):

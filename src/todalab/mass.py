@@ -5,8 +5,9 @@ of radius R is the mass of e^{U_i} in B_R.  r dU^i/dr is exact (Jacobi's
 formula), and the flux falls short of the total by the tail pi C_i / R^2
 of e^{U_i} ~ C_i r^-4, whose C_i is known in closed form (see
 asymptotics.constant_term_prediction); flux plus tail is off by
-O((L / R)^4), L = SolutionParams.outer_scale(); the mass suite reads it on
-the far-field probes' circle, R = asymptotics.R_FAR L.
+O((L / R)^4), L = SolutionParams.outer_scale().  The flux is read by
+asymptotics.far_field_checks, in its one kernel call on the circle
+R = asymptotics.R_FAR L.
 
 The direct route integrates e^{U_i} over the Riemann sphere.  With
 z = t cot(theta/2) e^{i phi} the plane's area element is dA / rho,
@@ -23,24 +24,16 @@ import math
 
 import numpy as np
 
-from .asymptotics import SAMPLES, SPHERE_NODES, circle, constant_term_prediction, sphere_rule
-from .solution import PositivityError, SolutionParams, log_det_k_tangent, lower_components
+from .asymptotics import SPHERE_NODES, constant_term_prediction, sphere_rule
+from .solution import PositivityError, SolutionParams, lower_components
 
-__all__ = ["flux_tail", "mass_flux", "mass_quadrature", "predicted_mass"]
+__all__ = ["flux_tail", "mass_quadrature", "predicted_mass"]
 
 SPHERE_SAMPLES = 128  # mass_quadrature's trapezoid nodes in phi (SPHERE_NODES in cos(theta))
 
 
 def predicted_mass(n: int, i: int) -> float:
     return 4.0 * math.pi * i * (n + 1 - i)
-
-
-def mass_flux(sp: SolutionParams, R: float) -> list:
-    """-oint_{|z|=R} dU^i/dr, i = 1..n: exact r d/dr log det_i + angular trapezoid."""
-    (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), circle(R, SAMPLES))[1]
-    if not np.all(np.isfinite(r_dlog_det)):
-        raise PositivityError(f"the radial derivative of log det_k overflows at R = {R:.3g}")
-    return [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]
 
 
 def flux_tail(sp: SolutionParams, R: float) -> list:

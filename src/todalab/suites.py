@@ -14,16 +14,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .asymptotics import R_FAR, far_field_checks, t_integral
+from .asymptotics import far_field_checks, t_integral
 from .cartan import cartan_matrix
 from .identities import verify_identity_sweep
-from .mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
+from .mass import flux_tail, mass_quadrature, predicted_mass
 from .residual import GridSpec, grid_residuals
-from .solution import _coefficient_slot, kernel_directions, load_params, sample_params
+from .solution import (_coefficient_slot, frequency_directions, kernel_directions, load_params,
+                       sample_params)
 
 __all__ = ["Case", "RunConfig", "SUITES", "build_param_sets", "run_suites"]
-
-KNOWN_SUITES = ("pde", "linearized", "identities", "asymptotics", "mass", "t-integrals")
 
 # Pinned verdict tolerances; no configuration changes them.
 PDE_ORDER_CENTER = 2.0
@@ -120,24 +119,16 @@ def build_param_sets(cfg: RunConfig) -> list:
 # -- individual suites -----------------------------------------------------
 
 
-def suite_identities(cfg: RunConfig, param_sets) -> tuple[list, list]:
+def suite_identities(cfg: RunConfig, param_sets) -> dict:
     report = verify_identity_sweep(10)
-    cases = [
-        Case(
-            suite="identities",
-            case_id="F-and-G-sweep-m<=10",
-            measured=float(len(report.failures)),
-            expected=0.0,
-            tolerance=0.0,
-            passed=report.all_pass,
-        )
-    ]
+    cases = [Case("identities", "F-and-G-sweep-m<=10", float(len(report.failures)), 0.0, 0.0,
+                  report.all_pass)]
     details = [
         {"kind": c["kind"], "m": c["m"], "n": c["n"], "det": str(c["det"]),
          "expected": str(c["expected"]), "pass": c["pass"]}
         for c in report.cases
     ]
-    return cases, details
+    return {"identities": (cases, details)}
 
 
 def _order_case(suite: str, case_id: str, rep) -> Case:
@@ -174,61 +165,66 @@ def _grid_suites(cfg: RunConfig, param_sets) -> dict:
     return dict(zip(("pde", "linearized"), suites))
 
 
-def _expansion_case(case_id: str, ck, tol: float) -> Case:
-    return Case("asymptotics", case_id, ck.measured, ck.predicted, tol, ck.rel_error <= tol)
+def _expansion_cases(label: str, checks: dict, cases: list, details: list) -> None:
+    """Append one probe's asymptotics cases and detail rows."""
+    def add(case_id, check, m, which, ck, tol):
+        cases.append(Case("asymptotics", f"{label}-{case_id}", ck.measured, ck.predicted, tol,
+                          ck.rel_error <= tol))
+        details.append({"label": label, "check": check, "m": m, "which": which, "r": ck.r,
+                        "measured": ck.measured, "predicted": ck.predicted,
+                        "rel_err": ck.rel_error})
+
+    for m, ck in enumerate(checks["leading"], start=1):
+        add(f"leading-m{m}", "leading", m, "", ck, LEADING_COEFFICIENT_REL)
+        for check, tol in (("freq1", FIRST_FREQUENCY_REL), ("freq2", KERNEL_SIGNATURE_REL)):
+            for which, ck in checks[check][m - 1].items():
+                add(f"{check}-{which}-m{m}", check, m, which, ck, tol)
+    for i, ck in enumerate(checks["const-term"], start=1):
+        add(f"const-term-i{i}", "const-term", i, "", ck, CONSTANT_TERM_REL)
 
 
-def _expansion_row(label: str, check: str, m: int, which: str, ck) -> dict:
-    return {"label": label, "check": check, "m": m, "which": which, "r": ck.r,
-            "measured": ck.measured, "predicted": ck.predicted, "rel_err": ck.rel_error}
+def _mass_cases(label: str, sp, checks: dict, cases: list, details: list) -> None:
+    """Append flux plus tail at the probe's R against 4 pi i(n+1-i), the sphere and sum rules."""
+    n, R, fluxes = sp.n, checks["R"], checks["flux"]
+    tails, quads = flux_tail(sp, R), mass_quadrature(sp)
+    masses = [flux + tail for flux, tail in zip(fluxes, tails)]
+    for i, (mass, quad) in enumerate(zip(masses, quads), start=1):
+        pred = predicted_mass(n, i)
+        rel = abs(mass / pred - 1.0)
+        agree = abs(mass / quad - 1.0)
+        cases.append(Case("mass", f"{label}-flux-i{i}", mass, pred, MASS_REL, rel <= MASS_REL))
+        cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
+                          MASS_REL, agree <= MASS_REL))
+        details.append({"label": label, "i": i, "R": R, "flux": fluxes[i - 1],
+                        "tail": tails[i - 1], "quadrature": quad, "predicted": pred})
+    a = cartan_matrix(sp.n)
+    for i in range(n):
+        s = float(sum(a[i][j] * masses[j] for j in range(n)))
+        rel = abs(s / (8.0 * math.pi) - 1.0)
+        cases.append(Case("mass", f"{label}-sum-rule-i{i + 1}", s, 8.0 * math.pi,
+                          MASS_REL, rel <= MASS_REL))
 
 
-def suite_asymptotics(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    cases, details = [], []
+def _probe_suites(cfg: RunConfig, param_sets) -> dict:
+    """{suite: (cases, detail rows)} of asymptotics and mass, from one far-field probe per set.
+
+    The probe takes the frequency-2 directions if and only if the run selects asymptotics,
+    and "radial" if and only if it selects mass.
+    """
+    asymptotics, mass = "asymptotics" in cfg.suites, "mass" in cfg.suites
+    out = {"asymptotics": ([], []), "mass": ([], [])}
     for label, sp in param_sets:
-        checks = far_field_checks(sp)
-        for m in range(1, sp.n + 1):
-            ck = checks["leading"][m - 1]
-            cases.append(_expansion_case(f"{label}-leading-m{m}", ck, LEADING_COEFFICIENT_REL))
-            details.append(_expansion_row(label, "leading", m, "", ck))
-            for check, tol in (("freq1", FIRST_FREQUENCY_REL), ("freq2", KERNEL_SIGNATURE_REL)):
-                for which, ck in checks[check][m - 1].items():
-                    cases.append(_expansion_case(f"{label}-{check}-{which}-m{m}", ck, tol))
-                    details.append(_expansion_row(label, check, m, which, ck))
-        for i, ck in enumerate(checks["const-term"], start=1):
-            cases.append(_expansion_case(f"{label}-const-term-i{i}", ck, CONSTANT_TERM_REL))
-            details.append(_expansion_row(label, "const-term", i, "", ck))
-    return cases, details
+        second = [which for pair in frequency_directions(sp.n, 2).values() for which in pair]
+        directions = second if asymptotics else []
+        checks = far_field_checks(sp, directions + (["radial"] if mass else []))
+        if asymptotics:
+            _expansion_cases(label, checks, *out["asymptotics"])
+        if mass:
+            _mass_cases(label, sp, checks, *out["mass"])
+    return out
 
 
-def suite_mass(cfg: RunConfig, param_sets) -> tuple[list, list]:
-    """Flux plus tail at R = R_FAR L against 4 pi i(n+1-i), the sphere and sum rules."""
-    cases, details = [], []
-    for label, sp in param_sets:
-        n = sp.n
-        R = R_FAR * sp.outer_scale()
-        fluxes, tails = mass_flux(sp, R), flux_tail(sp, R)
-        quads = mass_quadrature(sp)
-        masses = [flux + tail for flux, tail in zip(fluxes, tails)]
-        for i, (mass, quad) in enumerate(zip(masses, quads), start=1):
-            pred = predicted_mass(n, i)
-            rel = abs(mass / pred - 1.0)
-            agree = abs(mass / quad - 1.0)
-            cases.append(Case("mass", f"{label}-flux-i{i}", mass, pred, MASS_REL, rel <= MASS_REL))
-            cases.append(Case("mass", f"{label}-routes-i{i}", agree, 0.0,
-                              MASS_REL, agree <= MASS_REL))
-            details.append({"label": label, "i": i, "R": R, "flux": fluxes[i - 1],
-                            "tail": tails[i - 1], "quadrature": quad, "predicted": pred})
-        a = cartan_matrix(sp.n)
-        for i in range(n):
-            s = float(sum(a[i][j] * masses[j] for j in range(n)))
-            rel = abs(s / (8.0 * math.pi) - 1.0)
-            cases.append(Case("mass", f"{label}-sum-rule-i{i + 1}", s, 8.0 * math.pi,
-                              MASS_REL, rel <= MASS_REL))
-    return cases, details
-
-
-def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
+def suite_t_integrals(cfg: RunConfig, param_sets) -> dict:
     """T on 2N sphere nodes against N, within T_INTEGRAL_REL of a scale that must be positive."""
     cases, details = [], []
     for label, sp in param_sets:
@@ -240,36 +236,39 @@ def suite_t_integrals(cfg: RunConfig, param_sets) -> tuple[list, list]:
                               T_INTEGRAL_REL, passed))
             details.append({"label": label, "l": l, "which": part, "value": res.value,
                             "coarse": res.coarse, "scale": res.scale})
-    return cases, details
+    return {"t-integrals": (cases, details)}
 
 
-SUITES = {  # pde and linearized come from _grid_suites
+# Every suite in default run order, mapped to the function that computes it; a
+# function returns {suite: (cases, detail rows)} for each suite it serves.
+SUITES = {
+    "pde": _grid_suites,
+    "linearized": _grid_suites,
     "identities": suite_identities,
-    "asymptotics": suite_asymptotics,
-    "mass": suite_mass,
+    "asymptotics": _probe_suites,
+    "mass": _probe_suites,
     "t-integrals": suite_t_integrals,
 }
+KNOWN_SUITES = tuple(SUITES)
 
 
 def run_suites(cfg: RunConfig) -> tuple[list, dict, dict]:
     """Run the configured suites; returns (cases, {suite: detail rows}, {suite: seconds}).
 
-    pde and linearized share one grid walk per parameter set, timed with the first
-    of them to run.  Each suite's seconds are its wall time, parameter sets excluded.
-    Raises ValueError when the configuration selects no case at all.
+    A function of SUITES that serves two selected suites runs once, timed with the
+    first of them to run: pde and linearized share one grid walk per parameter set,
+    asymptotics and mass one far-field probe.  Each suite's seconds are its wall
+    time, parameter sets excluded.  Raises ValueError when the configuration
+    selects no case at all.
     """
     param_sets = build_param_sets(cfg)
-    grids: dict = {}
-    cases: list = []
-    details: dict = {}
-    seconds: dict = {}
+    results, cases, details, seconds = {}, [], {}, {}
     for name in cfg.suites:
         t0 = time.perf_counter()
-        if name in SUITES:
-            suite_cases, details[name] = SUITES[name](cfg, param_sets)
-        else:
-            grids = grids or _grid_suites(cfg, param_sets)
-            suite_cases, details[name] = grids[name]
+        compute = SUITES[name]
+        if compute not in results:
+            results[compute] = compute(cfg, param_sets)
+        suite_cases, details[name] = results[compute][name]
         seconds[name] = time.perf_counter() - t0
         cases.extend(suite_cases)
     if not cases:

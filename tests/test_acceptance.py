@@ -23,9 +23,9 @@ from todalab.cartan import cartan_matrix
 from todalab.cli import main as cli_main
 from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
-from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
+from todalab.mass import flux_tail, mass_quadrature, predicted_mass
 from todalab.residual import GridSpec, grid_residuals
-from todalab.solution import SolutionParams, kernel_directions, sample_params
+from todalab.solution import SolutionParams, frequency_directions, kernel_directions, sample_params
 
 GRID = GridSpec.from_h(1e-2)
 
@@ -95,8 +95,10 @@ def test_04_mass_quantization():
         for seed in range(5):
             sp = sample_params(n, seed, 0.3)
             t0 = time.perf_counter()
-            R = R_FAR * sp.outer_scale()
-            masses = [flux + tail for flux, tail in zip(mass_flux(sp, R=R), flux_tail(sp, R=R))]
+            probe = far_field_checks(sp, ("radial",))
+            R = probe["R"]
+            assert R == R_FAR * sp.outer_scale()
+            masses = [flux + tail for flux, tail in zip(probe["flux"], flux_tail(sp, R=R))]
             quads = mass_quadrature(sp)
             for i, (mass, quad) in enumerate(zip(masses, quads, strict=True), 1):
                 worst_flux = max(worst_flux, abs(mass / predicted_mass(n, i) - 1.0))
@@ -134,7 +136,8 @@ def test_06_second_frequency_kernel_signatures():
     worst = 0.0
     for n in (2, 3):
         sp = sample_params(n, 0, 0.3)
-        checks = far_field_checks(sp)["freq2"]
+        second = [which for pair in frequency_directions(n, 2).values() for which in pair]
+        checks = far_field_checks(sp, second)["freq2"]
         assert all(len(per_which) == 2 * (n - 1) for per_which in checks)
         for m, per_which in enumerate(checks, start=1):
             for ck in per_which.values():

@@ -18,7 +18,7 @@ from todalab.asymptotics import (
     sphere_rule,
     t_integral,
 )
-from todalab.mass import mass_flux, mass_quadrature
+from todalab.mass import mass_quadrature
 from todalab.cpoly import ComplexPoly
 from todalab.solution import SolutionParams, frequency_directions, sample_params
 from todalab.suites import (
@@ -28,9 +28,15 @@ from todalab.suites import (
     LEADING_COEFFICIENT_REL,
     T_INTEGRAL_REL,
     RunConfig,
+    SUITES,
     build_param_sets,
-    suite_asymptotics,
+    run_suites,
 )
+
+
+def _second(n):
+    """The frequency-2 directions, in the order the asymptotics suite gives them."""
+    return [which for pair in frequency_directions(n, 2).values() for which in pair]
 
 
 def test_fourier_coeffs_exact_on_trig_polynomial():
@@ -105,13 +111,16 @@ def test_first_frequency_predicted_zero_is_measured_against_the_coefficient_scal
 
 def test_every_check_is_read_at_R_FAR_times_the_outer_scale():
     # One radius rule for every circle probe: the checks of a set record
-    # its R = R_FAR L, and a bubble dilated 1e4-fold moves the circle with it.
+    # its R = R_FAR L, which the probe also returns with the flux, and a
+    # bubble dilated 1e4-fold moves the circle with it.
     for dilation in (0.01, 100.0):
         sp = sample_params(3, 1, 2.0, dilation=dilation)
-        checks = far_field_checks(sp)
+        checks = far_field_checks(sp, _second(3) + ["radial"])
         flat = checks["leading"] + checks["const-term"] + [
             ck for key in ("freq1", "freq2") for out in checks[key] for ck in out.values()]
-        assert {ck.r for ck in flat} == {asymptotics.R_FAR * sp.outer_scale()}
+        assert len(flat) == 3 + 3 + 6 + 12
+        assert {ck.r for ck in flat} == {checks["R"]} == {asymptotics.R_FAR * sp.outer_scale()}
+        assert len(checks["flux"]) == 3
 
 
 @pytest.mark.parametrize("r", [math.inf, math.nan, np.array([1.0, math.inf])])
@@ -138,7 +147,7 @@ def test_second_frequency_prediction_table():
 
 def test_kernel_signature_check_n2():
     sp = sample_params(2, 0, 0.3)
-    checks = far_field_checks(sp)["freq2"]
+    checks = far_field_checks(sp, _second(2))["freq2"]
     assert len(checks) == 2
     for m, per_which in enumerate(checks, start=1):
         assert list(per_which) == ["alpha2_2", "beta2_2"]
@@ -149,7 +158,8 @@ def test_kernel_signature_check_n2():
 
 def test_second_frequency_probes_have_nothing_to_check_at_n1():
     sp = sample_params(1, 0, 0.3)
-    assert far_field_checks(sp)["freq2"] == [{}]
+    assert _second(1) == []
+    assert far_field_checks(sp, _second(1) + ["radial"])["freq2"] == [{}]
     assert t_integral(sp) == {}
 
 
@@ -169,7 +179,7 @@ def test_far_field_coefficients_at_rounding_level(n):
     # C/r extrapolation this replaced was off by 1e-3 to 1e-2.
     for seed in range(4):
         sp = sample_params(n, seed, 0.3, dilation=3.0)
-        checks = far_field_checks(sp)
+        checks = far_field_checks(sp, _second(n))
         freq1 = [ck for out in checks["freq1"] for ck in out.values()]
         freq2 = [ck for out in checks["freq2"] for ck in out.values()]
         assert max(ck.rel_error for ck in checks["leading"]) <= LEADING_COEFFICIENT_REL
@@ -276,7 +286,8 @@ def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
 def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     # Every evaluation goes through the det_k kernel, which returns all k
     # and every tangent direction in one call, however many components and
-    # directions a probe checks.  The T-integral takes one call per l and
+    # directions a probe checks.  Alone, the mass suite's far-field call
+    # carries "radial" only.  The T-integral takes one call per l and
     # sphere rule, on row l - 1 alone, with its two directions.
     calls = []
     original = solution._log_dets
@@ -290,12 +301,18 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
     sp = sample_params(n, 0, 0.3)
     rows = (1, 2, 3)
     second = ("alpha2_2", "beta2_2", "alpha2_3", "beta2_3")
-    cfg = RunConfig(n=n, count=2)
+
+    def alone(name):
+        cfg = RunConfig(suites=[name], n=n, count=2)
+        return lambda: SUITES[name](cfg, build_param_sets(cfg))
+
     for probe, expected in (
-        (lambda: far_field_checks(sp), [(rows, second)]),
+        (lambda: far_field_checks(sp, second), [(rows, second)]),
         # One call per parameter set: the suite at count 2 makes two.
-        (lambda: suite_asymptotics(cfg, build_param_sets(cfg)), [(rows, second)] * 2),
-        (lambda: mass_flux(sp, R=1e3), [(rows, ("radial",))]),
+        (alone("asymptotics"), [(rows, second)] * 2),
+        (lambda: far_field_checks(sp, ("radial",)), [(rows, ("radial",))]),
+        # Per set, the mass suite's far-field call, then its sphere rule.
+        (alone("mass"), [(rows, ("radial",)), (rows, ())] * 2),
         (lambda: mass_quadrature(sp), [(rows, ())]),  # every sphere node at once
         (lambda: t_integral(sp),  # 2N, then N sphere nodes
          [((1,), second[:2]), ((2,), second[2:])] * 2),
@@ -304,3 +321,32 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
         probe()
         assert calls == expected
 
+
+
+@pytest.mark.parametrize("order", [["asymptotics", "mass"], ["mass", "asymptotics"]])
+def test_probe_suites_share_one_far_field_call_per_parameter_set(monkeypatch, order):
+    # Selected together, asymptotics and mass read one far-field call per
+    # parameter set, in either order: one kernel call on circle(R, SAMPLES)
+    # per set, carrying the frequency-2 directions plus "radial"; the mass
+    # suite's sphere rule adds one call per set with no direction.  The cases
+    # and detail rows are those of each suite run alone.
+    def config(suites):
+        return RunConfig(suites=suites, n=3, count=2)
+
+    alone = {name: run_suites(config([name])) for name in order}
+    calls = []
+    original = solution._log_dets
+
+    def counted(sp, ks, z, directions=(), **kwargs):
+        calls.append((sp, np.shape(z), tuple(directions)))
+        return original(sp, ks, z, directions, **kwargs)
+
+    monkeypatch.setattr(solution, "_log_dets", counted)
+    cases, details, seconds = run_suites(config(order))
+    probes = [(sp, directions) for sp, shape, directions in calls if shape == (SAMPLES,)]
+    assert [directions for _, directions in probes] == [(*_second(3), "radial")] * 2
+    assert len({sp for sp, _ in probes}) == 2
+    assert [directions for _, shape, directions in calls if shape != (SAMPLES,)] == [()] * 2
+    assert cases == alone[order[0]][0] + alone[order[1]][0]
+    assert details == {name: alone[name][1][name] for name in order}
+    assert list(seconds) == order

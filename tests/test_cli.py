@@ -139,7 +139,7 @@ def test_plot_data_out_is_a_file_exits_2(tmp_path, capsys):
 
 
 def test_plot_data_detail_without_label_column_exits_2(tmp_path, capsys):
-    (tmp_path / "asymptotics_detail.csv").write_text("check,m\nleading,1\n")
+    (tmp_path / "pde_detail.csv").write_text("h,max_residual\n0.01,1e-05\n")
     assert run_cli(["plot-data", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "label" in err[0]
@@ -152,18 +152,18 @@ def test_plot_data_emits_csvs(tmp_path, capsys):
     code = run_cli(["plot-data", "--out", str(out)])
     assert code == 0
     plots = out / "plots"
-    assert (plots / "far_field_errors.csv").exists()
+    # The far-field errors are asymptotics_detail.csv as it stands: no copy.
+    assert [path.name for path in plots.iterdir()] == ["residual_vs_h.csv"]
     residual_csv = (plots / "residual_vs_h.csv").read_text().splitlines()
     assert residual_csv[0] == "suite,label,h,max_residual"
     assert len(residual_csv) > 1
 
 
-def test_plot_rows_of_far_field_errors_are_distinct(tmp_path, capsys):
+def test_rows_of_far_field_errors_are_distinct(tmp_path, capsys):
     out = tmp_path / "rep"
     run_cli(["verify", "--suite", "asymptotics", "--n", "2", "--count", "2",
              "--out", str(out)])
-    assert run_cli(["plot-data", "--out", str(out)]) == 0
-    with (out / "plots" / "far_field_errors.csv").open() as fh:
+    with (out / "asymptotics_detail.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     keys = [(row["label"], row["check"], row["m"], row["which"]) for row in rows]
     assert len(keys) > 1 and len(set(keys)) == len(keys)

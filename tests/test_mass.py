@@ -3,12 +3,30 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from todalab import asymptotics
+from todalab.asymptotics import R_FAR, SAMPLES, circle, far_field_checks
 from todalab.cartan import cartan_matrix
-from todalab.mass import flux_tail, mass_flux, mass_quadrature, predicted_mass
-from todalab.solution import PositivityError, sample_params
-from todalab.suites import RunConfig, suite_asymptotics, suite_mass
+from todalab.mass import flux_tail, mass_quadrature, predicted_mass
+from todalab.solution import PositivityError, log_det_k_tangent, sample_params
+from todalab.suites import SUITES, RunConfig
+
+
+def _flux(sp):
+    """The flux through the probe circle R = R_FAR L, from the far-field call."""
+    return far_field_checks(sp, ("radial",))["flux"]
+
+
+def _flux_at(sp, R):
+    """The flux through |z| = R: 2 pi times the ring mean of the kernel's r d/dr log det_i.
+
+    The reference for a radius the probe does not read at; at R = R_FAR L it is
+    the probe's flux bit for bit.
+    """
+    (r_dlog_det,) = log_det_k_tangent(sp, ("radial",), circle(R, SAMPLES))[1]
+    return [float(x) for x in 2.0 * np.pi * np.mean(r_dlog_det, axis=1)]
 
 
 def test_predicted_mass_values():
@@ -29,22 +47,54 @@ def test_liouville_flux_exact_reference():
     sp = sample_params(1, 0, 0.0)
     lam0, lam1 = sp.lambdas
     R = 1e3
-    (flux,) = mass_flux(sp, R=R)
+    (flux,) = _flux_at(sp, R)
     assert flux == pytest.approx(4.0 * math.pi * lam1 * R**2 / (lam0 + lam1 * R**2), rel=1e-12)
     assert flux == pytest.approx(4.0 * math.pi, rel=1e-3)
+    probe = far_field_checks(sp, ("radial",))
+    R = probe["R"]
+    assert probe["flux"] == [pytest.approx(4.0 * math.pi * lam1 * R**2 / (lam0 + lam1 * R**2),
+                                           rel=1e-12)]
+
+
+def test_probe_flux_is_the_ring_mean_of_the_radial_tangent():
+    # The far-field call reads the flux on its own circle, R = R_FAR L, and
+    # carrying the frequency-2 directions as well changes no bit of it.
+    sp = sample_params(3, 2, 0.3, dilation=3.0)
+    second = ["alpha2_2", "beta2_2", "alpha2_3", "beta2_3"]
+    reference = _flux_at(sp, R_FAR * sp.outer_scale())
+    assert _flux(sp) == reference
+    assert far_field_checks(sp, second + ["radial"])["flux"] == reference
+
+
+def test_flux_that_is_not_finite_is_a_breakdown(monkeypatch):
+    original = asymptotics.log_det_k_tangent
+
+    def overflowed(sp, directions, z, **kwargs):
+        upper, tangents = original(sp, directions, z, **kwargs)
+        tangents[list(directions).index("radial"), 0, 0] = math.inf
+        return upper, tangents
+
+    monkeypatch.setattr(asymptotics, "log_det_k_tangent", overflowed)
+    with pytest.raises(PositivityError, match="radial derivative of log det_k overflows at R"):
+        _flux(sample_params(2, 0, 0.3))
 
 
 def test_flux_overflow_is_a_breakdown_not_a_value():
     # At n = 5, det_3 has degree 18 in r, so unscaled W_S conj(z W_S') would
     # leave the double range near R = 1e18.  The tangent evaluates at
     # z / 2^e, so the flux stays accurate far past that; at the very edge of
-    # the range it may break down, but never as inf or NaN.
-    sp = sample_params(5, 0, 0.3)
+    # the range it may break down, but never as inf or NaN.  The probe reads
+    # at R = 9.8e19 on the set dilated 1e14-fold; no valid dilation puts it
+    # at 1e100 or 1e300 (the lambdas underflow), so the kernel's ring mean
+    # stands in there.
     predicted = [predicted_mass(5, i) for i in range(1, 6)]
-    for R in (1e20, 1e100):
-        assert mass_flux(sp, R=R) == pytest.approx(predicted, rel=1e-2)
+    wide = sample_params(5, 0, 0.3, dilation=1e14)
+    assert 9e19 < R_FAR * wide.outer_scale() < 1e20
+    assert _flux(wide) == pytest.approx(predicted, rel=1e-2)
+    sp = sample_params(5, 0, 0.3)
+    assert _flux_at(sp, 1e100) == pytest.approx(predicted, rel=1e-2)
     try:
-        assert mass_flux(sp, R=1e300) == pytest.approx(predicted, rel=1e-2)
+        assert _flux_at(sp, 1e300) == pytest.approx(predicted, rel=1e-2)
     except PositivityError:
         pass
 
@@ -76,7 +126,7 @@ def test_outer_scale_follows_the_dilation_and_the_widest_root():
 @pytest.mark.parametrize("n,seed", [(1, 3), (2, 0), (3, 2)])
 def test_flux_hits_quantized_values(n, seed):
     sp = sample_params(n, seed, 0.3)
-    fluxes = mass_flux(sp, R=1e3)
+    fluxes = _flux(sp)
     assert len(fluxes) == n
     for i, flux in enumerate(fluxes, start=1):
         assert abs(flux / predicted_mass(n, i) - 1.0) < 0.01
@@ -101,10 +151,11 @@ def test_sphere_mass_hits_quantized_values(n):
 
 
 def test_quadrature_agrees_with_flux():
-    # The flux through |z| = 1e3 plus its closed-form tail meets the sphere
-    # rule within 3e-12 here.
+    # The flux through the probe circle R = R_FAR L plus its closed-form
+    # tail meets the sphere rule within 2.3e-15 here (3e-12 through |z| = 1e3).
     sp = sample_params(2, 1, 0.3)
-    pairs = zip(mass_flux(sp, R=1e3), flux_tail(sp, R=1e3), mass_quadrature(sp), strict=True)
+    R = R_FAR * sp.outer_scale()
+    pairs = zip(_flux(sp), flux_tail(sp, R=R), mass_quadrature(sp), strict=True)
     for flux, tail, quad in pairs:
         assert flux + tail == pytest.approx(quad, rel=1e-9)
 
@@ -117,7 +168,7 @@ def test_closed_form_tail_is_outer_mass(n, seed, magnitude):
     # sphere rule minus the same flux matches it to 1.6e-10.
     sp = sample_params(n, seed, magnitude)
     R = 200.0
-    pairs = zip(mass_flux(sp, R=R), flux_tail(sp, R=R), mass_quadrature(sp), strict=True)
+    pairs = zip(_flux_at(sp, R), flux_tail(sp, R=R), mass_quadrature(sp), strict=True)
     for i, (flux, tail, quad) in enumerate(pairs, start=1):
         outer = predicted_mass(n, i) - flux
         assert 0 < outer < 1e-3 * predicted_mass(n, i)
@@ -128,7 +179,7 @@ def test_closed_form_tail_is_outer_mass(n, seed, magnitude):
 def test_sum_rule():
     # sum_j a_ij * mass_j = 8 pi for every row i.
     sp = sample_params(3, 0, 0.3)
-    masses = mass_flux(sp, R=1e3)
+    masses = _flux(sp)
     a = cartan_matrix(sp.n)
     for i in range(3):
         s = sum(a[i][j] * masses[j] for j in range(3))
@@ -146,7 +197,7 @@ def test_every_flux_and_sum_rule_verdict_passes_on_the_envelope():
     # R = 1e3, 90 of these 352 verdicts failed.  The routes verdicts are left
     # out: the sphere rule misses 1e-5 at n = 5 and magnitude >= 2 (README
     # lists the cells).
-    cases = [c for c in suite_mass(RunConfig(suites=["mass"]), _envelope())[0]
+    cases = [c for c in SUITES["mass"](RunConfig(suites=["mass"]), _envelope())["mass"][0]
              if "-routes-" not in c.case_id]
     assert len(cases) == 352
     assert [c.case_id for c in cases if not c.passed] == []
@@ -155,6 +206,7 @@ def test_every_flux_and_sum_rule_verdict_passes_on_the_envelope():
 def test_every_far_field_verdict_passes_on_the_envelope():
     # The far-field circle follows the outer scale like the flux circle; at
     # the absolute R = 1e6, 120 of these 1600 verdicts failed in 13 sets.
-    cases = suite_asymptotics(RunConfig(suites=["asymptotics"]), _envelope())[0]
+    cfg = RunConfig(suites=["asymptotics"])
+    cases = SUITES["asymptotics"](cfg, _envelope())["asymptotics"][0]
     assert len(cases) == 1600
     assert [c.case_id for c in cases if not c.passed] == []
