@@ -56,7 +56,6 @@ class ExpansionCheck:
     measured: float
     predicted: float
     rel_error: float
-    notes: dict
 
 
 def circle(r, M: int) -> np.ndarray:
@@ -126,10 +125,10 @@ def fourier_coeffs(vals) -> np.ndarray:
     return 2.0 * np.fft.rfft(vals)[..., 1:3] / np.shape(vals)[-1]
 
 
-def _check(r, measured, predicted, denom, **notes) -> ExpansionCheck:
+def _check(r, measured, predicted, denom) -> ExpansionCheck:
     """A value measured at radius r against `predicted`, its error scaled by `denom`."""
     measured, predicted = float(measured), float(predicted)
-    return ExpansionCheck(r, measured, predicted, abs(measured - predicted) / float(denom), notes)
+    return ExpansionCheck(r, measured, predicted, abs(measured - predicted) / float(denom))
 
 
 def _signature(f: int, m: int, component: int) -> int:
@@ -149,8 +148,7 @@ def far_field_checks(sp: SolutionParams, directions=()) -> dict:
     directions (frequency_directions(n, 2)) and "radial".  Returns R and four
     lists of ExpansionCheck, one entry per m = 1..n (per i for the constant term):
       "leading"     the circle mean of e^{-U^m} r^{-2m(n+1-m)} against its
-                    closed form; the notes hold the same mean for the
-                    exponent variant 2m(n+2-m), off by the factor r^{2m};
+                    closed form;
       "freq1"       {"alpha": check, "beta": check}: r times the frequency-1
                     cosine and sine of -U^m, which tend to _signature(1, m, m)
                     times Re and Im of c_{n+1-m, n-m} (a predicted 0 is
@@ -175,17 +173,14 @@ def far_field_checks(sp: SolutionParams, directions=()) -> dict:
     log_r = math.log(R)
     for m, (u_m, pair) in enumerate(zip(upper, frequency_directions(n, 1).values()), start=1):
         power = 2 * m * (n + 1 - m)
-        log_vals = -u_m - power * log_r
-        # An overflow of the measured mean raises below; the variant only informs.
+        # An overflow of the measured mean raises below.
         with np.errstate(over="ignore"):
-            measured = float(np.mean(np.exp(log_vals)))
-            variant = float(np.mean(np.exp(log_vals - 2 * m * log_r)))
+            measured = float(np.mean(np.exp(-u_m - power * log_r)))
         if not math.isfinite(measured):
             raise PositivityError(f"e^(-U^{m}) r^-{power} overflows at R = {R:.3g}")
         fact = math.prod(math.factorial(j) for j in range(m))
         predicted = 2.0 ** (m * (m - 1)) * math.prod(sp.lambdas[n + 1 - m :]) * fact**2
-        out["leading"].append(_check(R, measured, predicted, predicted, variant_mean=variant,
-                                        variant_rel_error=abs(variant / predicted - 1.0)))
+        out["leading"].append(_check(R, measured, predicted, predicted))
         checks = {}
         for key, which in zip(("alpha", "beta"), pair):
             (i, j), unit = _coefficient_slot(n, which)

@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .solution import PositivityError, params_to_json
+from .solution import PositivityError, _refuse_unknown_keys, params_to_json
 from .suites import KNOWN_SUITES, RunConfig, build_param_sets, run_suites
 
 __all__ = ["main", "run", "emit_plot_data"]
@@ -36,9 +36,7 @@ def _config_from_args(args) -> RunConfig:
             settings = json.load(fh)
         if not isinstance(settings, dict):
             raise ValueError(f"{args.config} must hold a JSON object")
-        unknown = sorted(set(settings) - fields)
-        if unknown:
-            raise ValueError(f"unknown key(s) in {args.config}: {', '.join(unknown)}")
+        _refuse_unknown_keys(settings, fields, args.config)
     options = {**vars(args), "suites": args.suite, "out_dir": args.out}
     settings.update(
         {name: value for name, value in options.items() if name in fields and value is not None}

@@ -42,25 +42,20 @@ class ComplexPoly:
         return ComplexPoly.from_coeffs(s * c for c in self.coeffs)
 
 
-def eval_poly(p: ComplexPoly, z, out=None, scale=None):
-    """Horner evaluation; z may be a scalar or ndarray.
+def eval_poly(p: ComplexPoly, z: np.ndarray, out: np.ndarray, scale) -> np.ndarray:
+    """Horner evaluation of sum_j c_j scale[j] z^j into `out`, a complex array of z's shape.
 
-    The loop updates one array in place: `out` when given (a complex array
-    of z's shape), else a new one.  Its first step c_d z is one multiply,
-    scalar first, which rounds as fill-then-*= does on two or more points.
-    With `scale` (floats, at least one per coefficient) the pass evaluates
-    the coefficients c_j * scale[j] in place of c_j.
+    `scale` holds at least one float per coefficient.  The first step c_d z is
+    one multiply, scalar first, which rounds as fill-then-*= does on two or
+    more points.
     """
-    z = np.asarray(z, dtype=complex)
-    acc = np.empty(z.shape, dtype=complex) if out is None else out
-    coeffs = p.coeffs if scale is None else [c * s for c, s in zip(p.coeffs, scale)]
-    *lower, top = coeffs or (0j,)
+    *lower, top = [c * s for c, s in zip(p.coeffs, scale)] or (0j,)
     if lower and z.size > 1:
-        np.multiply(np.complex128(top), z, out=acc)
-        acc += lower.pop()
+        np.multiply(np.complex128(top), z, out=out)
+        out += lower.pop()
     else:
-        acc.fill(top)
+        out.fill(top)
     for c in reversed(lower):
-        acc *= z
-        acc += c
-    return acc if acc.shape else complex(acc)
+        out *= z
+        out += c
+    return out

@@ -11,7 +11,6 @@ that many distinct n values proves the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
     "falling_factorial_matrix",
@@ -20,9 +19,11 @@ __all__ = [
     "G_det",
     "F_closed",
     "G_closed",
-    "IdentitySweepReport",
+    "LARGEST_M",
     "verify_identity_sweep",
 ]
+
+LARGEST_M = 10  # the largest matrix size the sweep checks
 
 
 def falling_factorial_matrix(m: int, n: int, last_column_skip: bool = False) -> list:
@@ -96,30 +97,15 @@ def G_closed(m: int) -> int:
     return (-1) ** (m + 1) * math.factorial(m) * F_closed(m - 1)
 
 
-@dataclass
-class IdentitySweepReport:
-    cases: list = field(default_factory=list)
+def verify_identity_sweep() -> list:
+    """Check both determinant identities exactly over a sweep of (m, n), m <= LARGEST_M.
 
-    @property
-    def failures(self) -> list:
-        return [case for case in self.cases if not case["pass"]]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
-
-
-def verify_identity_sweep(largest_m: int) -> IdentitySweepReport:
-    """Check both determinant identities exactly over a sweep of (m, n), m <= largest_m.
-
-    The determinant is a polynomial in n of degree at most m(m-1)/2; the
-    sweep uses enough distinct n values that constancy across the
-    sweep is a complete proof of n-independence.
+    Returns one row per (layout, m, n).  The determinant is a polynomial in n
+    of degree at most m(m-1)/2; the sweep uses enough distinct n values that
+    constancy across the sweep is a complete proof of n-independence.
     """
-    if largest_m < 1 or largest_m > 12:
-        raise ValueError("largest_m must be in 1..12")
-    report = IdentitySweepReport()
-    for m in range(1, largest_m + 1):
+    cases = []
+    for m in range(1, LARGEST_M + 1):
         ns = range(m, m + max(m * (m - 1) // 2 + 2, 10))
         layouts = [("F", F_det, F_closed(m))]
         if m >= 2:
@@ -127,6 +113,6 @@ def verify_identity_sweep(largest_m: int) -> IdentitySweepReport:
         for n in ns:
             for kind, det_of, expected in layouts:
                 det = det_of(m, n)
-                report.cases.append({"kind": kind, "m": m, "n": n, "det": det,
-                                     "expected": expected, "pass": det == expected})
-    return report
+                cases.append({"kind": kind, "m": m, "n": n, "det": det,
+                              "expected": expected, "pass": det == expected})
+    return cases

@@ -45,7 +45,6 @@ __all__ = [
     "normalize_lambdas",
     "sample_params",
     "log_det_k",
-    "upper_components",
     "lower_components",
     "log_det_k_tangent",
     "frequency_directions",
@@ -347,26 +346,25 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
     dets, tangents = out or (np.empty((len(ks),) + z.shape),
                              np.empty((len(directions), len(ks)) + z.shape))
     moves = [_coefficient_slot(sp.n, which) for which in directions]
-    on_slot = {}
-    for d, (slot, unit) in enumerate(moves):
-        on_slot.setdefault(slot, []).append((d, unit == 1))
+    per_k = _wronskian_minors(sp)
+    tables = {slot: _tangent_minors(sp, slot) for slot in dict.fromkeys(slot for slot, _ in moves)}
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (acc, k) in enumerate(zip(dets, ks)):
-            _, degree, const, polys = _wronskian_minors(sp)[k - 1]
+            _, degree, const, polys = per_k[k - 1]
             scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
             acc.fill(math.ldexp(const, -2 * degree * e))
-            terms = [_tangent_minors(sp, slot)[k - 1] for slot, _ in moves]
             sums = [t[row] for t in tangents]
-            for total, (_, share, _), (_, unit) in zip(sums, terms, moves):
+            passes = {}  # slot: (its dq_S, [(sum, unit is 1)] of its directions), slots in order
+            for total, (slot, unit) in zip(sums, moves):
+                _, share, dpolys = tables[slot][k - 1]
                 total.fill(math.ldexp((unit * share).real, -2 * degree * e))
-            passes = [(_tangent_minors(sp, slot)[k - 1][2], [(sums[d], real) for d, real in rows])
-                      for slot, rows in on_slot.items()]
+                passes.setdefault(slot, (dpolys, []))[1].append((total, unit == 1))
             for position, p in enumerate(polys):
                 eval_poly(p, w, q, scale)
                 acc += np.square(q.real, out=tmp)
                 acc += np.square(q.imag, out=tmp)
-                for dpolys, rows in passes:
+                for dpolys, rows in passes.values():
                     if position in dpolys:
                         eval_poly(dpolys[position], w, dq, scale)
                         for total, real in rows:
@@ -381,9 +379,9 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
                 raise PositivityError(f"det_{k} is not finite and positive at scale 2^{e} for "
                                       f"|z| in [{np.min(np.abs(z)):g}, {np.max(np.abs(z)):g}]")
-            for total, (offset, *_) in zip(sums, terms):
+            for total, (slot, _) in zip(sums, moves):
                 total /= acc
-                total += offset
+                total += tables[slot][k - 1][0]
             np.log(acc, out=acc)
             acc += 2 * degree * e * math.log(2.0)
     return dets, tangents
@@ -397,14 +395,9 @@ def log_det_k(sp: SolutionParams, k: int, z):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def upper_components(sp: SolutionParams, z) -> np.ndarray:
-    """U^k for k = 1..n, stacked along axis 0; z scalar or array."""
-    return log_det_k_tangent(sp, (), z)[0]
-
-
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
-    """U_i = sum_j a_ij U^j, stacked along axis 0."""
-    return np.tensordot(cartan_matrix(sp.n), upper_components(sp, z), axes=(1, 0))
+    """U_i = sum_j a_ij U^j, stacked along axis 0; z scalar or array."""
+    return np.tensordot(cartan_matrix(sp.n), log_det_k_tangent(sp, (), z)[0], axes=(1, 0))
 
 
 # -- parameter directions --------------------------------------------------

@@ -17,7 +17,7 @@ import re
 import mpmath as mp
 import numpy as np
 
-from todalab.cpoly import ComplexPoly, eval_poly
+from todalab.cpoly import ComplexPoly
 from todalab.solution import PositivityError, SolutionParams, normalize_lambdas
 
 
@@ -61,7 +61,7 @@ def mixed_derivative(sp: SolutionParams, p: int, q: int, z):
         dp, dq = derivative(coeffs, p), derivative(coeffs, q)
         if not dp or not dq:
             continue
-        acc = acc + lam * eval_poly(ComplexPoly(dp), z) * np.conj(eval_poly(ComplexPoly(dq), z))
+        acc = acc + lam * np.polyval(dp[::-1], z) * np.conj(np.polyval(dq[::-1], z))
     return acc if acc.shape else complex(acc)
 
 

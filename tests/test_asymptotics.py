@@ -56,10 +56,11 @@ def test_leading_coefficient_radial_case(n):
     sp = sample_params(n, 0, 0.0)
     checks = far_field_checks(sp)["leading"]
     assert len(checks) == n
-    for ck in checks:
+    for m, ck in enumerate(checks, start=1):
         assert ck.rel_error <= LEADING_COEFFICIENT_REL
-        # The competing exponent 2m(n+2-m) misses by the factor r^{2m}.
-        assert ck.notes["variant_rel_error"] > 0.99
+        # The competing exponent 2m(n+2-m) misses by the factor r^{2m}: its circle
+        # mean is the measured one times r^{-2m}.
+        assert abs(ck.measured * ck.r ** (-2 * m) / ck.predicted - 1.0) > 0.99
 
 
 def test_leading_coefficient_prediction_value():

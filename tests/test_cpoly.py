@@ -30,17 +30,27 @@ def test_degree_of_zero_poly():
     assert ComplexPoly(()).degree == -1
 
 
-def test_eval_scalar_and_array():
+def horner(p, z):
+    """p at the points z, a complex array, with every coefficient scaled by 1."""
+    return eval_poly(p, z, np.empty_like(z), [1.0] * len(p.coeffs))
+
+
+def test_eval_into_out_on_one_and_many_points():
     p = ComplexPoly.from_coeffs([1, 0, 1])  # 1 + z^2
-    assert eval_poly(p, 2.0) == 5.0
+    out = np.empty(1, dtype=complex)
+    assert eval_poly(p, np.array([2.0 + 0j]), out, [1.0] * 3) is out
+    assert out[0] == 5.0
     z = np.array([0j, 1j, 2j])
-    assert np.allclose(eval_poly(p, z), 1 + z**2)
+    assert np.allclose(horner(p, z), 1 + z**2)
+    assert np.array_equal(eval_poly(p, z, np.empty_like(z), [2.0, 4.0, 8.0]), 2.0 + 8.0 * z**2)
+    assert np.array_equal(horner(ComplexPoly(()), z), np.zeros(3))
 
 
 @given(p=poly_strategy(), s=finite_c, z=finite_c)
 def test_scale_matches_pointwise(p, s, z):
-    tol = 1e-6 * (1 + abs(z)) ** 6 * (1 + abs(s))
-    assert abs(eval_poly(p.scale(s), z) - s * eval_poly(p, z)) <= tol
+    z = np.array([z])
+    tol = 1e-6 * (1 + abs(z[0])) ** 6 * (1 + abs(s))
+    assert abs(horner(p.scale(s), z)[0] - s * horner(p, z)[0]) <= tol
 
 
 def test_wronskian_vandermonde():
@@ -68,25 +78,19 @@ def reference_horner(p, z):
 @pytest.mark.parametrize("degree", range(10))
 def test_horner_first_multiply_matches_fill_then_multiply_bit_for_bit(degree):
     # The first step c_d z is one multiply, scalar first, and rounds as the
-    # fill-then-*= form does: every bit of both parts, on arrays, into out,
-    # at a scalar z, and with a scale, on the coefficients c_j * scale[j].
+    # fill-then-*= form does: every bit of both parts, on many points and on
+    # one, with the coefficients c_j * scale[j].
     rng = np.random.default_rng(degree)
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     coeffs[-1] = complex(1.0 + rng.random(), rng.standard_normal())
     p = ComplexPoly.from_coeffs(coeffs)
     assert p.degree == degree
     z = rng.standard_normal(4096) * 3.0 + 1j * rng.standard_normal(4096) * 3.0
-    ref = reference_horner(p, z)
-    assert np.array_equal(eval_poly(p, z).view(float), ref.view(float))
     out = np.empty_like(z)
-    assert eval_poly(p, z, out) is out
-    assert np.array_equal(out.view(float), ref.view(float))
-    scale = [2.0 ** (3 * (j - degree)) for j in range(degree + 1)]
-    scaled = ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
-    assert np.array_equal(eval_poly(p, z, out, scale).view(float),
-                          reference_horner(scaled, z).view(float))
-    for point in z[:64]:
-        got = eval_poly(p, point)
-        assert isinstance(got, complex)
-        ref_point = reference_horner(p, point)[None]
-        assert np.array_equal(np.array([got]).view(float), ref_point.view(float))
+    for scale in ([1.0] * (degree + 1), [2.0 ** (3 * (j - degree)) for j in range(degree + 1)]):
+        scaled = ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
+        assert eval_poly(p, z, out, scale) is out
+        assert np.array_equal(out.view(float), reference_horner(scaled, z).view(float))
+        for i in range(64):
+            got = eval_poly(p, z[i:i + 1], out[:1], scale)
+            assert np.array_equal(got.view(float), reference_horner(scaled, z[i:i + 1]).view(float))

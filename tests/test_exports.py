@@ -1,11 +1,14 @@
 """Every name a module exports through __all__ exists, and the program uses it."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from todalab.asymptotics import ExpansionCheck, TIntegralResult
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +71,15 @@ def test_every_exported_name_is_used_by_the_program():
     exported = {name for module in MODULES for name in importlib.import_module(module).__all__}
     unused = sorted(exported - used)
     assert not unused
+
+
+def test_every_result_field_is_read_by_the_suites():
+    # No result field that only tests read: every field of a far-field check
+    # and of a T-integral result goes into a report through todalab.suites.
+    tree = ast.parse((ROOT / "src" / "todalab" / "suites.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    fields = {f.name for cls in (ExpansionCheck, TIntegralResult) for f in dataclasses.fields(cls)}
+    assert sorted(fields - read) == []
 
 
 def _callers(tree: ast.AST, scope: str, callee: str) -> set:

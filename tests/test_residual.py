@@ -220,6 +220,11 @@ def test_derivative_field_single_row_matches_full_stack():
                 tangent(sp, which, z, k=k)
 
 
+def horner(p, z):
+    """p at the points z by the kernel's Horner pass, every coefficient scaled by 1."""
+    return eval_poly(p, z, np.empty_like(z), [1.0] * len(p.coeffs))
+
+
 def unscaled_tangent(sp, which, z):
     """The tangent's ratio form evaluated at the raw z, with no power-of-two scale."""
     slot, unit = solution._coefficient_slot(sp.n, which)
@@ -229,11 +234,11 @@ def unscaled_tangent(sp, which, z):
         offset, share, polys = solution._tangent_minors(sp, slot)[row]
         det, total = np.full(z.shape, const), np.full(z.shape, (unit * share).real)
         for position, q_poly in enumerate(scaled):
-            q = eval_poly(q_poly, z)
+            q = horner(q_poly, z)
             det += q.real**2
             det += q.imag**2
             if position in polys:
-                dq = eval_poly(polys[position], z)
+                dq = horner(polys[position], z)
                 if unit == 1:  # Re(conj(q) dq)
                     total += q.real * dq.real
                     total += q.imag * dq.imag

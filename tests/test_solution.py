@@ -24,12 +24,12 @@ from todalab.solution import (
     lambda_product_target,
     load_params,
     log_det_k,
+    log_det_k_tangent,
     lower_components,
     normalize_lambdas,
     params_from_json,
     params_to_json,
     sample_params,
-    upper_components,
 )
 
 LOG2 = math.log(2.0)
@@ -95,7 +95,7 @@ def test_liouville_upper_component_closed_form():
     for z in (0j, 1 + 1j, 3 - 2j, 50j):
         f = 0.5 * (1.0 + abs(z) ** 2)
         assert log_det_k(sp, 1, z) == pytest.approx(math.log(f), rel=1e-12)
-        u1 = upper_components(sp, z)[0]
+        u1 = log_det_k_tangent(sp, (), z)[0][0]
         assert u1 == pytest.approx(-math.log(f), rel=1e-12)
 
 
@@ -294,7 +294,7 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     count = [0]
     original = solution.eval_poly
 
-    def counted(p, z, out=None, scale=None):
+    def counted(p, z, out, scale):
         count[0] += 1
         return original(p, z, out, scale)
 
@@ -306,6 +306,29 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
     terms = sum(len(solution._tangent_minors(sp, slot)[k - 1][2]) for slot in slots for k in ks)
     assert terms > 0
     assert count[0] == minors + terms
+
+
+def test_kernel_reads_each_minor_table_once_per_call(monkeypatch):
+    # One lookup of the Wronskian minors per call, and one of the tangent
+    # minors per distinct slot (alpha_1 and beta_1 share theirs), however
+    # many rows and directions the call evaluates.
+    n = 3
+    sp = sample_params(n, 0, 0.5)
+    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial", "beta2_3")
+    z = np.array([0.5, 3.0 + 1.0j])
+    solution._log_dets(sp, (1, 2, 3), z, directions)  # fill the caches
+    lookups = []
+    for name in ("_wronskian_minors", "_tangent_minors"):
+        def counted(*args, _original=getattr(solution, name), _name=name):
+            lookups.append((_name,) + args[1:])
+            return _original(*args)
+
+        monkeypatch.setattr(solution, name, counted)
+    solution._log_dets(sp, (1, 2, 3), z, directions)
+    slots = [solution._coefficient_slot(n, which)[0] for which in directions]
+    assert lookups == [("_wronskian_minors",)] + [
+        ("_tangent_minors", slot) for slot in dict.fromkeys(slots)]
+    assert len(lookups) == 1 + 4
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
