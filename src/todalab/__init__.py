@@ -1,6 +1,6 @@
 """Verification laboratory for entire solutions of the SU(n+1) Toda system."""
 
-from .cartan import cartan_matrix
+from .cartan import cartan_apply
 from .cpoly import ComplexPoly, eval_poly
 from .solution import (
     PositivityError,
@@ -11,7 +11,7 @@ from .solution import (
 )
 
 __all__ = [
-    "cartan_matrix",
+    "cartan_apply",
     "ComplexPoly",
     "eval_poly",
     "PositivityError",

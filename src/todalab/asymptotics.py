@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import cartan_matrix
+from .cartan import cartan_apply
 from .solution import (PositivityError, SolutionParams, _coefficient_slot, frequency_directions,
                        log_det_k_tangent)
 
@@ -197,9 +197,8 @@ def far_field_checks(sp: SolutionParams, directions=()) -> dict:
             pred = _signature(i - j, n - j, m)
             denom = abs(pred) or float(m * (m + 1))  # m(m+1): off-diagonal reference
             out["freq2"][m - 1][which] = _check(R, coeff * R**2, pred, denom)
-    means = np.mean(cartan_matrix(n) @ upper, axis=1) + 4.0 * log_r
-    for i, mean in enumerate(means, start=1):
-        pred = constant_term_prediction(sp, i)
+    means = np.mean(cartan_apply(upper, out=upper), axis=1) + 4.0 * log_r
+    for mean, pred in zip(means, constant_term_prediction(sp)):
         out["const-term"].append(_check(R, mean, pred, max(abs(pred), 1.0)))
     return out
 
@@ -207,19 +206,16 @@ def far_field_checks(sp: SolutionParams, directions=()) -> dict:
 # -- constant term of U_i --------------------------------------------------
 
 
-def constant_term_prediction(sp: SolutionParams, i: int) -> float:
-    """Limit of U_i + 4 log r from row i of the Cartan matrix:
+def constant_term_prediction(sp: SolutionParams) -> np.ndarray:
+    """Limits of U_i + 4 log r, i = 1..n, from one Cartan apply:
 
     -sum_j a_ij (j(j-1) log 2 + sum_{l<=j} (log lambda_{n+1-l} + 2 log (l-1)!)).
     """
     n = sp.n
-    row = cartan_matrix(sp.n)[i - 1]
-    return -float(sum(
-        a_ij * (j * (j - 1) * math.log(2.0)
-                + sum(math.log(sp.lambdas[n + 1 - l]) + 2.0 * math.lgamma(l)
-                      for l in range(1, j + 1)))
-        for j, a_ij in enumerate(row, start=1)
-    ))
+    return -cartan_apply([j * (j - 1) * math.log(2.0)
+                          + sum(math.log(sp.lambdas[n + 1 - l]) + 2.0 * math.lgamma(l)
+                                for l in range(1, j + 1))
+                          for j in range(1, n + 1)])
 
 
 # -- plane integrals of second-frequency derivative fields -----------------

@@ -43,8 +43,7 @@ def flux_tail(sp: SolutionParams, R: float) -> list:
     R = 1e300); a tail past the double range raises PositivityError.
     """
     try:
-        return [math.pi * math.exp(constant_term_prediction(sp, i) - 2.0 * math.log(R))
-                for i in range(1, sp.n + 1)]
+        return [math.pi * math.exp(c - 2.0 * math.log(R)) for c in constant_term_prediction(sp)]
     except OverflowError:
         raise PositivityError(f"the mass tail pi C / R^2 overflows at R = {R:.3g}") from None
 

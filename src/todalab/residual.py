@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import cartan_matrix
+from .cartan import cartan_apply
 from .solution import SolutionParams, log_det_k_tangent
 
 __all__ = [
@@ -116,48 +116,45 @@ def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=()) -> list:
     The PDE residual is Delta U_i + sum_j a_ij e^{U_j}; a direction's is Delta phi_i +
     sum_j a_ij e^{U_j} phi_j on phi_i = -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
     Windows of rows of at most TILE_POINTS points start on even rows, so the h grid is
-    the stride-2 view [..., ::2, ::2] of each.  One kernel call per window gives U^k and
-    every direction's tangents on its new rows; U_i = A U (bit for bit lower_components),
-    e^{U_i} and each phi are built once per row and keep their last CARRY rows for the
-    next window, so each point is evaluated once, into buffers that serve the whole walk.
+    the stride-2 view [..., ::2, ::2] of each.  One kernel call per window writes U^k and
+    every direction's tangents into their planes' new rows, and cartan_apply turns them
+    into U_i (bit for bit lower_components) and phi in place; e^{U_i} is built once per
+    row, and every plane keeps its last CARRY rows for the next window, so each point is
+    evaluated once, into buffers that serve the whole walk.
     """
-    n, a, fine = sp.n, cartan_matrix(sp.n), g.refined()
+    n, fine = sp.n, g.refined()
     axis = np.linspace(-g.half_width, g.half_width, fine.points_per_side)
     side = len(axis)
     depth = min(side, max(CARRY + 2, TILE_POINTS // side // 2 * 2))
     cells = depth * side
     # All the walk's memory, allocated once: one array per plane (carried U_i, e^{U_i}
-    # and each phi, then source and scratch, which only the directions touch), and a
-    # block for z and the kernel's w, q, dq, tmp, then the stencils' residual and
-    # 4·centre.  One block for all the planes stayed in the heap after a walk and
-    # raised the peak RSS of a default verify by 2 MB.
-    planes = [np.empty((n, depth, side)) for _ in range(4 + len(directions))]
-    block = np.empty(max(9, 2 * n) * cells)
-    zs = np.split(block[: 8 * cells].view(complex), 4) + [block[8 * cells : 9 * cells]]
+    # and each phi, then the scratch that holds A(E phi)), and a block for the kernel's
+    # w (z goes in there, and the kernel scales it in place), q, dq and tmp, then the
+    # stencils' residual and 4·centre.  One block for all the planes stayed in the heap
+    # after a walk and raised the peak RSS of a default verify by 2 MB.
+    planes = [np.empty((n, depth, side)) for _ in range(3 + len(directions))]
+    block = np.empty(max(7, 2 * n) * cells)
+    kernel = np.split(block[: 6 * cells].view(complex), 3) + [block[6 * cells : 7 * cells]]
     peaks = [(_Peak(n), _Peak(n)) for _ in range(1 + len(directions))]
     for start in range(0, side - CARRY, depth - CARRY):
         stop = min(start + depth, side)
         fresh, w = CARRY if start else 0, stop - start
         # A short last window uses the front of each array.
-        u, weights, *phis, source, scratch = views = [_front(p, (n, w, side)) for p in planes]
-        for view, plane in zip(views[:-2], planes):
+        u, weights, *phis, scratch = views = [_front(p, (n, w, side)) for p in planes]
+        for view, plane in zip(views[:-1], planes):
             view[:, :fresh] = plane[:, depth - fresh :]
-        z, *work = (_front(buf, (w - fresh, side)) for buf in zs)
+        work = [_front(buf, (w - fresh, side)) for buf in kernel]
+        z = work[0]
         z.real, z.imag = axis[start + fresh : stop, None], axis
-        new = slice(fresh, w)
-        # U^k lands in source and each tangent in its phi plane; A turns them into
-        # U_i and phi on the new rows.
-        log_det_k_tangent(sp, directions, z, out=(source[:, new], [p[:, new] for p in phis]),
-                          work=work)
-        np.matmul(a, source[:, new].reshape(n, -1), out=u[:, new].reshape(n, -1))
-        np.exp(u[:, new], out=weights[:, new])
-        for phi in phis:
-            np.matmul(a, phi[:, new].reshape(n, -1), out=scratch[:, new].reshape(n, -1))
-            phi[:, new] = scratch[:, new]
+        new = [plane[:, fresh:] for plane in (u, *phis)]
+        log_det_k_tangent(sp, directions, z, out=(new[0], new[1:]), work=work)
+        for part in new:
+            cartan_apply(part, out=part)
+        np.exp(new[0], out=weights[:, fresh:])
         rows = w if stop == side else w - 2  # the h/2 stencil ends where the next window's begins
         for phi, (coarse, peak) in zip((u, *phis), peaks):
-            weighted = weights if phi is u else np.multiply(weights, phi, out=scratch)
-            np.matmul(a, weighted.reshape(n, -1), out=source.reshape(n, -1))
+            source = weights if phi is u else np.multiply(weights, phi, out=scratch)
+            source = cartan_apply(source, out=scratch)
             peak.fold(phi[:, :rows], source[:, :rows], fine.h, block,
                       axis[start + 1 :], axis[1:-1])
             coarse.fold(phi[:, ::2, ::2], source[:, ::2, ::2], g.h, block,

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import cartan_matrix
+from .cartan import cartan_apply
 from .cpoly import ComplexPoly, eval_poly
 
 __all__ = [
@@ -314,19 +314,15 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
     return tuple(out) + (table,)
 
 
-def _scale_exponent(z) -> int:
-    """The least e >= 0 with max |z| < 2^e, so every |z / 2^e| < 1."""
-    return max(0, math.frexp(float(np.max(np.abs(z), initial=0.0)))[1])
-
-
 def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> tuple:
     """(log det_k(f), d log det_k / d(which)) at the points z for each k in ks.
 
     The first array stacks the rows along axis 0; the second stacks, for each
     direction, its rows the same way.  Both go into `out` when given: the first
     array, and the second or a list of its directions' rows.  `work` is scratch
-    of z's shape, three complex arrays and a real one.
-    det_k = 2^(2 D_k e) sum_S |s_S(z / 2^e)|^2 with e from _scale_exponent, where
+    of z's shape, three complex arrays and a real one; z may be the first, and is then
+    scaled in place.
+    det_k = 2^(2 D_k e) sum_S |s_S(z / 2^e)|^2 with e >= 0 the least with max |z| < 2^e, where
     s_S is q_S = sqrt(lambda_S) W_S = sum_j c_j z^j with c_j 2^((j - D_k) e) for c_j
     (eval_poly's scale): powers of two scale each Horner step exactly, so where
     nothing under- or overflows s_S(z / 2^e) = 2^(-D_k e) q_S(z).  As |z / 2^e| < 1,
@@ -340,8 +336,10 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
     >150/D_k decades raises PositivityError naming k and the span of |z|.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    e = _scale_exponent(z)
     w, q, dq, tmp = work or (*(np.empty_like(z) for _ in range(3)), np.empty(z.shape))
+    radii = np.abs(z, out=tmp)  # before w = z / 2^e, which may overwrite z
+    low, high = float(np.min(radii, initial=math.inf)), float(np.max(radii, initial=0.0))
+    e = max(0, math.frexp(high)[1])
     np.multiply(z, 2.0**-e, out=w)
     dets, tangents = out or (np.empty((len(ks),) + z.shape),
                              np.empty((len(directions), len(ks)) + z.shape))
@@ -378,7 +376,7 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
                 raise PositivityError(f"det_{k} is not finite and positive at scale 2^{e} for "
-                                      f"|z| in [{np.min(np.abs(z)):g}, {np.max(np.abs(z)):g}]")
+                                      f"|z| in [{low:g}, {high:g}]")
             for total, (slot, _) in zip(sums, moves):
                 total /= acc
                 total += tables[slot][k - 1][0]
@@ -397,7 +395,8 @@ def log_det_k(sp: SolutionParams, k: int, z):
 
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
     """U_i = sum_j a_ij U^j, stacked along axis 0; z scalar or array."""
-    return np.tensordot(cartan_matrix(sp.n), log_det_k_tangent(sp, (), z)[0], axes=(1, 0))
+    upper = log_det_k_tangent(sp, (), z)[0]
+    return cartan_apply(upper, out=upper)
 
 
 # -- parameter directions --------------------------------------------------

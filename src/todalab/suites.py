@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .asymptotics import far_field_checks, t_integral
-from .cartan import cartan_matrix
+from .cartan import cartan_apply
 from .identities import LARGEST_M, verify_identity_sweep
 from .mass import flux_tail, mass_quadrature, predicted_mass
 from .residual import GridSpec, grid_residuals
@@ -194,11 +194,9 @@ def _mass_cases(label: str, sp, checks: dict, cases: list, details: list) -> Non
                           MASS_REL, agree <= MASS_REL))
         details.append({"label": label, "i": i, "R": R, "flux": fluxes[i - 1],
                         "tail": tails[i - 1], "quadrature": quad, "predicted": pred})
-    a = cartan_matrix(sp.n)
-    for i in range(n):
-        s = float(sum(a[i][j] * masses[j] for j in range(n)))
+    for i, s in enumerate(cartan_apply(masses).tolist(), start=1):
         rel = abs(s / (8.0 * math.pi) - 1.0)
-        cases.append(Case("mass", f"{label}-sum-rule-i{i + 1}", s, 8.0 * math.pi,
+        cases.append(Case("mass", f"{label}-sum-rule-i{i}", s, 8.0 * math.pi,
                           MASS_REL, rel <= MASS_REL))
 
 

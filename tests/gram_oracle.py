@@ -9,6 +9,8 @@ a matrix of polynomials, a reference for the Cauchy-Binet minor builder in
 scaled LU on the double-precision matrix (f^{p,q}) of `mixed_derivative`,
 a cross-check at moderate radii, and `perturbed` moves a parameter set
 by a finite step along one direction, the reference of the exact tangents.
+`cartan_dense` is the Cartan matrix as a dense array, the reference of
+`todalab.cartan.cartan_apply`.
 """
 
 import math
@@ -19,6 +21,11 @@ import numpy as np
 
 from todalab.cpoly import ComplexPoly
 from todalab.solution import PositivityError, SolutionParams, normalize_lambdas
+
+
+def cartan_dense(n: int) -> np.ndarray:
+    """The SU(n+1) Cartan matrix: 2 on the diagonal, -1 next to it, 0 elsewhere."""
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
 def direction_move(n: int, which: str) -> tuple:

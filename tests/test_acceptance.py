@@ -16,10 +16,10 @@ import math
 import time
 
 import numpy as np
+from gram_oracle import cartan_dense
 
 from todalab import suites
 from todalab.asymptotics import R_FAR, far_field_checks, t_integral
-from todalab.cartan import cartan_matrix
 from todalab.cli import main as cli_main
 from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
@@ -103,7 +103,7 @@ def test_04_mass_quantization():
             for i, (mass, quad) in enumerate(zip(masses, quads, strict=True), 1):
                 worst_flux = max(worst_flux, abs(mass / predicted_mass(n, i) - 1.0))
                 worst_route = max(worst_route, abs(mass / quad - 1.0))
-            a = cartan_matrix(sp.n)
+            a = cartan_dense(sp.n)
             for i in range(n):
                 s = sum(a[i][j] * masses[j] for j in range(n))
                 worst_sum = max(worst_sum, abs(s / (8.0 * math.pi) - 1.0))

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from gram_oracle import cartan_dense
 
 from todalab import asymptotics
 from todalab.asymptotics import R_FAR, SAMPLES, circle, far_field_checks
-from todalab.cartan import cartan_matrix
 from todalab.mass import flux_tail, mass_quadrature, predicted_mass
 from todalab.solution import PositivityError, log_det_k_tangent, sample_params
 from todalab.suites import SUITES, RunConfig
@@ -180,7 +180,7 @@ def test_sum_rule():
     # sum_j a_ij * mass_j = 8 pi for every row i.
     sp = sample_params(3, 0, 0.3)
     masses = _flux(sp)
-    a = cartan_matrix(sp.n)
+    a = cartan_dense(sp.n)
     for i in range(3):
         s = sum(a[i][j] * masses[j] for j in range(3))
         assert s == pytest.approx(8.0 * math.pi, rel=0.01)

@@ -6,7 +6,7 @@ integrand shifted by 1e-9 or zeroed), runs one `todalab verify`
 on the cheapest suite that catches it and names the verdict kind that must
 fail.
 The unpatched run passes every verdict, so a failure is the defect's alone.
-The memoized minor and Cartan tables are cleared around each row, so a patch
+The memoized minor tables are cleared around each row, so a patch
 neither reads entries built without it nor leaves its own behind.
 """
 
@@ -34,7 +34,7 @@ T_INTEGRAL_ARGS = ["verify", "--suite", "t-integrals", "--n", "3", "--count", "2
 def fresh_caches():
     def clear():
         for table in (solution._tangent_minors, solution._wronskian_minors,
-                      solution._monomial_wronskian, cartan.cartan_matrix):
+                      solution._monomial_wronskian):
             table.cache_clear()
 
     clear()
@@ -174,15 +174,17 @@ def edit_horner_factors(new):
 
 
 def perturb_cartan_entry(value):
-    """a_12 of the Cartan matrix set to `value` wherever the matrix is read."""
-    original = cartan.cartan_matrix
+    """a_12 of the Cartan matrix set to `value` wherever the operator is applied."""
+    original = cartan.cartan_apply
 
-    def patched(n):
-        a = original(n).copy()
-        a[0, 1] = value
-        return a
+    def patched(x, out=None):
+        x = np.asarray(x, dtype=float)
+        shift = (value + 1.0) * x[1] if len(x) > 1 else 0.0  # before an in-place apply
+        y = original(x, out=out)
+        y[0] += shift
+        return y
 
-    return [(module, "cartan_matrix", patched) for module in (solution, asymptotics, residual, suites)]
+    return [(module, "cartan_apply", patched) for module in (solution, asymptotics, residual, suites)]
 
 
 def log2_term_one_k_up():

@@ -2,16 +2,16 @@
 
 import collections
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import mp_log_det, perturbed
+from gram_oracle import cartan_dense, mp_log_det, perturbed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import residual, solution
-from todalab.cartan import cartan_matrix
 from todalab.cpoly import eval_poly
 from todalab.residual import (
     TILE_POINTS,
@@ -312,7 +312,7 @@ def test_linearized_residual_large_for_non_kernel_field():
     z = meshgrid(g)
     weights = np.exp(lower_components(sp, z)[:, 1:-1, 1:-1])
     phi = np.ones((1,) + z.shape)
-    a = cartan_matrix(sp.n)
+    a = cartan_dense(sp.n)
     res = _laplacian(phi, g.h) + np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
     assert np.max(np.abs(res)) > 1.0
 
@@ -329,13 +329,13 @@ def test_linearized_order_estimate_for_resolved_direction():
 def whole_grid_pde_residual(sp, g):
     """(n, P-2, P-2) interior residual of Delta_h U_i + sum_j a_ij e^{U_j}."""
     u = lower_components(sp, meshgrid(g))
-    a = cartan_matrix(sp.n)
+    a = cartan_dense(sp.n)
     return _laplacian(u, g.h) + np.einsum("ij,jxy->ixy", a, np.exp(u)[:, 1:-1, 1:-1])
 
 
 def whole_grid_linearized_residual(sp, which, g):
     z = meshgrid(g)
-    a = cartan_matrix(sp.n)
+    a = cartan_dense(sp.n)
     upper, (dlog_det,) = log_det_k_tangent(sp, (which,), z)
     weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
     phi = np.tensordot(a, dlog_det, axes=(1, 0))
@@ -431,6 +431,26 @@ def test_grid_suites_share_one_walk_per_parameter_set(monkeypatch, order):
     assert cases == alone[order[0]][0] + alone[order[1]][0]
     assert details == {name: alone[name][1][name] for name in order}
     assert list(seconds) == order
+
+
+def test_walk_memory_is_its_buffers():
+    # The walk's peak is the buffers it allocates once: 3 + |directions| planes of n
+    # values per point of a window (U_i, e^{U_i}, each phi and the scratch for A(E phi)),
+    # a block of max(7, 2n) for the kernel's w (which holds z), q, dq and tmp and for the
+    # stencils, and cartan_apply's saved rows, one at n = 2; 64 KiB covers the rest.
+    sp, g, directions = sample_params(2, 3, 0.3, 3.0), GridSpec.from_h(1e-2), kernel_directions(2)
+    side = g.refined().points_per_side
+    window = TILE_POINTS // side // 2 * 2 * side * 8  # bytes of one value per point
+    n = sp.n
+    bound = ((3 + len(directions)) * n + max(7, 2 * n) + 1) * window + 2**16
+    grid_residuals(sp, g, directions)  # builds the minor tables, which outlive the walk
+    tracemalloc.start()
+    try:
+        grid_residuals(sp, g, directions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_report_names_the_worst_component_and_point():

@@ -8,13 +8,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from gram_oracle import (derivative, det_k_lu, direction_move, family, laplace_det,
-                         mixed_derivative, mp_log_det, perturbed)
+from gram_oracle import (cartan_dense, derivative, det_k_lu, direction_move, family,
+                         laplace_det, mixed_derivative, mp_log_det, perturbed)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import solution
-from todalab.cartan import cartan_matrix
 from todalab.cpoly import ComplexPoly
 from todalab.solution import (
     PositivityError,
@@ -371,6 +370,19 @@ def test_breakdown_names_k_and_the_span_of_moduli():
     assert "det_3" in message and "0.5" in message and "1e+16" in message
 
 
+def test_breakdown_names_the_callers_span_when_z_is_scaled_in_place():
+    # The grid walk hands z over as the kernel's first work array, which the kernel
+    # scales by 2^-e in place; the refusal still names |z| as the caller gave it.
+    sp = sample_params(5, 0, 0.3)
+    work = [np.empty(2, dtype=complex) for _ in range(3)] + [np.empty(2)]
+    work[0][:] = [0.5, 1e16]
+    with pytest.raises(PositivityError) as info:
+        solution._log_dets(sp, (3,), work[0], work=work)
+    assert work[0][1] == math.ldexp(1e16, -54)
+    message = str(info.value)
+    assert "det_3" in message and "0.5" in message and "1e+16" in message
+
+
 def test_mixed_derivative_hermitian_symmetry():
     sp = sample_params(2, 4, 0.5)
     for p in range(3):
@@ -388,7 +400,7 @@ def test_log_det_vectorized_matches_scalar():
     for zi, vi in zip(z, vec):
         assert vi == pytest.approx(log_det_k(sp, 2, complex(zi)), rel=1e-12)
     # U^k = -(k(k-1) log 2 + log det_k) and U_i = sum_j a_ij U^j, pointwise.
-    a = cartan_matrix(sp.n)
+    a = cartan_dense(sp.n)
     lower = lower_components(sp, z)
     for col, zi in enumerate(z):
         upper = [-(k * (k - 1) * LOG2 + log_det_k(sp, k, complex(zi))) for k in (1, 2)]
