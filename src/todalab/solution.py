@@ -231,6 +231,8 @@ def sample_params(
 
 # -- Wronskian minors and Gram determinants --------------------------------
 
+_memo = {}  # {sp: (*_wronskian_minors(sp), {slot: _tangent_minors})} of one set at a time
+
 
 def _coefficient_minors(sp: SolutionParams, rows: tuple, table: dict) -> dict:
     """{cols: det c[rows, cols]} for the coefficient matrix c, built once into `table`.
@@ -292,17 +294,15 @@ def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> 
     return ComplexPoly.from_coeffs(coeffs)
 
 
-@lru_cache(maxsize=256)
 def _wronskian_minors(sp: SolutionParams) -> tuple:
-    """For each k = 1..n+1, (minors, D_k, const, scaled) for det_k; last, the coefficient minors.
+    """(rows, table): per k = 1..n+1, (minors, D_k, const, scaled) for det_k; c's minor table.
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
     with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
     for each S, D_k is the top minor degree, `const` sums lambda_S |W_S|^2
     over constant minors, and `scaled` is sqrt(lambda_S) W_S for the others.
     """
-    table = {}
-    out = []
+    table, out = {}, []
     for k in range(1, sp.n + 2):
         minors = []
         for subset in itertools.combinations(range(sp.n + 1), k):
@@ -311,7 +311,7 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
         const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
         scaled = tuple(w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0)
         out.append((tuple(minors), max(w.degree for *_, w in minors), const, scaled))
-    return tuple(out) + (table,)
+    return tuple(out), table
 
 
 def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> tuple:
@@ -344,8 +344,12 @@ def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> 
     dets, tangents = out or (np.empty((len(ks),) + z.shape),
                              np.empty((len(directions), len(ks)) + z.shape))
     moves = [_coefficient_slot(sp.n, which) for which in directions]
-    per_k = _wronskian_minors(sp)
-    tables = {slot: _tangent_minors(sp, slot) for slot in dict.fromkeys(slot for slot, _ in moves)}
+    if sp not in _memo:  # the last set's tables are dropped before sp's are built
+        _memo.clear()
+        _memo[sp] = (*_wronskian_minors(sp), {})
+    per_k, table, tables = _memo[sp]
+    for slot in dict.fromkeys(slot for slot, _ in moves if slot not in tables):
+        tables[slot] = _tangent_minors(sp, slot, per_k, table)  # on the slot's first use
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (acc, k) in enumerate(zip(dets, ks)):
@@ -443,20 +447,19 @@ def _coefficient_slot(n: int, which: str) -> tuple:
     return (n + f - m, n - m), (1 if kind == "alpha" else 1j)
 
 
-@lru_cache(maxsize=256)
-def _tangent_minors(sp: SolutionParams, slot) -> tuple:
+def _tangent_minors(sp: SolutionParams, slot, per_k: tuple, table: dict) -> tuple:
     """For each k = 1..n, (offset, share, {position: dq_S}) with
 
         d log det_k / d(delta) = offset + Re(unit (share + sum_S conj(q_S) dq_S)) / det_k
 
     along a direction that moves the slot by unit * delta (_coefficient_slot),
-    where q_S = sqrt(lambda_S) W_S sits at that position of the non-constant
-    minors in _wronskian_minors, dq_S = 2 sqrt(lambda_S) dW_S at unit 1, and
-    share sums 2 lambda_S conj(W_S) dW_S over the constant minors.  This is
-    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is linear in
-    c_ij, so along c_ij only subsets S containing i contribute, and
+    where (per_k, table) = _wronskian_minors(sp), q_S = sqrt(lambda_S) W_S sits
+    at that position of the non-constant minors in per_k, dq_S = 2 sqrt(lambda_S)
+    dW_S at unit 1, and share sums 2 lambda_S conj(W_S) dW_S over the constant
+    minors.  This is Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is
+    linear in c_ij, so along c_ij only subsets S containing i contribute, and
     _cauchy_binet assembles dW_S from the cofactors det c[S - i, A - j]
-    already in the minor table.  Coefficients no cofactor reaches are exact
+    already in `table`.  Coefficients no cofactor reaches are exact
     zeros: the constant W_S, on the columns P_0..P_{k-1}, has no c_ij tangent.
     The lambda slot (I, -1) moves only the weights, d log lambda_S =
     [I in S] - k/(n+1), which is dW_S = W_S / 2 on the subsets containing I
@@ -467,7 +470,6 @@ def _tangent_minors(sp: SolutionParams, slot) -> tuple:
     radial = slot == "radial"
     if not radial:
         i, j = slot
-    *per_k, table = _wronskian_minors(sp)
     out = []
     for k, (minors, *_) in enumerate(per_k[:n], start=1):
         share, polys, position = 0.0, {}, -1

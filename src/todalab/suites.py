@@ -200,38 +200,37 @@ def _mass_cases(label: str, sp, checks: dict, cases: list, details: list) -> Non
                           MASS_REL, rel <= MASS_REL))
 
 
-def _probe_suites(cfg: RunConfig, param_sets) -> dict:
-    """{suite: (cases, detail rows)} of asymptotics and mass, from one far-field probe per set.
+def _t_integral_cases(label: str, sp, cases: list, details: list) -> None:
+    """Append T on 2N sphere nodes against N, within T_INTEGRAL_REL of a positive scale."""
+    for which, res in t_integral(sp).items():
+        (_, j), unit = _coefficient_slot(sp.n, which)
+        l, part = sp.n - j, "alpha" if unit == 1 else "beta"
+        passed = 0 < res.scale and abs(res.value - res.coarse) <= T_INTEGRAL_REL * res.scale
+        cases.append(Case("t-integrals", f"{label}-l{l}-{part}", res.value, res.coarse,
+                          T_INTEGRAL_REL, passed))
+        details.append({"label": label, "l": l, "which": part, "value": res.value,
+                        "coarse": res.coarse, "scale": res.scale})
 
-    The probe takes the frequency-2 directions if and only if the run selects asymptotics,
-    and "radial" if and only if it selects mass.
+
+def _probe_suites(cfg: RunConfig, param_sets) -> dict:
+    """{suite: (cases, detail rows)} of asymptotics, mass and t-integrals, one set at a time.
+
+    A set's one far-field probe takes the frequency-2 directions if and only if the run
+    selects asymptotics, and "radial" if and only if it selects mass.
     """
-    asymptotics, mass = "asymptotics" in cfg.suites, "mass" in cfg.suites
-    out = {"asymptotics": ([], []), "mass": ([], [])}
+    out = {name: ([], []) for name in ("asymptotics", "mass", "t-integrals")}
+    asymptotics, mass, t_integrals = (name in cfg.suites for name in out)
     for label, sp in param_sets:
-        second = [which for pair in frequency_directions(sp.n, 2).values() for which in pair]
-        directions = second if asymptotics else []
-        checks = far_field_checks(sp, directions + (["radial"] if mass else []))
+        if asymptotics or mass:
+            second = [which for pair in frequency_directions(sp.n, 2).values() for which in pair]
+            checks = far_field_checks(sp, second * asymptotics + ["radial"] * mass)
         if asymptotics:
             _expansion_cases(label, checks, *out["asymptotics"])
         if mass:
             _mass_cases(label, sp, checks, *out["mass"])
+        if t_integrals:
+            _t_integral_cases(label, sp, *out["t-integrals"])
     return out
-
-
-def suite_t_integrals(cfg: RunConfig, param_sets) -> dict:
-    """T on 2N sphere nodes against N, within T_INTEGRAL_REL of a scale that must be positive."""
-    cases, details = [], []
-    for label, sp in param_sets:
-        for which, res in t_integral(sp).items():
-            (_, j), unit = _coefficient_slot(sp.n, which)
-            l, part = sp.n - j, "alpha" if unit == 1 else "beta"
-            passed = 0 < res.scale and abs(res.value - res.coarse) <= T_INTEGRAL_REL * res.scale
-            cases.append(Case("t-integrals", f"{label}-l{l}-{part}", res.value, res.coarse,
-                              T_INTEGRAL_REL, passed))
-            details.append({"label": label, "l": l, "which": part, "value": res.value,
-                            "coarse": res.coarse, "scale": res.scale})
-    return {"t-integrals": (cases, details)}
 
 
 # Every suite in default run order, mapped to the function that computes it; a
@@ -242,7 +241,7 @@ SUITES = {
     "identities": suite_identities,
     "asymptotics": _probe_suites,
     "mass": _probe_suites,
-    "t-integrals": suite_t_integrals,
+    "t-integrals": _probe_suites,
 }
 KNOWN_SUITES = tuple(SUITES)
 
@@ -250,11 +249,10 @@ KNOWN_SUITES = tuple(SUITES)
 def run_suites(cfg: RunConfig) -> tuple[list, dict, dict]:
     """Run the configured suites; returns (cases, {suite: detail rows}, {suite: seconds}).
 
-    A function of SUITES that serves two selected suites runs once, timed with the
-    first of them to run: pde and linearized share one grid walk per parameter set,
-    asymptotics and mass one far-field probe.  Each suite's seconds are its wall
-    time, parameter sets excluded.  Raises ValueError when the configuration
-    selects no case at all.
+    A function of SUITES that serves several selected suites runs once, timed with the
+    first of them to run: pde and linearized share one grid walk per parameter set, and
+    asymptotics, mass and t-integrals one pass over the sets.  Each suite's seconds are
+    its wall time, sets excluded.  Raises ValueError when no case is selected at all.
     """
     param_sets = build_param_sets(cfg)
     results, cases, details, seconds = {}, [], {}, {}

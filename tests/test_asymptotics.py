@@ -1,6 +1,7 @@
 """Large-radius Fourier probes and plane integrals."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -324,13 +325,16 @@ def test_probes_evaluate_base_solution_once_per_circle_or_panel(monkeypatch):
 
 
 
-@pytest.mark.parametrize("order", [["asymptotics", "mass"], ["mass", "asymptotics"]])
+@pytest.mark.parametrize("order", [["asymptotics", "mass"], ["mass", "asymptotics"],
+                                   ["asymptotics", "mass", "t-integrals"],
+                                   ["t-integrals", "mass", "asymptotics"]])
 def test_probe_suites_share_one_far_field_call_per_parameter_set(monkeypatch, order):
     # Selected together, asymptotics and mass read one far-field call per
     # parameter set, in either order: one kernel call on circle(R, SAMPLES)
     # per set, carrying the frequency-2 directions plus "radial"; the mass
-    # suite's sphere rule adds one call per set with no direction.  The cases
-    # and detail rows are those of each suite run alone.
+    # suite's sphere rule adds one call per set with no direction, and the
+    # t-integrals two per l and set.  Every call on a set comes before the
+    # next set's.  The cases and detail rows are those of each suite run alone.
     def config(suites):
         return RunConfig(suites=suites, n=3, count=2)
 
@@ -344,10 +348,37 @@ def test_probe_suites_share_one_far_field_call_per_parameter_set(monkeypatch, or
 
     monkeypatch.setattr(solution, "_log_dets", counted)
     cases, details, seconds = run_suites(config(order))
+    second = tuple(_second(3))
     probes = [(sp, directions) for sp, shape, directions in calls if shape == (SAMPLES,)]
-    assert [directions for _, directions in probes] == [(*_second(3), "radial")] * 2
-    assert len({sp for sp, _ in probes}) == 2
-    assert [directions for _, shape, directions in calls if shape != (SAMPLES,)] == [()] * 2
-    assert cases == alone[order[0]][0] + alone[order[1]][0]
+    assert [directions for _, directions in probes] == [(*second, "radial")] * 2
+    assert [sp for sp, _ in itertools.groupby(sp for sp, *_ in calls)] == [sp for sp, _ in probes]
+    per_set = [()] + ([second[:2], second[2:]] * 2 if "t-integrals" in order else [])
+    assert [directions for _, shape, directions in calls if shape != (SAMPLES,)] == per_set * 2
+    assert cases == [case for name in order for case in alone[name][0]]
     assert details == {name: alone[name][1][name] for name in order}
     assert list(seconds) == order
+
+
+def test_plane_suites_build_each_sets_minor_tables_once(monkeypatch):
+    # The plane suites end one parameter set before they start the next, so
+    # each set's minor tables are built once for all three, and the memo then
+    # holds only the last set's.  pde and mass build each set's twice: once
+    # for the grid walk and once for the plane pass.
+    builds = []
+    original = solution._wronskian_minors
+
+    def counted(sp):
+        builds.append(sp)
+        return original(sp)
+
+    monkeypatch.setattr(solution, "_wronskian_minors", counted)
+    monkeypatch.setattr(solution, "_memo", {})
+    cfg = RunConfig(suites=["asymptotics", "mass", "t-integrals"], n=2, count=3)
+    run_suites(cfg)
+    param_sets = [sp for _, sp in build_param_sets(cfg)]
+    assert builds == param_sets
+    assert list(solution._memo) == param_sets[-1:]
+    builds.clear()
+    cfg = RunConfig(suites=["pde", "mass"], n=2, count=2)
+    run_suites(cfg)
+    assert builds == [sp for _, sp in build_param_sets(cfg)] * 2

@@ -57,7 +57,7 @@ def test_wronskian_vandermonde():
     # Wronskian of (1, z, z^2, z^3) is the constant prod k! = 0!1!2!3! = 12.
     monomials = tuple(ComplexPoly.from_coeffs([0] * k + [1]) for k in range(1, 4))
     sp = SolutionParams(n=3, lambdas=normalize_lambdas([1.0] * 4, 3), polys=monomials)
-    *per_k, table = solution._wronskian_minors(sp)
+    per_k, table = solution._wronskian_minors(sp)
     assert [(subset, w.coeffs) for subset, _, w in per_k[3][0]] == [((0, 1, 2, 3), (12 + 0j,))]
     # The coefficient matrix is the identity: each row set has one nonzero minor, itself.
     assert len(table) == 2**4 - 1

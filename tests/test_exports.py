@@ -127,8 +127,9 @@ def test_one_cauchy_binet_builder_makes_every_minor():
 
 
 def test_only_the_per_parameter_set_tables_are_memoized():
-    # No memo keyed on a call's points: in solution.py lru_cache wraps only
-    # the tables built once per parameter set, each as a decorator.
+    # No memo keyed on a call's points or kept per parameter set: in
+    # solution.py lru_cache wraps only the monomial Wronskians V(A), keyed on
+    # exponents, as a decorator; the minor tables sit in a memo of one set.
     tree = ast.parse((ROOT / "src" / "todalab" / "solution.py").read_text())
 
     def is_lru_cache(node):
@@ -138,7 +139,7 @@ def test_only_the_per_parameter_set_tables_are_memoized():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and any(is_lru_cache(n) for d in node.decorator_list for n in ast.walk(d))]
     uses = [node for node in ast.walk(tree) if is_lru_cache(node)]
-    assert sorted(wrapped) == ["_monomial_wronskian", "_tangent_minors", "_wronskian_minors"]
+    assert sorted(wrapped) == ["_monomial_wronskian"]
     assert len(uses) == len(wrapped)
 
 

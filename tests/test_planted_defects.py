@@ -33,9 +33,8 @@ T_INTEGRAL_ARGS = ["verify", "--suite", "t-integrals", "--n", "3", "--count", "2
 @pytest.fixture(autouse=True)
 def fresh_caches():
     def clear():
-        for table in (solution._tangent_minors, solution._wronskian_minors,
-                      solution._monomial_wronskian):
-            table.cache_clear()
+        solution._memo.clear()
+        solution._monomial_wronskian.cache_clear()
 
     clear()
     yield
@@ -124,9 +123,9 @@ def drop_last_minor_of_det_n():
     original = solution._wronskian_minors
 
     def patched(sp):
-        rows = original(sp)
+        rows, table = original(sp)
         minors, degree, const, scaled = rows[sp.n - 1]
-        return (*rows[: sp.n - 1], (minors, degree, const, scaled[:-1]), *rows[sp.n :])
+        return (*rows[: sp.n - 1], (minors, degree, const, scaled[:-1]), *rows[sp.n :]), table
 
     return [(solution, "_wronskian_minors", patched)]
 

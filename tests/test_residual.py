@@ -228,10 +228,12 @@ def horner(p, z):
 def unscaled_tangent(sp, which, z):
     """The tangent's ratio form evaluated at the raw z, with no power-of-two scale."""
     slot, unit = solution._coefficient_slot(sp.n, which)
+    per_k, table = solution._wronskian_minors(sp)
+    tangents = solution._tangent_minors(sp, slot, per_k, table)
     out = []
     for row in range(sp.n):
-        _, _, const, scaled = solution._wronskian_minors(sp)[row]
-        offset, share, polys = solution._tangent_minors(sp, slot)[row]
+        _, _, const, scaled = per_k[row]
+        offset, share, polys = tangents[row]
         det, total = np.full(z.shape, const), np.full(z.shape, (unit * share).real)
         for position, q_poly in enumerate(scaled):
             q = horner(q_poly, z)

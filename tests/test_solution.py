@@ -156,14 +156,15 @@ def test_minors_match_plain_laplace_expansion(n):
     for seed in (0, 5):
         sp = sample_params(n, seed, 0.5)
         cols = [[derivative(p, order) for order in range(n + 1)] for p in family(sp)]
-        per_k = solution._wronskian_minors(sp)[: n + 1]
+        per_k, table = solution._wronskian_minors(sp)
         for k, (minors, *_) in enumerate(per_k, start=1):
             for subset, _, w in minors:
                 rows = [[cols[t][p] for t in subset] for p in range(k)]
                 assert _relative_error(w.coeffs, laplace_det(rows)) <= 1e-14, (seed, subset)
         for i, j in coefficient_slots(n):
             column = [derivative([0] * j + [1], p) for p in range(n + 1)]
-            for k, (_, share, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
+            tangents = solution._tangent_minors(sp, (i, j), per_k, table)
+            for k, (_, share, polys) in enumerate(tangents, start=1):
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
                 for position, (subset, lam, _) in enumerate(nonconstant):
                     if i not in subset:
@@ -235,8 +236,8 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
                                  for p in exact]
         cols = [_exact_columns(p, n) for p in gaussian]
         base = {}
-        per_k = solution._wronskian_minors(sp)
-        for minors, *_ in per_k[: n + 1]:
+        per_k, minor_table = solution._wronskian_minors(sp)
+        for minors, *_ in per_k:
             for subset, _, w in minors:
                 dw = _exact_minor(cols, 0, subset, base)
                 _assert_matches_exact(w, dw, scale ** sum(t > 0 for t in subset), (seed, subset))
@@ -244,7 +245,8 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
             swapped = list(cols)
             swapped[i] = _exact_columns([(0, 0)] * j + [(1, 0)], n)
             table = {key: w for key, w in base.items() if i not in key[1]}
-            for k, (*_, polys) in enumerate(solution._tangent_minors(sp, (i, j)), start=1):
+            tangents = solution._tangent_minors(sp, (i, j), per_k, minor_table)
+            for k, (*_, polys) in enumerate(tangents, start=1):
                 expected = set()
                 nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
                 for position, (subset, lam, _) in enumerate(nonconstant):
@@ -272,13 +274,12 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
         return original(sp, rows, table)
 
     monkeypatch.setattr(solution, "_coefficient_minors", counted)
-    solution._wronskian_minors.cache_clear()
-    *_, table = solution._wronskian_minors(sp)
+    per_k, table = solution._wronskian_minors(sp)
     assert len(set(built)) == len(built) == 2**6 - 1
     # Lower triangular: only the cols with cols[s] <= rows[s] at every s are listed.
     assert all(all(a <= t for a, t in zip(cols, rows)) for rows in table for cols in table[rows])
     built.clear()
-    solution._tangent_minors.__wrapped__(sp, (5, 3))  # c_53, which alpha2_2 moves
+    solution._tangent_minors(sp, (5, 3), per_k, table)  # c_53, which alpha2_2 moves
     assert built == []
 
 
@@ -299,35 +300,47 @@ def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
 
     monkeypatch.setattr(solution, "eval_poly", counted)
     solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
-    minors = sum(len(solution._wronskian_minors(sp)[k - 1][3]) for k in ks)
+    per_k, table = solution._wronskian_minors(sp)
+    minors = sum(len(per_k[k - 1][3]) for k in ks)
     slots = {solution._coefficient_slot(n, which)[0] for which in directions}
     assert len(slots) == len(directions) - 1
-    terms = sum(len(solution._tangent_minors(sp, slot)[k - 1][2]) for slot in slots for k in ks)
+    terms = sum(len(solution._tangent_minors(sp, slot, per_k, table)[k - 1][2])
+                for slot in slots for k in ks)
     assert terms > 0
     assert count[0] == minors + terms
 
 
 def test_kernel_reads_each_minor_table_once_per_call(monkeypatch):
-    # One lookup of the Wronskian minors per call, and one of the tangent
-    # minors per distinct slot (alpha_1 and beta_1 share theirs), however
-    # many rows and directions the call evaluates.
+    # One read of the one-set memo per call, which builds the Wronskian
+    # minors once per parameter set and the tangent minors once per distinct
+    # slot (alpha_1 and beta_1 share theirs), however many rows and
+    # directions the calls evaluate.
     n = 3
     sp = sample_params(n, 0, 0.5)
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial", "beta2_3")
     z = np.array([0.5, 3.0 + 1.0j])
-    solution._log_dets(sp, (1, 2, 3), z, directions)  # fill the caches
-    lookups = []
+    builds, reads = [], []
     for name in ("_wronskian_minors", "_tangent_minors"):
-        def counted(*args, _original=getattr(solution, name), _name=name):
-            lookups.append((_name,) + args[1:])
-            return _original(*args)
+        def counted(sp, *args, _original=getattr(solution, name), _name=name):
+            builds.append((_name,) + args[:1])
+            return _original(sp, *args)
 
         monkeypatch.setattr(solution, name, counted)
-    solution._log_dets(sp, (1, 2, 3), z, directions)
+
+    class Memo(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(solution, "_memo", Memo())
+    for _ in range(2):
+        solution._log_dets(sp, (1, 2, 3), z, directions)
+    solution._log_dets(sp, (2,), z, directions[1:3])
     slots = [solution._coefficient_slot(n, which)[0] for which in directions]
-    assert lookups == [("_wronskian_minors",)] + [
+    assert builds == [("_wronskian_minors",)] + [
         ("_tangent_minors", slot) for slot in dict.fromkeys(slots)]
-    assert len(lookups) == 1 + 4
+    assert len(builds) == 1 + 4
+    assert reads == [sp] * 3
 
 
 def _assert_matches_gram_oracle(sp, ks, z):
@@ -448,16 +461,26 @@ def test_every_name_moves_the_coefficient_the_oracle_names(n):
         assert direction_move(n, which) == (i, j, unit)
 
 
-def test_beta_reuses_its_alphas_tangent_minors():
+def test_beta_reuses_its_alphas_tangent_minors(monkeypatch):
     # A beta moves the same coefficient as its alpha by i, so after an alpha
-    # call its own call builds no tangent minors.
+    # call, which builds its slot's tangent minors, its own call builds none.
     sp = sample_params(3, 6, 0.5)
     z = np.array([0.5, 3.0 + 1.0j])
+    built, original = [], solution._tangent_minors
+
+    def counted(sp, slot, *tables):
+        built.append(slot)
+        return original(sp, slot, *tables)
+
+    monkeypatch.setattr(solution, "_tangent_minors", counted)
+    monkeypatch.setattr(solution, "_memo", {})
     for alpha, beta in ("alpha_1", "beta_1"), ("alpha2_3", "beta2_3"), ("alpha3_3", "beta3_3"):
         solution.log_det_k_tangent(sp, (alpha,), z)
-        misses = solution._tangent_minors.cache_info().misses
+        assert built[-1] == solution._coefficient_slot(3, alpha)[0]
+        builds = len(built)
         solution.log_det_k_tangent(sp, (beta,), z)
-        assert solution._tangent_minors.cache_info().misses == misses, beta
+        assert len(built) == builds, beta
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
