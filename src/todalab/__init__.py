@@ -1,7 +1,7 @@
 """Verification laboratory for entire solutions of the SU(n+1) Toda system."""
 
 from .cartan import cartan_apply
-from .cpoly import ComplexPoly, eval_poly
+from .cpoly import ComplexPoly
 from .solution import (
     PositivityError,
     SolutionParams,
@@ -13,7 +13,6 @@ from .solution import (
 __all__ = [
     "cartan_apply",
     "ComplexPoly",
-    "eval_poly",
     "PositivityError",
     "SolutionParams",
     "load_params",

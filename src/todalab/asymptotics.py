@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import cartan_apply
-from .solution import (PositivityError, SolutionParams, _coefficient_slot, frequency_directions,
-                       log_det_k_tangent)
+from .solution import (PositivityError, Rings, SolutionParams, _coefficient_slot,
+                       frequency_directions, log_det_k_tangent)
 
 __all__ = [
     "ExpansionCheck",
@@ -58,16 +58,15 @@ class ExpansionCheck:
     rel_error: float
 
 
-def circle(r, M: int) -> np.ndarray:
+def circle(r, M: int) -> Rings:
     """M equispaced points on the circle of radius r, starting on the real axis.
 
-    For an array of radii the result has one row of M points per radius; a
+    For an array of radii the Rings have one row of M points per radius; a
     radius that is not finite raises PositivityError.
     """
     if not np.all(np.abs(r) < math.inf):
         raise PositivityError(f"the circle |z| = {r} is past the double range")
-    theta = 2.0 * np.pi * np.arange(M) / M
-    return np.multiply.outer(r, np.exp(1j * theta))
+    return Rings(r, 2.0 * np.pi * np.arange(M) / M)
 
 
 def _legval(x, c: list):
@@ -105,9 +104,10 @@ def gauss_legendre(m: int) -> tuple:
 def sphere_rule(t: float, nodes: int, samples: int) -> tuple:
     """The Riemann-sphere rule (z, log_area, w) for integrals over the plane.
 
-    z = t cot(theta/2) e^{i phi}: one row per Gauss-Legendre node x = cos(theta), `samples`
-    trapezoid nodes in phi.  int f dA ~= 2 pi (mean(f(z) e^{log_area}, axis=-1) @ w), and the
-    column log_area = log(t^2 / (1 - x)^2), dA per dx dphi, adds to a log-valued integrand.
+    z = t cot(theta/2) e^{i phi}, the Rings of one row per Gauss-Legendre node x = cos(theta)
+    and `samples` trapezoid nodes in phi.  int f dA ~= 2 pi (mean(f(z) e^{log_area}, axis=-1)
+    @ w), and the column log_area = log(t^2 / (1 - x)^2), dA per dx dphi, adds to a log-valued
+    integrand.
     The rule converges spectrally where the ring means of f e^{log_area} are smooth in x.
     """
     x, w = gauss_legendre(nodes)

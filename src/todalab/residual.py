@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import cartan_apply
-from .solution import SolutionParams, log_det_k_tangent
+from .solution import Grid, SolutionParams, log_det_k_tangent
 
 __all__ = [
     "GridSpec",
@@ -116,11 +116,12 @@ def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=()) -> list:
     The PDE residual is Delta U_i + sum_j a_ij e^{U_j}; a direction's is Delta phi_i +
     sum_j a_ij e^{U_j} phi_j on phi_i = -dU_i/d(which) = sum_j a_ij d log det_j/d(which).
     Windows of rows of at most TILE_POINTS points start on even rows, so the h grid is
-    the stride-2 view [..., ::2, ::2] of each.  One kernel call per window writes U^k and
-    every direction's tangents into their planes' new rows, and cartan_apply turns them
-    into U_i (bit for bit lower_components) and phi in place; e^{U_i} is built once per
-    row, and every plane keeps its last CARRY rows for the next window, so each point is
-    evaluated once, into buffers that serve the whole walk.
+    the stride-2 view [..., ::2, ::2] of each.  One kernel call per window, on the Grid of
+    its new rows and every column, writes U^k and every direction's tangents into their
+    planes' new rows, and cartan_apply turns them into U_i (bit for bit lower_components)
+    and phi in place; e^{U_i} is built once per row, and every plane keeps its last CARRY
+    rows for the next window, so each point is evaluated once, into buffers that serve the
+    whole walk.
     """
     n, fine = sp.n, g.refined()
     axis = np.linspace(-g.half_width, g.half_width, fine.points_per_side)
@@ -128,13 +129,13 @@ def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=()) -> list:
     depth = min(side, max(CARRY + 2, TILE_POINTS // side // 2 * 2))
     cells = depth * side
     # All the walk's memory, allocated once: one array per plane (carried U_i, e^{U_i}
-    # and each phi, then the scratch that holds A(E phi)), and a block for the kernel's
-    # w (z goes in there, and the kernel scales it in place), q, dq and tmp, then the
-    # stencils' residual and 4·centre.  One block for all the planes stayed in the heap
-    # after a walk and raised the peak RSS of a default verify by 2 MB.
-    planes = [np.empty((n, depth, side)) for _ in range(3 + len(directions))]
-    block = np.empty(max(7, 2 * n) * cells)
-    kernel = np.split(block[: 6 * cells].view(complex), 3) + [block[6 * cells : 7 * cells]]
+    # and each phi), and a block that holds the kernel's values, then the stencils'
+    # residual and 4·centre in its front 2n and A(E phi) in its last n rows per point.
+    # One block for all the planes stayed in the heap after a walk and raised the peak
+    # RSS of a default verify by 2 MB.
+    planes = [np.empty((n, depth, side)) for _ in range(2 + len(directions))]
+    block = np.empty(3 * n * cells)
+    planes.append(block[2 * n * cells :].reshape(n, depth, side))
     peaks = [(_Peak(n), _Peak(n)) for _ in range(1 + len(directions))]
     for start in range(0, side - CARRY, depth - CARRY):
         stop = min(start + depth, side)
@@ -143,11 +144,9 @@ def _two_grid_peaks(sp: SolutionParams, g: GridSpec, directions=()) -> list:
         u, weights, *phis, scratch = views = [_front(p, (n, w, side)) for p in planes]
         for view, plane in zip(views[:-1], planes):
             view[:, :fresh] = plane[:, depth - fresh :]
-        work = [_front(buf, (w - fresh, side)) for buf in kernel]
-        z = work[0]
-        z.real, z.imag = axis[start + fresh : stop, None], axis
         new = [plane[:, fresh:] for plane in (u, *phis)]
-        log_det_k_tangent(sp, directions, z, out=(new[0], new[1:]), work=work)
+        log_det_k_tangent(sp, directions, Grid(axis[start + fresh : stop], axis),
+                          out=(new[0], new[1:]), work=block)
         for part in new:
             cartan_apply(part, out=part)
         np.exp(new[0], out=weights[:, fresh:])

@@ -36,10 +36,12 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import cartan_apply
-from .cpoly import ComplexPoly, eval_poly
+from .cpoly import ComplexPoly
 
 __all__ = [
+    "Grid",
     "PositivityError",
+    "Rings",
     "SolutionParams",
     "lambda_product_target",
     "normalize_lambdas",
@@ -294,13 +296,20 @@ def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> 
     return ComplexPoly.from_coeffs(coeffs)
 
 
+def _stack(polys, degree: int) -> np.ndarray:
+    """The coefficients of polys, z^0 to z^degree, as the rows of a complex array."""
+    rows = [p.coeffs + (0j,) * (degree - p.degree) for p in polys]
+    return np.array(rows, dtype=complex).reshape(-1, degree + 1)
+
+
 def _wronskian_minors(sp: SolutionParams) -> tuple:
     """(rows, table): per k = 1..n+1, (minors, D_k, const, scaled) for det_k; c's minor table.
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
     with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
     for each S, D_k is the top minor degree, `const` sums lambda_S |W_S|^2
-    over constant minors, and `scaled` is sqrt(lambda_S) W_S for the others.
+    over constant minors, and the rows of `scaled` hold the coefficients of
+    sqrt(lambda_S) W_S for the others, z^0 to z^D_k.
     """
     table, out = {}, []
     for k in range(1, sp.n + 2):
@@ -309,83 +318,185 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
             w = _cauchy_binet(sp, subset, table)
             minors.append((subset, math.prod(sp.lambdas[i] for i in subset), w))
         const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
-        scaled = tuple(w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0)
-        out.append((tuple(minors), max(w.degree for *_, w in minors), const, scaled))
+        degree = max(w.degree for *_, w in minors)
+        scaled = [w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0]
+        out.append((tuple(minors), degree, const, _stack(scaled, degree)))
     return tuple(out), table
 
 
-def _log_dets(sp: SolutionParams, ks, z, directions=(), out=None, work=None) -> tuple:
-    """(log det_k(f), d log det_k / d(which)) at the points z for each k in ks.
+def _powers(w, degree: int) -> np.ndarray:
+    """w^0..w^degree along a new last axis, by repeated products: exact under powers of two."""
+    w = np.asarray(w)
+    out = np.empty(w.shape + (degree + 1,), dtype=np.result_type(w, float))
+    out[..., 0], out[..., 1:] = 1.0, w[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
 
-    The first array stacks the rows along axis 0; the second stacks, for each
-    direction, its rows the same way.  Both go into `out` when given: the first
-    array, and the second or a list of its directions' rows.  `work` is scratch
-    of z's shape, three complex arrays and a real one; z may be the first, and is then
-    scaled in place.
-    det_k = 2^(2 D_k e) sum_S |s_S(z / 2^e)|^2 with e >= 0 the least with max |z| < 2^e, where
-    s_S is q_S = sqrt(lambda_S) W_S = sum_j c_j z^j with c_j 2^((j - D_k) e) for c_j
-    (eval_poly's scale): powers of two scale each Horner step exactly, so where
-    nothing under- or overflows s_S(z / 2^e) = 2^(-D_k e) q_S(z).  As |z / 2^e| < 1,
-    |s_S| <= sum_j |c_j|, so the nonnegative terms need no logs: each k takes one
-    Horner pass per non-constant minor and one log.  Each direction's tangent is
-    the ratio of _tangent_minors for its slot; the pass over q_S feeds det_k and
-    every sum, each slot's dq_S takes one pass more, with the same factors, for
-    all the directions on it, and numerator and denominator carry the same
-    2^(2 D_k e).  Re(conj(q_S) unit dq_S) is q.re dq.re + q.im dq.im at unit 1 and
-    q.im dq.re - q.re dq.im at unit i.  One e serves all points; |z| spanning
-    >150/D_k decades raises PositivityError naming k and the span of |z|.
+
+# A point set's row r maps a polynomial's coefficients c_j 2^((j - D) e_r) in w = z / 2^e_r
+# to complex weights (`rows`), whose Re and Im times the first rows of one real table
+# (`columns` at the largest D) give Re and Im of the polynomial at the row's points.
+
+
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The points x[r] + i y[c], a row per x and a column per y; scattered z are Grid(z, [0]).
+
+    Row r holds the Taylor coefficients about x[r] / 2^e_r times (i / 2^e_r)^m, against the
+    columns y^m (so |y|^D must stay in the double range; the walk's |y| is at most 2).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w, q, dq, tmp = work or (*(np.empty_like(z) for _ in range(3)), np.empty(z.shape))
-    radii = np.abs(z, out=tmp)  # before w = z / 2^e, which may overwrite z
-    low, high = float(np.min(radii, initial=math.inf)), float(np.max(radii, initial=0.0))
-    e = max(0, math.frexp(high)[1])
-    np.multiply(z, 2.0**-e, out=w)
-    dets, tangents = out or (np.empty((len(ks),) + z.shape),
-                             np.empty((len(directions), len(ks)) + z.shape))
+
+    x: np.ndarray
+    y: np.ndarray
+    shape = property(lambda self: (len(self.x), len(self.y)))
+    size = property(lambda self: math.prod(self.shape))
+
+    def moduli(self) -> np.ndarray:
+        return np.hypot(np.abs(self.x), np.max(np.abs(self.y), initial=0.0))
+
+    def columns(self, degree: int) -> np.ndarray:
+        return _powers(self.y, degree).T.copy()
+
+    def rows(self, coeffs, rows, e, scale) -> np.ndarray:
+        steps = np.arange(scale.shape[1])
+        u = _powers(self.x[rows] * np.ldexp(1.0, -e), steps[-1])
+        turn = _powers(1j * np.ldexp(1.0, -e), steps[-1])  # (i / 2^e_r)^m
+        # C(j, m) = prod_{0 < t <= m} (j - t + 1) / t, rounded to the integer it is (0 at m > j).
+        ratios = (steps[:, None] - steps + 1.0) / np.maximum(steps, 1)
+        ratios[:, 0] = 1.0
+        taylor = np.rint(np.cumprod(ratios, axis=1)) * u[:, abs(steps[:, None] - steps)]
+        return np.einsum("mj,rjt->rmt", coeffs, taylor * (scale[:, :, None] * turn[:, None, :]))
+
+
+@dataclass(frozen=True, eq=False)
+class Rings:
+    """The points radii[r] e^(i angles[c]), a row per radius (one for a scalar radius).
+
+    Row r holds c_j (radii[r] / 2^e_r)^j and i times it, against cos(j angle) and sin(j angle).
+    """
+
+    radii: np.ndarray
+    angles: np.ndarray
+    shape = property(lambda self: np.shape(self.radii) + (len(self.angles),))
+    size = property(lambda self: math.prod(self.shape))
+
+    def moduli(self) -> np.ndarray:
+        return np.abs(np.reshape(self.radii, -1))
+
+    def columns(self, degree: int) -> np.ndarray:
+        turns = np.multiply.outer(np.arange(degree + 1), self.angles)
+        return np.stack([np.cos(turns), np.sin(turns)], axis=1).reshape(-1, len(self.angles))
+
+    def rows(self, coeffs, rows, e, scale) -> np.ndarray:
+        radii = np.reshape(self.radii, -1)[rows] * np.ldexp(1.0, -e)
+        lhs = coeffs * (_powers(radii, scale.shape[1] - 1) * scale)[:, None, :]
+        return np.stack([lhs, 1j * lhs], axis=-1).reshape(lhs.shape[:2] + (2 * scale.shape[1],))
+
+
+# Multiply-adds per matrix product: at most 65536 * 4, under which OpenBLAS stays on one thread.
+PRODUCT_SIZE = 2**18
+# Values in the kernel's own value block, and row weights formed at once.
+BLOCK_VALUES = 2**15
+
+
+def _log_dets(sp: SolutionParams, ks, points, directions=(), out=None, work=None) -> tuple:
+    """(log det_k(f), d log det_k / d(which)) at the points (a Grid, Rings or array z) per k in ks.
+
+    The first array stacks the rows along axis 0; the second stacks, for each direction, its
+    rows the same way.  Both go into `out` when given: the first array, and the second or a
+    list of its directions' rows.  `work` is float scratch for the kernel's values.
+    Row r takes e_r >= 0, the least with its |z| < 2^e_r, and det_k = 2^(2 D_k e_r) (const
+    2^(-2 D_k e_r) + sum_S |s_S|^2), s_S = sum_j c_j 2^((j - D_k) e_r) w^j at w = z / 2^e_r for
+    q_S = sqrt(lambda_S) W_S = sum_j c_j z^j: scaling by powers of two is exact, so s_S =
+    2^(-D_k e_r) q_S where nothing under- or overflows, and |s_S| <= sum_j |c_j|.  Per k and tile
+    of rows, matrix products of at most PRODUCT_SIZE multiply-adds give Re and Im of every
+    non-constant s_S and every requested slot's ds_S (_tangent_minors); det_k sums the squares of
+    the s_S, and a direction of unit u contracts its slot's ds_S with conj(u) times a copy of the
+    s_S at its positions (or, at u = 1, with a run of them in place), Re(conj(s_S) u ds_S), so a
+    beta reuses its alpha's ds_S.  A det_k that is not finite and positive raises PositivityError
+    naming k and the span of the rows' |z|.
+    """
+    shape = points.shape if isinstance(points, (Grid, Rings)) else np.shape(np.atleast_1d(points))
+    if not isinstance(points, (Grid, Rings)):  # scattered z: a row each, one column y = 0
+        points = Grid(np.ravel(np.asarray(points, dtype=complex)), np.zeros(1))
+    moduli = points.moduli()
+    e = np.maximum(np.frexp(moduli)[1], 0)
+    dets, tangents = out or (np.empty((len(ks),) + shape),
+                             np.empty((len(directions), len(ks)) + shape))
     moves = [_coefficient_slot(sp.n, which) for which in directions]
     if sp not in _memo:  # the last set's tables are dropped before sp's are built
         _memo.clear()
         _memo[sp] = (*_wronskian_minors(sp), {})
-    per_k, table, tables = _memo[sp]
+    per_k, minors, tables = _memo[sp]
     for slot in dict.fromkeys(slot for slot, _ in moves if slot not in tables):
-        tables[slot] = _tangent_minors(sp, slot, per_k, table)  # on the slot's first use
+        # On the slot's first use: (offset, share, positions, rows of ds_S) per k.
+        tables[slot] = [(offset, share, list(polys), _stack(polys.values(), per_k[k][1]))
+                        for k, (offset, share, polys) in
+                        enumerate(_tangent_minors(sp, slot, per_k, minors))]
+    table, block = points.columns(max(per_k[k - 1][1] for k in ks)), work
+    width = table.shape[1]
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, (acc, k) in enumerate(zip(dets, ks)):
-            _, degree, const, polys = per_k[k - 1]
-            scale = [2.0 ** ((j - degree) * e) for j in range(degree + 1)]
-            acc.fill(math.ldexp(const, -2 * degree * e))
-            sums = [t[row] for t in tangents]
-            passes = {}  # slot: (its dq_S, [(sum, unit is 1)] of its directions), slots in order
-            for total, (slot, unit) in zip(sums, moves):
-                _, share, dpolys = tables[slot][k - 1]
-                total.fill(math.ldexp((unit * share).real, -2 * degree * e))
-                passes.setdefault(slot, (dpolys, []))[1].append((total, unit == 1))
-            for position, p in enumerate(polys):
-                eval_poly(p, w, q, scale)
-                acc += np.square(q.real, out=tmp)
-                acc += np.square(q.imag, out=tmp)
-                for dpolys, rows in passes.values():
-                    if position in dpolys:
-                        eval_poly(dpolys[position], w, dq, scale)
-                        for total, real in rows:
-                            if real:
-                                total += np.multiply(q.real, dq.real, out=tmp)
-                                total += np.multiply(q.imag, dq.imag, out=tmp)
-                            else:
-                                total -= np.multiply(q.real, dq.imag, out=tmp)
-                                total += np.multiply(q.imag, dq.real, out=tmp)
+        for row, k in enumerate(ks):
+            _, degree, const, scaled = per_k[k - 1]
+            pieces, slots, spans = [scaled], {}, {}
+            for slot, unit in dict.fromkeys(moves):
+                positions, dq = tables[slot][k - 1][2:]
+                if slot not in slots:
+                    slots[slot] = sum(map(len, pieces))
+                    pieces.append(dq)
+                first = positions[0] if positions else 0
+                if unit == 1 and positions == list(range(first, first + len(positions))):
+                    spans[slot, unit] = first, slots[slot], len(dq)  # a run of the s_S
+                    continue
+                spans[slot, unit] = sum(map(len, pieces)), slots[slot], len(dq)
+                pieces.append(np.conj(unit) * scaled[positions])
+            coeffs = np.concatenate(pieces)
+            depth = 2 * len(coeffs)  # values per point
+            if block is None or len(block) < depth * width:
+                block = np.empty(max(depth * width, BLOCK_VALUES))
+            # A tile is as many rows as the block holds, and a slab as many rows as have
+            # their weights formed at once.
+            step = len(block) // max(depth * width, 1)
+            slab = max(step, BLOCK_VALUES // max(depth * len(table), 1))
+            acc = dets[row].reshape(len(e), width)
+            sums = [t[row].reshape(len(e), width) for t in tangents]
+            for top in range(0, len(e), slab):
+                rows = slice(top, top + slab)
+                scale = np.ldexp(1.0, (np.arange(degree + 1) - degree) * e[rows, None])
+                lhs = points.rows(coeffs, rows, e[rows], scale)
+                lhs = np.stack((lhs.real, lhs.imag), axis=2)
+                columns = table[: lhs.shape[-1]]
+                chunk = max(1, PRODUCT_SIZE // columns.size)
+                for first in range(0, len(lhs), step):
+                    piece = lhs[first : first + step]
+                    tile = piece.reshape(-1, len(columns))
+                    values = block[: len(tile) * width].reshape(len(tile), width)
+                    for a in range(0, len(tile), chunk):
+                        np.matmul(tile[a : a + chunk], columns, out=values[a : a + chunk])
+                    values = values.reshape(len(piece), depth, width)
+                    at = slice(top + first, top + first + len(piece))
+                    squares = values[:, : 2 * len(scaled)]
+                    np.einsum("rxc,rxc->rc", squares, squares, out=acc[at])
+                    for total, move in zip(sums, moves):
+                        a, b, m = spans[move]
+                        np.einsum("rxc,rxc->rc", values[:, 2 * a : 2 * (a + m)],
+                                  values[:, 2 * b : 2 * (b + m)], out=total[at])
+            shift = np.ldexp(1.0, -2 * degree * e)[:, None]
+            acc += const * shift
             # Below ~1e-290 the squared terms approach subnormal numbers and
             # lose digits; NaN fails every comparison.
             if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
-                raise PositivityError(f"det_{k} is not finite and positive at scale 2^{e} for "
-                                      f"|z| in [{low:g}, {high:g}]")
-            for total, (slot, _) in zip(sums, moves):
+                raise PositivityError(f"det_{k} is not finite and positive on rows whose largest "
+                                      f"|z| spans [{np.min(moduli):g}, {np.max(moduli):g}]")
+            for total, (slot, unit) in zip(sums, moves):
+                offset, share = tables[slot][k - 1][:2]
+                if share:  # only a weight's slot has a share or an offset
+                    total += (unit * share).real * shift
                 total /= acc
-                total += tables[slot][k - 1][0]
+                if offset:
+                    total += offset
             np.log(acc, out=acc)
-            acc += 2 * degree * e * math.log(2.0)
+            acc += (2 * degree * e)[:, None] * math.log(2.0)
     return dets, tangents
 
 
@@ -398,7 +509,7 @@ def log_det_k(sp: SolutionParams, k: int, z):
 
 
 def lower_components(sp: SolutionParams, z) -> np.ndarray:
-    """U_i = sum_j a_ij U^j, stacked along axis 0; z scalar or array."""
+    """U_i = sum_j a_ij U^j, stacked along axis 0; z a scalar, an array, a Grid or Rings."""
     upper = log_det_k_tangent(sp, (), z)[0]
     return cartan_apply(upper, out=upper)
 
@@ -494,7 +605,7 @@ def _tangent_minors(sp: SolutionParams, slot, per_k: tuple, table: dict) -> tupl
 
 
 def log_det_k_tangent(sp: SolutionParams, directions, z, k=None, out=None, work=None) -> tuple:
-    """(U^k, exact d log det_k / d(which) for each direction) at the points z.
+    """(U^k, exact d log det_k / d(which) for each direction) at the points z (see _log_dets).
 
     A direction is a parameter direction or "radial" (r d/dr at fixed
     parameters).  U stacks k = 1..n along axis 0 and the tangents stack

@@ -9,7 +9,9 @@ a matrix of polynomials, a reference for the Cauchy-Binet minor builder in
 scaled LU on the double-precision matrix (f^{p,q}) of `mixed_derivative`,
 a cross-check at moderate radii, and `perturbed` moves a parameter set
 by a finite step along one direction, the reference of the exact tangents.
-`cartan_dense` is the Cartan matrix as a dense array, the reference of
+`mp_upper_and_tangents` takes U^k and its exact tangents from that Gram matrix
+by Jacobi's formula, with no minor and no finite difference.  `cartan_dense`
+is the Cartan matrix as a dense array, the reference of
 `todalab.cartan.cartan_apply`.
 """
 
@@ -159,3 +161,51 @@ def mp_log_det(sp, k, z, which, h):
         for q in range(k):
             gram[p, q] = mp.fsum(lam * v[p] * mp.conj(v[q]) for lam, v in zip(lambdas, vals))
     return mp.log(mp.re(mp.det(gram)))
+
+
+def mp_upper_and_tangents(sp, k, z, directions) -> list:
+    """[U^k, then d log det_k / d(which) for each direction] at z, in mpmath at the caller's
+    precision: Jacobi's formula d log det G = tr(G^-1 dG) on the k x k Gram matrix of f.
+
+    A coefficient direction moves P_i^{(p)} by unit (z^j)^{(p)}, loglambda_I moves each
+    lambda_l by lambda_l ([l = I] - 1/(n+1)), and "radial" (z -> z e^h) moves P^{(p)} by
+    z P^{(p+1)}.
+    """
+    n, z = sp.n, mp.mpc(z)
+    lambdas = [mp.mpf(x) for x in sp.lambdas]
+    polys = [[mp.mpc(1)]] + [[mp.mpc(c) for c in p.coeffs] for p in sp.polys]
+
+    def deriv(coeffs, p):
+        return mp.fsum(c * mp.ff(e, p) * z ** (e - p) for e, c in enumerate(coeffs) if e >= p)
+
+    def gram(values, moved=None, weights=lambdas):
+        """Sum_l weights_l v_l^(p) conj(v_l^(q)), or its derivative when moved[l] moves v_l."""
+        g = mp.matrix(k, k)
+        for p in range(k):
+            for q in range(k):
+                g[p, q] = mp.fsum(
+                    lam * (v[p] * mp.conj(v[q]) if moved is None else
+                           d[p] * mp.conj(v[q]) + v[p] * mp.conj(d[q]))
+                    for lam, v, d in zip(weights, values, moved or values))
+        return g
+
+    values = [[deriv(c, p) for p in range(k + 1)] for c in polys]
+    base = gram(values)
+    inverse = base ** -1
+    out = [-(k * (k - 1) * mp.log(2) + mp.log(mp.re(mp.det(base))))]
+    for which in directions:
+        if which == "radial":
+            change = gram(values, [[z * v[p + 1] for p in range(k)] for v in values])
+        else:
+            index, j, unit = direction_move(n, which)
+            if j < 0:
+                weights = [lam * ((i == index) - mp.mpf(1) / (n + 1))
+                           for i, lam in enumerate(lambdas)]
+                change = gram(values, weights=weights)
+            else:
+                moved = [[0] * k for _ in values]
+                moved[index] = [unit * mp.ff(j, p) * z ** (j - p) if j >= p else 0
+                                for p in range(k)]
+                change = gram(values, moved)
+        out.append(mp.re(sum(inverse[q, p] * change[p, q] for p in range(k) for q in range(k))))
+    return out

@@ -41,8 +41,8 @@ def _second(n):
 
 
 def test_fourier_coeffs_exact_on_trig_polynomial():
-    def component(z):
-        theta = np.angle(z)
+    def component(rings):
+        theta = rings.angles
         return 1.5 + 2.0 * np.cos(theta) - 0.5 * np.sin(theta) + 0.25 * np.sin(2 * theta)
 
     # a_k - i b_k for k = 1, 2.
@@ -268,9 +268,11 @@ def test_sphere_rule_integrates_the_round_metric(t):
     # int dA / (1 + |z|^2)^2 = pi.  At t = 1 the integrand times the area is
     # 1/4; off centre the ring means are smooth in cos(theta), and 64 nodes
     # meet pi within 3.1e-14 at t = 7.
-    z, log_area, w = sphere_rule(t, SPHERE_NODES, 8)
-    assert z.shape == (SPHERE_NODES, 8) and log_area.shape == (SPHERE_NODES, 1)
-    value = 2.0 * np.pi * (np.mean(np.exp(log_area) / (1.0 + np.abs(z) ** 2) ** 2, axis=-1) @ w)
+    rings, log_area, w = sphere_rule(t, SPHERE_NODES, 8)
+    assert rings.shape == (SPHERE_NODES, 8) and log_area.shape == (SPHERE_NODES, 1)
+    assert np.array_equal(rings.angles, 2.0 * np.pi * np.arange(8) / 8)
+    integrand = np.exp(log_area) / (1.0 + rings.radii[:, None] ** 2) ** 2
+    value = 2.0 * np.pi * (np.mean(np.broadcast_to(integrand, rings.shape), axis=-1) @ w)
     assert value == pytest.approx(math.pi, rel=1e-13)
 
 

@@ -104,6 +104,37 @@ def test_runs_import_neither_numpy_random_nor_polynomial_nor_openssl(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+def test_blas_threads_leave_the_grid_reports_unchanged(tmp_path):
+    # Contract 10 across BLAS thread counts: every matrix product of the kernel
+    # stays under solution.PRODUCT_SIZE multiply-adds, where OpenBLAS keeps it
+    # on one thread, so a grid run writes the same summary.json under
+    # OPENBLAS_NUM_THREADS=1 and =2, and the kernel the same bits on a window
+    # at n = 5 with every kernel direction and a value block of 4 M values
+    # (products of up to 3e8 multiply-adds there give other bits on 2 threads).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        args = ["verify", "--suite", "pde", "--suite", "linearized", "--n", "4", "--count", "1",
+                "--grid-h", "5e-2", "--seed", "3", "--out", str(out)]
+        script = (
+            "import sys\nimport numpy as np\nfrom todalab.cli import main\n"
+            "from todalab.solution import Grid, kernel_directions, log_det_k_tangent,"
+            " sample_params\n"
+            "axis = np.linspace(-2.0, 2.0, 801)\n"
+            "values = log_det_k_tangent(sample_params(5, 3, 0.3, 3.0), kernel_directions(5),\n"
+            "                           Grid(axis[:24], axis), work=np.empty(2**22))\n"
+            f"np.save({str(out) + '.npy'!r}, np.concatenate([v.ravel() for v in values]))\n"
+            f"sys.exit(main({args!r}))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert done.returncode in (0, 1), done.stderr
+        outputs.append((done.returncode, (out / "summary.json").read_bytes(),
+                        Path(str(out) + ".npy").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_params_file_round(tmp_path):
     params = {"n": 1, "lambdas": [1.0, 1.0],
               "coeffs": [{"i": 1, "j": 0, "re": 0.1, "im": -0.2}]}

@@ -1,13 +1,14 @@
-"""Polynomial arithmetic, evaluation, Wronskian dets."""
+"""Polynomial arithmetic, evaluation on each kind of point set, Wronskian dets."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from todalab import solution
-from todalab.cpoly import ComplexPoly, eval_poly
-from todalab.solution import SolutionParams, normalize_lambdas
+from todalab.cpoly import ComplexPoly
+from todalab.solution import Grid, Rings, SolutionParams, normalize_lambdas, sample_params
 
 finite_c = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -30,27 +31,62 @@ def test_degree_of_zero_poly():
     assert ComplexPoly(()).degree == -1
 
 
-def horner(p, z):
-    """p at the points z, a complex array, with every coefficient scaled by 1."""
-    return eval_poly(p, z, np.empty_like(z), [1.0] * len(p.coeffs))
-
-
 def test_eval_into_out_on_one_and_many_points():
-    p = ComplexPoly.from_coeffs([1, 0, 1])  # 1 + z^2
-    out = np.empty(1, dtype=complex)
-    assert eval_poly(p, np.array([2.0 + 0j]), out, [1.0] * 3) is out
-    assert out[0] == 5.0
-    z = np.array([0j, 1j, 2j])
-    assert np.allclose(horner(p, z), 1 + z**2)
-    assert np.array_equal(eval_poly(p, z, np.empty_like(z), [2.0, 4.0, 8.0]), 2.0 + 8.0 * z**2)
-    assert np.array_equal(horner(ComplexPoly(()), z), np.zeros(3))
+    # The kernel evaluates into the arrays it is given, on one point and on many,
+    # scattered or as a product set, with the values of a call that allocates.
+    sp = sample_params(2, 1, 0.5)
+    for points in (np.array([2.0 + 0j]), np.array([0j, 1j, 2j]),
+                   Grid(np.array([0.5, -1.0]), np.array([0.0, 1.5, 2.0]))):
+        shape = np.shape(points) if isinstance(points, np.ndarray) else points.shape
+        out = (np.empty((2,) + shape), np.empty((1, 2) + shape))
+        got = solution._log_dets(sp, (1, 2), points, ("alpha_1",), out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        fresh = solution._log_dets(sp, (1, 2), points, ("alpha_1",))
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
 
 @given(p=poly_strategy(), s=finite_c, z=finite_c)
 def test_scale_matches_pointwise(p, s, z):
-    z = np.array([z])
-    tol = 1e-6 * (1 + abs(z[0])) ** 6 * (1 + abs(s))
-    assert abs(horner(p.scale(s), z)[0] - s * horner(p, z)[0]) <= tol
+    tol = 1e-6 * (1 + abs(z)) ** 6 * (1 + abs(s))
+    assert abs(np.polyval(p.scale(s).coeffs[::-1], z) - s * np.polyval(p.coeffs[::-1], z)) <= tol
+
+
+def rows_times_columns(points, coeffs):
+    """sum_j coeffs[j] z^j at every point, as the kernel forms it: the set's rows at
+    scale 2^((j - D) e_r) times its column table, then 2^(D e_r)."""
+    e = np.maximum(np.frexp(points.moduli())[1], 0)
+    degree = len(coeffs) - 1
+    scale = np.ldexp(1.0, (np.arange(degree + 1) - degree) * e[:, None])
+    lhs = points.rows(np.array([coeffs]), slice(None), e, scale)[:, 0]
+    columns = points.columns(degree)
+    values = lhs.real @ columns + 1j * (lhs.imag @ columns)
+    return np.ldexp(1.0, degree * e)[:, None] * values
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_every_kind_of_rows_times_columns_evaluates_a_polynomial(degree):
+    # Grid rows (Taylor coefficients about x times powers of y), rings
+    # (c_j r^j times cos and sin of j phi) and scattered z (a grid of one
+    # column y = 0, whose rows are the power sums) all
+    # evaluate sum_j c_j z^j to rounding, against mpmath at 50 digits: within
+    # 4 (degree + 1) eps of sum_j |c_j| |z|^j, across eight decades of |z|.
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    x, y = np.array([-3e3, -0.7, 0.0, 0.2, 5.0]), np.array([-2.0, 0.0, 0.3, 1e-2, 40.0])
+    radii, angles = np.array([1e-3, 0.9, 7.0, 1e5]), np.array([0.0, 1.0, 2.5, 4.0, 6.0])
+    sets = [(Grid(x, y), x[:, None] + 1j * y),
+            (Rings(radii, angles), [[mp.mpf(r) * mp.expj(a) for a in angles] for r in radii])]
+    z = rng.standard_normal(6) * 10.0 ** rng.integers(-3, 5, 6) + 1j * rng.standard_normal(6)
+    sets.append((Grid(z, np.zeros(1)), z[:, None]))
+    with mp.workdps(50):
+        for points, where in sets:
+            got = rows_times_columns(points, coeffs)
+            for index in np.ndindex(got.shape):
+                zi = mp.mpmathify(where[index[0]][index[1]])
+                exact = mp.polyval([mp.mpc(c) for c in coeffs[::-1]], zi)
+                bound = sum(abs(c) * abs(zi) ** j for j, c in enumerate(coeffs))
+                assert abs(got[index] - exact) <= 4 * (degree + 1) * 2.0**-52 * bound, (
+                    type(points).__name__, index)
 
 
 def test_wronskian_vandermonde():
@@ -62,35 +98,3 @@ def test_wronskian_vandermonde():
     # The coefficient matrix is the identity: each row set has one nonzero minor, itself.
     assert len(table) == 2**4 - 1
     assert all(minors == {rows: 1} for rows, minors in table.items())
-
-
-def reference_horner(p, z):
-    """Horner as fill c_d, then *= z and += c_j per step."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.empty(z.shape, dtype=complex)
-    acc.fill(p.coeffs[-1] if p.coeffs else 0j)
-    for c in reversed(p.coeffs[:-1]):
-        acc *= z
-        acc += c
-    return acc
-
-
-@pytest.mark.parametrize("degree", range(10))
-def test_horner_first_multiply_matches_fill_then_multiply_bit_for_bit(degree):
-    # The first step c_d z is one multiply, scalar first, and rounds as the
-    # fill-then-*= form does: every bit of both parts, on many points and on
-    # one, with the coefficients c_j * scale[j].
-    rng = np.random.default_rng(degree)
-    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    coeffs[-1] = complex(1.0 + rng.random(), rng.standard_normal())
-    p = ComplexPoly.from_coeffs(coeffs)
-    assert p.degree == degree
-    z = rng.standard_normal(4096) * 3.0 + 1j * rng.standard_normal(4096) * 3.0
-    out = np.empty_like(z)
-    for scale in ([1.0] * (degree + 1), [2.0 ** (3 * (j - degree)) for j in range(degree + 1)]):
-        scaled = ComplexPoly(tuple(c * s for c, s in zip(p.coeffs, scale)))
-        assert eval_poly(p, z, out, scale) is out
-        assert np.array_equal(out.view(float), reference_horner(scaled, z).view(float))
-        for i in range(64):
-            got = eval_poly(p, z[i:i + 1], out[:1], scale)
-            assert np.array_equal(got.view(float), reference_horner(scaled, z[i:i + 1]).view(float))

@@ -102,12 +102,16 @@ def _callers(tree: ast.AST, scope: str, callee: str) -> set:
 
 
 def test_only_the_det_k_kernel_evaluates_polynomials():
-    # One evaluation kernel: every Horner pass over the minors, for det_k and
-    # for each parameter tangent, runs in solution._log_dets.
+    # One evaluation kernel: every matrix product over the minors, for det_k and
+    # for each parameter tangent, runs in solution._log_dets, and only the point
+    # sets' row maps reach it.
     callers = set()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        callers |= _callers(ast.parse(path.read_text(), filename=str(path)), path.stem, "eval_poly")
-    assert callers == {"solution._log_dets"}
+    for name in ("matmul", "rows", "columns"):
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            callers |= {(name, caller) for caller in _callers(tree, path.stem, name)}
+    assert callers == {("matmul", "solution._log_dets"), ("rows", "solution._log_dets"),
+                       ("columns", "solution._log_dets")}
 
 
 def test_one_cauchy_binet_builder_makes_every_minor():
@@ -163,8 +167,9 @@ def test_only_solution_spells_a_direction_name():
 
 def test_residual_reaches_the_kernel_through_log_det_k_tangent_alone():
     # One walk per grid: the residuals take U and every tangent from one
-    # log_det_k_tangent call per window and build U_i = A U themselves, so
-    # todalab.residual calls no other evaluator of todalab.solution.
+    # log_det_k_tangent call per window, on the Grid of its rows, and build
+    # U_i = A U themselves, so todalab.residual calls no other evaluator of
+    # todalab.solution.
     tree = ast.parse((ROOT / "src" / "todalab" / "residual.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     from_solution = {alias.name for node in imports
@@ -174,7 +179,7 @@ def test_residual_reaches_the_kernel_through_log_det_k_tangent_alone():
     assert not [alias.name for node in imports for alias in node.names if "solution" in alias.name]
     assert "lower_components" not in from_solution
     called = {name for name in from_solution if _callers(tree, "residual", name)}
-    assert called == {"log_det_k_tangent"}
+    assert called == {"Grid", "log_det_k_tangent"}
 
 
 def _spelled_modules(tree: ast.AST):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import residual, solution
-from todalab.cpoly import eval_poly
 from todalab.residual import (
     TILE_POINTS,
     GridSpec,
@@ -20,7 +19,9 @@ from todalab.residual import (
     _two_grid_peaks,
     grid_residuals,
 )
+from todalab.asymptotics import circle
 from todalab.solution import (
+    Grid,
     kernel_directions,
     log_det_k,
     log_det_k_tangent,
@@ -54,15 +55,16 @@ def linearized_residual(sp, g):
 
 
 def kernel_points(monkeypatch, run, *args):
-    """The z of every kernel call that run(*args) makes, in call order.
+    """The z of every kernel call that run(*args) makes, in call order, as arrays.
 
     The kernel is replaced by one that writes zeros: the walk over the grid
     does not depend on the values.
     """
     seen = []
 
-    def record(sp, ks, z, directions=(), out=None, work=None):
-        seen.append(z.copy())
+    def record(sp, ks, points, directions=(), out=None, work=None):
+        z = points.x[:, None] + 1j * points.y
+        seen.append(z)
         shapes = ((len(ks),) + z.shape, (len(directions), len(ks)) + z.shape)
         if out is None:
             return tuple(np.zeros(shape) for shape in shapes)
@@ -220,37 +222,6 @@ def test_derivative_field_single_row_matches_full_stack():
                 tangent(sp, which, z, k=k)
 
 
-def horner(p, z):
-    """p at the points z by the kernel's Horner pass, every coefficient scaled by 1."""
-    return eval_poly(p, z, np.empty_like(z), [1.0] * len(p.coeffs))
-
-
-def unscaled_tangent(sp, which, z):
-    """The tangent's ratio form evaluated at the raw z, with no power-of-two scale."""
-    slot, unit = solution._coefficient_slot(sp.n, which)
-    per_k, table = solution._wronskian_minors(sp)
-    tangents = solution._tangent_minors(sp, slot, per_k, table)
-    out = []
-    for row in range(sp.n):
-        _, _, const, scaled = per_k[row]
-        offset, share, polys = tangents[row]
-        det, total = np.full(z.shape, const), np.full(z.shape, (unit * share).real)
-        for position, q_poly in enumerate(scaled):
-            q = horner(q_poly, z)
-            det += q.real**2
-            det += q.imag**2
-            if position in polys:
-                dq = horner(polys[position], z)
-                if unit == 1:  # Re(conj(q) dq)
-                    total += q.real * dq.real
-                    total += q.imag * dq.imag
-                else:  # Re(conj(q) i dq)
-                    total -= q.real * dq.imag
-                    total += q.imag * dq.real
-        out.append(total / det + offset)
-    return np.array(out)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_beta_rows_from_the_alpha_pass_match_the_single_direction_route(n):
     # Each beta reads i dq_S from the pass over its coefficient's dq_S,
@@ -264,15 +235,25 @@ def test_beta_rows_from_the_alpha_pass_match_the_single_direction_route(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_tangent_scale_is_bit_identical_in_range(n):
-    # Scaling z and c_j by powers of two scales every Horner step, and the
-    # ratio's numerator and denominator alike, exactly.
+def test_tangent_scale_is_bit_identical_in_range(monkeypatch, n):
+    # Scaling the points and c_j by powers of two scales every row map, every
+    # matrix product, and the ratio's numerator and denominator alike, exactly:
+    # the tangents at each row's 2^e equal those at scale 1 (every row's |z|
+    # read as 0) bit for bit, on scattered z, rings and grid rows.
     sp = sample_params(n, 4, 0.5)
+    directions = all_directions(n) + ["radial"]
     for radius in (0.3, 2.5, 3e1, 1e3, 1e6):
-        z = radius * np.exp(1j * np.linspace(0.1, 6.2, 17))
-        for which in all_directions(n) + ["radial"]:
-            assert np.array_equal(tangent(sp, which, z), unscaled_tangent(sp, which, z)), (
-                which, radius)
+        sets = [radius * np.exp(1j * np.linspace(0.1, 6.2, 17)),
+                circle(radius * np.array([1.0, 0.3]), 17),
+                Grid(radius * np.array([-1.0, 0.5]), radius * np.linspace(-1.0, 1.0, 9))]
+        scaled = [log_det_k_tangent(sp, directions, points)[1] for points in sets]
+        with monkeypatch.context() as patch:
+            for kind in (solution.Rings, Grid):
+                patch.setattr(kind, "moduli",
+                              lambda self, moduli=kind.moduli: np.zeros_like(moduli(self)))
+            unscaled = [log_det_k_tangent(sp, directions, points)[1] for points in sets]
+        for kind, a, b in zip(("scattered", "rings", "grid"), scaled, unscaled):
+            assert np.array_equal(a, b), (kind, radius)
 
 
 @given(
@@ -328,26 +309,32 @@ def test_linearized_order_estimate_for_resolved_direction():
 # Whole-grid references: the residuals as they were before row tiles.
 
 
+def whole_grid(g):
+    """The whole grid as one Grid of rows x and columns y."""
+    axis = np.linspace(-g.half_width, g.half_width, g.points_per_side)
+    return Grid(axis, axis)
+
+
 def whole_grid_pde_residual(sp, g):
     """(n, P-2, P-2) interior residual of Delta_h U_i + sum_j a_ij e^{U_j}."""
-    u = lower_components(sp, meshgrid(g))
+    u = lower_components(sp, whole_grid(g))
     a = cartan_dense(sp.n)
     return _laplacian(u, g.h) + np.einsum("ij,jxy->ixy", a, np.exp(u)[:, 1:-1, 1:-1])
 
 
 def whole_grid_linearized_residual(sp, which, g):
-    z = meshgrid(g)
     a = cartan_dense(sp.n)
-    upper, (dlog_det,) = log_det_k_tangent(sp, (which,), z)
+    upper, (dlog_det,) = log_det_k_tangent(sp, (which,), whole_grid(g))
     weights = np.exp(np.tensordot(a, upper, axes=(1, 0))[:, 1:-1, 1:-1])
     phi = np.tensordot(a, dlog_det, axes=(1, 0))
     return _laplacian(phi, g.h) + np.einsum("ij,jxy->ixy", a, weights * phi[:, 1:-1, 1:-1])
 
 
 def assert_peak_matches(peak, ref, z):
-    # Every window takes the whole grid's evaluation scale, so the kernel and
-    # the stencils give the whole-grid bits at each point: the peaks are
-    # equal, and the recorded worst point is a maximizer of the reference.
+    # Each row takes its own evaluation scale, and each matrix product entry is
+    # one row's map against one column, so the kernel and the stencils give the
+    # whole-grid bits at each point: the peaks are equal, and the recorded worst
+    # point is a maximizer of the reference.
     ref = np.abs(ref)
     assert np.array_equal(peak.per_component, np.max(ref, axis=(1, 2)))
     ix = np.argwhere(z[1:-1, 1:-1] == peak.z)
@@ -436,23 +423,25 @@ def test_grid_suites_share_one_walk_per_parameter_set(monkeypatch, order):
 
 
 def test_walk_memory_is_its_buffers():
-    # The walk's peak is the buffers it allocates once: 3 + |directions| planes of n
-    # values per point of a window (U_i, e^{U_i}, each phi and the scratch for A(E phi)),
-    # a block of max(7, 2n) for the kernel's w (which holds z), q, dq and tmp and for the
-    # stencils, and cartan_apply's saved rows, one at n = 2; 64 KiB covers the rest.
-    sp, g, directions = sample_params(2, 3, 0.3, 3.0), GridSpec.from_h(1e-2), kernel_directions(2)
-    side = g.refined().points_per_side
-    window = TILE_POINTS // side // 2 * 2 * side * 8  # bytes of one value per point
-    n = sp.n
-    bound = ((3 + len(directions)) * n + max(7, 2 * n) + 1) * window + 2**16
-    grid_residuals(sp, g, directions)  # builds the minor tables, which outlive the walk
-    tracemalloc.start()
-    try:
-        grid_residuals(sp, g, directions)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    # The walk's peak is the buffers it allocates once: 2 + |directions| planes of n
+    # values per point of a window (U_i, e^{U_i} and each phi), a block of 3n that
+    # holds the kernel's values, then the stencils' 2n and the plane of A(E phi), and
+    # cartan_apply's saved rows, one at n = 2 and two from n = 3; 64 KiB covers the
+    # rest (the kernel's column table and row weights).  Measured: 2,971,850 bytes
+    # at n = 2 with every kernel direction, 2,830,632 at n = 4 with none.
+    for n, directions in ((2, kernel_directions(2)), (4, ())):
+        sp, g = sample_params(n, 3, 0.3, 3.0), GridSpec.from_h(1e-2)
+        side = g.refined().points_per_side
+        window = TILE_POINTS // side // 2 * 2 * side * 8  # bytes of one value per point
+        bound = ((3 + len(directions)) * n + 2 * n + min(2, n - 1)) * window + 2**16
+        grid_residuals(sp, g, directions)  # builds the minor tables, which outlive the walk
+        tracemalloc.start()
+        try:
+            grid_residuals(sp, g, directions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, n
 
 
 def test_report_names_the_worst_component_and_point():

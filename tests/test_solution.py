@@ -9,11 +9,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from gram_oracle import (cartan_dense, derivative, det_k_lu, direction_move, family,
-                         laplace_det, mixed_derivative, mp_log_det, perturbed)
+                         laplace_det, mixed_derivative, mp_log_det, mp_upper_and_tangents,
+                         perturbed)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import solution
+from todalab.asymptotics import circle, sphere_rule
 from todalab.cpoly import ComplexPoly
 from todalab.solution import (
     PositivityError,
@@ -284,30 +286,38 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
 
 
 def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
-    # One Horner pass per non-constant q_S of the requested rows feeds det_k
-    # and every direction's sum; each slot's tangent term adds one pass for
-    # its dq_S, which alpha_1 and beta_1 share.
+    # One matrix-product row per point for Re and one for Im of each
+    # non-constant q_S of the requested rows, which feeds det_k; each slot adds
+    # its dq_S once, which alpha_1 and beta_1 share, and each direction a copy
+    # of the q_S at its slot's positions (times -i for beta_1), unless it has
+    # unit 1 and they are a run of the q_S, which it reads in place.
     n = 3
     sp = sample_params(n, 0, 0.5)
     directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
     ks = (1, 3)
-    count = [0]
-    original = solution.eval_poly
+    z = np.array([0.5, 3.0 + 1.0j])
+    rows, original = [0], np.matmul
 
-    def counted(p, z, out, scale):
-        count[0] += 1
-        return original(p, z, out, scale)
+    def counted(a, b, **kwargs):
+        rows[0] += len(a)
+        return original(a, b, **kwargs)
 
-    monkeypatch.setattr(solution, "eval_poly", counted)
-    solution._log_dets(sp, ks, np.array([0.5, 3.0 + 1.0j]), directions)
+    monkeypatch.setattr(np, "matmul", counted)
+    solution._log_dets(sp, ks, z, directions)
+    monkeypatch.undo()
     per_k, table = solution._wronskian_minors(sp)
     minors = sum(len(per_k[k - 1][3]) for k in ks)
-    slots = {solution._coefficient_slot(n, which)[0] for which in directions}
+    moves = [solution._coefficient_slot(n, which) for which in directions]
+    slots = {slot for slot, _ in moves}
     assert len(slots) == len(directions) - 1
-    terms = sum(len(solution._tangent_minors(sp, slot, per_k, table)[k - 1][2])
-                for slot in slots for k in ks)
-    assert terms > 0
-    assert count[0] == minors + terms
+    positions = {slot: [list(solution._tangent_minors(sp, slot, per_k, table)[k - 1][2])
+                        for k in ks] for slot in slots}
+    assert all(positions[slot][-1] for slot in slots)
+    terms = sum(len(p) for per_slot in positions.values() for p in per_slot)
+    copies = sum(len(p) for slot, unit in moves for p in positions[slot]
+                 if unit != 1 or p != list(range(p[0], p[0] + len(p)) if p else []))
+    assert 0 < copies < sum(len(p) for slot, _ in moves for p in positions[slot])
+    assert rows[0] == 2 * len(z) * (minors + terms + copies)
 
 
 def test_kernel_reads_each_minor_table_once_per_call(monkeypatch):
@@ -372,28 +382,100 @@ def test_log_det_scaled_evaluation_at_radius_1e100():
 
 
 def test_breakdown_names_k_and_the_span_of_moduli():
-    # One scale 2^e serves every point of a call, so |z| spanning 16 decades
-    # at n = 5 is refused although each point alone is representable.
+    # Each row takes its own scale 2^e_r, so |z| spanning 16 decades at n = 5 is
+    # evaluated as each point alone is; a point at infinity is refused, naming k
+    # and the span of |z| over the rows.
     sp = sample_params(5, 0, 0.3)
-    assert log_det_k(sp, 3, 0.5) == pytest.approx(-17.05353991688395, rel=1e-14)
-    assert log_det_k(sp, 3, 1e16) == pytest.approx(643.9215906701834, rel=1e-14)
+    alone = [log_det_k(sp, 3, 0.5), log_det_k(sp, 3, 1e16)]
+    assert alone == pytest.approx([-17.05353991688395, 643.9215906701834], rel=1e-14)
+    assert np.array_equal(log_det_k(sp, 3, [0.5, 1e16]), alone)
     with pytest.raises(PositivityError) as info:
-        log_det_k(sp, 3, [0.5, 1e16])
+        log_det_k(sp, 3, [0.5, math.inf])
     message = str(info.value)
-    assert "det_3" in message and "0.5" in message and "1e+16" in message
+    assert "det_3" in message and "0.5" in message and "inf" in message
 
 
-def test_breakdown_names_the_callers_span_when_z_is_scaled_in_place():
-    # The grid walk hands z over as the kernel's first work array, which the kernel
-    # scales by 2^-e in place; the refusal still names |z| as the caller gave it.
+def test_breakdown_names_the_span_of_a_grids_rows():
+    # The grid walk passes its axes; a non-finite row is refused with the span
+    # of the rows' largest |z|, and a finite window is evaluated in the scratch
+    # the caller passes, rows of 1 + 0.5i and 1e16 + 0.5i alike.
     sp = sample_params(5, 0, 0.3)
-    work = [np.empty(2, dtype=complex) for _ in range(3)] + [np.empty(2)]
-    work[0][:] = [0.5, 1e16]
+    y = np.array([-0.5, 0.5])
     with pytest.raises(PositivityError) as info:
-        solution._log_dets(sp, (3,), work[0], work=work)
-    assert work[0][1] == math.ldexp(1e16, -54)
+        solution._log_dets(sp, (3,), solution.Grid(np.array([1.0, math.inf]), y))
     message = str(info.value)
-    assert "det_3" in message and "0.5" in message and "1e+16" in message
+    assert "det_3" in message and "1.11803" in message and "inf" in message
+    work = np.full(4 * 2 * 19, np.nan)  # the values of two rows' 19 non-constant q_S
+    dets = solution._log_dets(sp, (3,), solution.Grid(np.array([1.0, 1e16]), y), work=work)[0]
+    z = np.array([[1.0, 1.0], [1e16, 1e16]]) + 1j * y
+    assert dets[0] == pytest.approx(np.array([log_det_k(sp, 3, row) for row in z]), rel=1e-14)
+    assert not np.isnan(work).any()
+
+
+def _point_sets(sp) -> dict:
+    """{kind: (points, the same points as one array z)}: grid rows, a circle, sphere rings."""
+    x, y = np.array([-1.5, 0.25]), np.array([-0.75, 2.0])
+    sets = {"grid": (solution.Grid(x, y), x[:, None] + 1j * y)}
+    for kind, rings in (("circle", circle(40.0, 3)),
+                        ("sphere", sphere_rule(sp.length_scale(), 2, 2)[0])):
+        sets[kind] = (rings, np.multiply.outer(rings.radii, np.exp(1j * rings.angles)))
+    return sets
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_kind_of_point_set_matches_the_gram_oracle(n):
+    # U^k and every kernel direction, loglambda_0 and "radial", on grid rows,
+    # a circle, sphere rings and scattered z, against Jacobi's formula on the
+    # mpmath Gram matrix.  Measured worst: 2.9e-15 on U, 2.0e-15 on a tangent.
+    sp = sample_params(n, 2, 0.5)
+    directions = kernel_directions(n) + ["loglambda_0", "radial"]
+    sets = _point_sets(sp)
+    scattered = np.array([0.5 + 0.25j, -3.0 + 1.0j, 1e3 * np.exp(1j)])
+    sets["scattered"] = (scattered, scattered)
+    for kind, (points, z) in sets.items():
+        upper, tangents = log_det_k_tangent(sp, directions, points)
+        for index in np.ndindex(z.shape):
+            zi = complex(z[index])
+            with mp.workdps(30 + math.ceil(n * (n + 1) * math.log10(max(abs(zi), 1.0)))):
+                for k in range(1, n + 1):
+                    ref = [float(x) for x in mp_upper_and_tangents(sp, k, zi, directions)]
+                    got = [upper[k - 1][index]] + [t[k - 1][index] for t in tangents]
+                    for which, value, want in zip(["U"] + directions, got, ref):
+                        assert abs(value - want) <= 1e-14 * max(1.0, abs(want)), (kind, k, which)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_sets_match_their_points_as_scattered_z(n):
+    # A product set's rows and columns and the same points passed one by one
+    # take different routes (Taylor rows, cos/sin columns, power sums) to the
+    # same values: within 32 ulps of max(1, |value|), 24 at most measured
+    # (U on the grid at n = 5).
+    for seed in range(2):
+        sp = sample_params(n, seed, 0.5, 3.0)
+        directions = kernel_directions(n) + ["loglambda_0", "radial"]
+        for kind, (points, z) in _point_sets(sp).items():
+            for got, want in zip(log_det_k_tangent(sp, directions, points),
+                                 log_det_k_tangent(sp, directions, z)):
+                ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), 1.0))
+                assert got.shape == want.shape and np.max(ulps) <= 32, (kind, seed)
+
+
+def test_row_blocks_of_any_size_give_each_rows_values():
+    # 301 rings over eight decades of radius take several slabs of row weights
+    # and tiles of rows whose counts do not divide them, in the kernel's own
+    # block or in a caller's small one; each row's values are those of the row
+    # alone, within 4 ulps of max(1, |value|).
+    sp = sample_params(4, 1, 0.5)
+    directions = ("alpha_1", "beta2_3", "radial")
+    rings = solution.Rings(np.geomspace(0.1, 1e4, 301), 2.0 * np.pi * np.arange(48) / 48)
+    alone = [log_det_k_tangent(sp, directions, solution.Rings(r, rings.angles))
+             for r in rings.radii]
+    for work in (None, np.empty(3 * 2 * 60 * 48 + 5)):
+        upper, tangents = solution.log_det_k_tangent(sp, directions, rings, work=work)
+        for row, (u, t) in enumerate(alone):
+            for got, want in ((upper[:, row], u), (tangents[:, :, row], t)):
+                ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), 1.0))
+                assert np.max(ulps) <= 4, row
 
 
 def test_mixed_derivative_hermitian_symmetry():
