@@ -1,8 +1,8 @@
 """Verification laboratory for entire solutions of the SU(n+1) Toda system."""
 
 from .cartan import cartan_apply
-from .cpoly import ComplexPoly
 from .solution import (
+    ComplexPoly,
     PositivityError,
     SolutionParams,
     load_params,

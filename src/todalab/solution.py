@@ -36,9 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import cartan_apply
-from .cpoly import ComplexPoly
 
 __all__ = [
+    "ComplexPoly",
     "Grid",
     "PositivityError",
     "Rings",
@@ -89,6 +89,14 @@ def normalize_lambdas(raw, n: int):
     log_t = (math.log(target) - sum(math.log(x) for x in raw)) / (n + 1)
     t = math.exp(log_t)
     return tuple(x * t for x in raw)
+
+
+@dataclass(frozen=True)
+class ComplexPoly:
+    """A polynomial P_i of the parameters: coeffs[j] is the coefficient of z^j."""
+
+    coeffs: tuple[complex, ...]
+    degree = property(lambda self: len(self.coeffs) - 1)
 
 
 @dataclass(frozen=True)
@@ -269,14 +277,15 @@ def _monomial_wronskian(exponents: tuple) -> int:
     return math.prod(b - a for a, b in itertools.combinations(exponents, 2))
 
 
-def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> ComplexPoly:
-    """W_S for S = subset, or dW_S / dc_ij for slot (i, j), from the minors of c.
+def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> tuple:
+    """The coefficients of W_S for S = subset, or of dW_S / dc_ij for slot (i, j), from c's minors.
 
     The columns P_t = sum_a c[t, a] z^a give, by Cauchy-Binet,
     W_S = sum_A V(A) det c[S, A] z^(sum A - k(k-1)/2).  Along c_ij the
     cofactor of (i, j) gives dW_S = sum_{A containing j} +-V(A)
     det c[S - i, A - j] z^(...).  A coefficient no minor reaches stays an
-    exact zero, so the degrees are exact.
+    exact zero, and trailing zeros are dropped, so the degrees are exact
+    (() is the zero polynomial).
     """
     k = len(subset)
     shift = k * (k - 1) // 2
@@ -293,13 +302,15 @@ def _cauchy_binet(sp: SolutionParams, subset: tuple, table: dict, slot=None) -> 
                 cols = cols[:pos] + (j,) + cols[pos:]
                 sign = (-1) ** (subset.index(i) + pos)
                 coeffs[sum(cols) - shift] += sign * _monomial_wronskian(cols) * minor
-    return ComplexPoly.from_coeffs(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
-def _stack(polys, degree: int) -> np.ndarray:
-    """The coefficients of polys, z^0 to z^degree, as the rows of a complex array."""
-    rows = [p.coeffs + (0j,) * (degree - p.degree) for p in polys]
-    return np.array(rows, dtype=complex).reshape(-1, degree + 1)
+def _stack(rows, degree: int) -> np.ndarray:
+    """Coefficient rows, z^0 to z^degree with zeros after each row's last, as a complex array."""
+    return np.array([list(row) + [0j] * (degree + 1 - len(row)) for row in rows],
+                    dtype=complex).reshape(-1, degree + 1)
 
 
 def _wronskian_minors(sp: SolutionParams) -> tuple:
@@ -307,20 +318,19 @@ def _wronskian_minors(sp: SolutionParams) -> tuple:
 
     W_S = det( P_i^{(p)} )_{p=0..k-1, i in S} over k-subsets S of {0..n},
     with P_0 = 1, is a polynomial in z.  `minors` holds (S, lambda_S, W_S)
-    for each S, D_k is the top minor degree, `const` sums lambda_S |W_S|^2
-    over constant minors, and the rows of `scaled` hold the coefficients of
-    sqrt(lambda_S) W_S for the others, z^0 to z^D_k.
+    for each S, W_S as its coefficients (_cauchy_binet), D_k is the top minor
+    degree, `const` sums lambda_S |W_S|^2 over constant minors, and the rows of
+    `scaled` hold the coefficients of sqrt(lambda_S) W_S for the others, z^0 to z^D_k.
     """
     table, out = {}, []
     for k in range(1, sp.n + 2):
-        minors = []
-        for subset in itertools.combinations(range(sp.n + 1), k):
-            w = _cauchy_binet(sp, subset, table)
-            minors.append((subset, math.prod(sp.lambdas[i] for i in subset), w))
-        const = sum(lam * abs(w.coeffs[0]) ** 2 for _, lam, w in minors if w.degree == 0)
-        degree = max(w.degree for *_, w in minors)
-        scaled = [w.scale(math.sqrt(lam)) for _, lam, w in minors if w.degree > 0]
-        out.append((tuple(minors), degree, const, _stack(scaled, degree)))
+        minors = tuple((subset, math.prod(sp.lambdas[i] for i in subset),
+                        _cauchy_binet(sp, subset, table))
+                       for subset in itertools.combinations(range(sp.n + 1), k))
+        const = sum(lam * abs(w[0]) ** 2 for _, lam, w in minors if len(w) == 1)
+        degree = max(len(w) for *_, w in minors) - 1
+        scaled = [[math.sqrt(lam) * c for c in w] for _, lam, w in minors if len(w) > 1]
+        out.append((minors, degree, const, _stack(scaled, degree)))
     return tuple(out), table
 
 
@@ -348,7 +358,6 @@ class Grid:
     x: np.ndarray
     y: np.ndarray
     shape = property(lambda self: (len(self.x), len(self.y)))
-    size = property(lambda self: math.prod(self.shape))
 
     def moduli(self) -> np.ndarray:
         return np.hypot(np.abs(self.x), np.max(np.abs(self.y), initial=0.0))
@@ -384,7 +393,7 @@ class Rings:
 
     def columns(self, degree: int) -> np.ndarray:
         turns = np.multiply.outer(np.arange(degree + 1), self.angles)
-        return np.stack([np.cos(turns), np.sin(turns)], axis=1).reshape(-1, len(self.angles))
+        return np.stack([np.cos(turns), np.sin(turns)], axis=1).reshape(2 * degree + 2, -1)
 
     def rows(self, coeffs, rows, e, scale) -> np.ndarray:
         radii = np.reshape(self.radii, -1)[rows] * np.ldexp(1.0, -e)
@@ -409,11 +418,12 @@ def _log_dets(sp: SolutionParams, ks, points, directions=(), out=None, work=None
     q_S = sqrt(lambda_S) W_S = sum_j c_j z^j: scaling by powers of two is exact, so s_S =
     2^(-D_k e_r) q_S where nothing under- or overflows, and |s_S| <= sum_j |c_j|.  Per k and tile
     of rows, matrix products of at most PRODUCT_SIZE multiply-adds give Re and Im of every
-    non-constant s_S and every requested slot's ds_S (_tangent_minors); det_k sums the squares of
-    the s_S, and a direction of unit u contracts its slot's ds_S with conj(u) times a copy of the
-    s_S at its positions (or, at u = 1, with a run of them in place), Re(conj(s_S) u ds_S), so a
-    beta reuses its alpha's ds_S.  A det_k that is not finite and positive raises PositivityError
-    naming k and the span of the rows' |z|.
+    non-constant s_S and of each distinct slot's ds_S (_tangent_minors), one row per polynomial.
+    det_k sums the squares of the s_S.  A direction of unit u sums Re(u conj(s_S) ds_S) over its
+    slot's positions: a run of the s_S is read in place, other positions are taken into the
+    value block once per slot, and u = i reads (Im, Re) s_S times (1, -1), so a beta reuses its
+    alpha's values.  A det_k that is not finite and positive raises PositivityError naming k
+    and the span of the rows' |z|.
     """
     shape = points.shape if isinstance(points, (Grid, Rings)) else np.shape(np.atleast_1d(points))
     if not isinstance(points, (Grid, Rings)):  # scattered z: a row each, one column y = 0
@@ -428,35 +438,34 @@ def _log_dets(sp: SolutionParams, ks, points, directions=(), out=None, work=None
         _memo[sp] = (*_wronskian_minors(sp), {})
     per_k, minors, tables = _memo[sp]
     for slot in dict.fromkeys(slot for slot, _ in moves if slot not in tables):
-        # On the slot's first use: (offset, share, positions, rows of ds_S) per k.
-        tables[slot] = [(offset, share, list(polys), _stack(polys.values(), per_k[k][1]))
-                        for k, (offset, share, polys) in
-                        enumerate(_tangent_minors(sp, slot, per_k, minors))]
+        tables[slot] = _tangent_minors(sp, slot, per_k, minors)  # on the slot's first use
     table, block = points.columns(max(per_k[k - 1][1] for k in ks)), work
+    signs = np.array([1.0, -1.0])
     width = table.shape[1]
     # Overflow and NaN are caught by the range check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, k in enumerate(ks):
             _, degree, const, scaled = per_k[k - 1]
-            pieces, slots, spans = [scaled], {}, {}
-            for slot, unit in dict.fromkeys(moves):
+            # Per slot: its q_S (a run of the products' rows, or rows taken out) and its dq_S.
+            pieces, slots, taken, reads = [scaled], {}, [], []
+            for slot, unit in moves:
                 positions, dq = tables[slot][k - 1][2:]
                 if slot not in slots:
-                    slots[slot] = sum(map(len, pieces))
+                    took = not isinstance(positions, slice)
+                    if took:
+                        taken.extend(positions)
+                        positions = slice(len(taken) - len(positions), len(taken))
+                    start = sum(map(len, pieces))
+                    slots[slot] = took, positions, slice(start, start + len(dq))
                     pieces.append(dq)
-                first = positions[0] if positions else 0
-                if unit == 1 and positions == list(range(first, first + len(positions))):
-                    spans[slot, unit] = first, slots[slot], len(dq)  # a run of the s_S
-                    continue
-                spans[slot, unit] = sum(map(len, pieces)), slots[slot], len(dq)
-                pieces.append(np.conj(unit) * scaled[positions])
-            coeffs = np.concatenate(pieces)
-            depth = 2 * len(coeffs)  # values per point
-            if block is None or len(block) < depth * width:
-                block = np.empty(max(depth * width, BLOCK_VALUES))
+                reads.append((*slots[slot], unit != 1))
+            coeffs, taken = np.concatenate(pieces), np.array(taken, dtype=int)
+            depth, spare = 2 * len(coeffs), 2 * len(taken)  # values per point
+            if block is None or len(block) < (depth + spare) * width:
+                block = np.empty(max((depth + spare) * width, BLOCK_VALUES))
             # A tile is as many rows as the block holds, and a slab as many rows as have
             # their weights formed at once.
-            step = len(block) // max(depth * width, 1)
+            step = len(block) // max((depth + spare) * width, 1)
             slab = max(step, BLOCK_VALUES // max(depth * len(table), 1))
             acc = dets[row].reshape(len(e), width)
             sums = [t[row].reshape(len(e), width) for t in tangents]
@@ -466,26 +475,32 @@ def _log_dets(sp: SolutionParams, ks, points, directions=(), out=None, work=None
                 lhs = points.rows(coeffs, rows, e[rows], scale)
                 lhs = np.stack((lhs.real, lhs.imag), axis=2)
                 columns = table[: lhs.shape[-1]]
-                chunk = max(1, PRODUCT_SIZE // columns.size)
+                chunk = max(1, PRODUCT_SIZE // max(columns.size, 1))
                 for first in range(0, len(lhs), step):
                     piece = lhs[first : first + step]
                     tile = piece.reshape(-1, len(columns))
                     values = block[: len(tile) * width].reshape(len(tile), width)
                     for a in range(0, len(tile), chunk):
                         np.matmul(tile[a : a + chunk], columns, out=values[a : a + chunk])
-                    values = values.reshape(len(piece), depth, width)
+                    values = values.reshape(len(piece), depth // 2, 2, width)  # Re, Im per row
+                    held = block[values.size :][: len(piece) * spare * width]
+                    held = held.reshape(len(piece), spare // 2, 2, width)
+                    if spare:  # mode="clip" takes straight into the contiguous `out`: no buffer
+                        np.take(values, taken, axis=1, out=held, mode="clip")
                     at = slice(top + first, top + first + len(piece))
-                    squares = values[:, : 2 * len(scaled)]
-                    np.einsum("rxc,rxc->rc", squares, squares, out=acc[at])
-                    for total, move in zip(sums, moves):
-                        a, b, m = spans[move]
-                        np.einsum("rxc,rxc->rc", values[:, 2 * a : 2 * (a + m)],
-                                  values[:, 2 * b : 2 * (b + m)], out=total[at])
+                    squares = values[:, : len(scaled)]
+                    np.einsum("rmxc,rmxc->rc", squares, squares, out=acc[at])
+                    for total, (took, q, dq, turn) in zip(sums, reads):
+                        q, dq = (held if took else values)[:, q], values[:, dq]
+                        if turn:  # conj(i) (a + ib) = b - ia: (Im, Re) times (1, -1)
+                            np.einsum("rmxc,rmxc,x->rc", q[:, :, ::-1], dq, signs, out=total[at])
+                        else:
+                            np.einsum("rmxc,rmxc->rc", q, dq, out=total[at])
             shift = np.ldexp(1.0, -2 * degree * e)[:, None]
             acc += const * shift
             # Below ~1e-290 the squared terms approach subnormal numbers and
-            # lose digits; NaN fails every comparison.
-            if not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
+            # lose digits; NaN fails every comparison.  An empty set has nothing to check.
+            if acc.size and not 1e-290 <= np.min(acc) <= np.max(acc) < np.inf:
                 raise PositivityError(f"det_{k} is not finite and positive on rows whose largest "
                                       f"|z| spans [{np.min(moduli):g}, {np.max(moduli):g}]")
             for total, (slot, unit) in zip(sums, moves):
@@ -559,15 +574,17 @@ def _coefficient_slot(n: int, which: str) -> tuple:
 
 
 def _tangent_minors(sp: SolutionParams, slot, per_k: tuple, table: dict) -> tuple:
-    """For each k = 1..n, (offset, share, {position: dq_S}) with
+    """For each k = 1..n, (offset, share, positions, rows) with
 
         d log det_k / d(delta) = offset + Re(unit (share + sum_S conj(q_S) dq_S)) / det_k
 
     along a direction that moves the slot by unit * delta (_coefficient_slot),
     where (per_k, table) = _wronskian_minors(sp), q_S = sqrt(lambda_S) W_S sits
-    at that position of the non-constant minors in per_k, dq_S = 2 sqrt(lambda_S)
-    dW_S at unit 1, and share sums 2 lambda_S conj(W_S) dW_S over the constant
-    minors.  This is Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is
+    at that position of the non-constant minors in per_k (`positions` is a
+    slice for a run of them, an index array otherwise), the `rows` hold the
+    coefficients of dq_S = 2 sqrt(lambda_S) dW_S at unit 1, z^0 to z^D_k, and
+    share sums 2 lambda_S conj(W_S) dW_S over the constant minors.  This is
+    Jacobi's formula on det_k = sum_S lambda_S |W_S|^2.  W_S is
     linear in c_ij, so along c_ij only subsets S containing i contribute, and
     _cauchy_binet assembles dW_S from the cofactors det c[S - i, A - j]
     already in `table`.  Coefficients no cofactor reaches are exact
@@ -582,25 +599,30 @@ def _tangent_minors(sp: SolutionParams, slot, per_k: tuple, table: dict) -> tupl
     if not radial:
         i, j = slot
     out = []
-    for k, (minors, *_) in enumerate(per_k[:n], start=1):
-        share, polys, position = 0.0, {}, -1
+    for k, (minors, degree, *_) in enumerate(per_k[:n], start=1):
+        share, positions, rows, position = 0.0, [], [], -1
         for subset, lam, w in minors:
-            position += w.degree > 0
+            position += len(w) > 1
             if radial:
-                dw = ComplexPoly.from_coeffs(p * c for p, c in enumerate(w.coeffs))
+                dw = [p * c for p, c in enumerate(w)]
             elif i not in subset:
                 continue
             elif j < 0:
-                dw = w.scale(0.5)
+                dw = [0.5 * c for c in w]
             else:
                 dw = _cauchy_binet(sp, subset, table, slot)
-            if dw.is_zero():
+            if not any(dw):
                 continue
-            if w.degree > 0:
-                polys[position] = dw.scale(2.0 * math.sqrt(lam))
+            if len(w) > 1:
+                positions.append(position)
+                rows.append([2.0 * math.sqrt(lam) * c for c in dw])
             else:
-                share += 2.0 * lam * w.coeffs[0].conjugate() * dw.coeffs[0]
-        out.append((-k / (n + 1) if not radial and j < 0 else 0.0, share, polys))
+                share += 2.0 * lam * w[0].conjugate() * dw[0]
+        first = positions[0] if positions else 0
+        run = positions == list(range(first, first + len(positions)))
+        out.append((-k / (n + 1) if not radial and j < 0 else 0.0, share,
+                    slice(first, first + len(positions)) if run else np.array(positions),
+                    _stack(rows, degree)))
     return tuple(out)
 
 

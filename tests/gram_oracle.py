@@ -21,8 +21,7 @@ import re
 import mpmath as mp
 import numpy as np
 
-from todalab.cpoly import ComplexPoly
-from todalab.solution import PositivityError, SolutionParams, normalize_lambdas
+from todalab.solution import ComplexPoly, PositivityError, SolutionParams, normalize_lambdas
 
 
 def cartan_dense(n: int) -> np.ndarray:

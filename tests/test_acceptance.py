@@ -21,11 +21,11 @@ from gram_oracle import cartan_dense
 from todalab import suites
 from todalab.asymptotics import R_FAR, far_field_checks, t_integral
 from todalab.cli import main as cli_main
-from todalab.cpoly import ComplexPoly
 from todalab.identities import verify_identity_sweep
 from todalab.mass import flux_tail, mass_quadrature, predicted_mass
 from todalab.residual import GridSpec, grid_residuals
-from todalab.solution import SolutionParams, frequency_directions, kernel_directions, sample_params
+from todalab.solution import (ComplexPoly, SolutionParams, frequency_directions,
+                              kernel_directions, sample_params)
 
 GRID = GridSpec.from_h(1e-2)
 

@@ -20,8 +20,7 @@ from todalab.asymptotics import (
     t_integral,
 )
 from todalab.mass import mass_quadrature
-from todalab.cpoly import ComplexPoly
-from todalab.solution import SolutionParams, frequency_directions, sample_params
+from todalab.solution import ComplexPoly, SolutionParams, frequency_directions, sample_params
 from todalab.suites import (
     CONSTANT_TERM_REL,
     FIRST_FREQUENCY_REL,

@@ -1,30 +1,12 @@
-"""Polynomial arithmetic, evaluation on each kind of point set, Wronskian dets."""
+"""The parameters' polynomials, evaluation on each kind of point set, Wronskian dets."""
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from todalab import solution
-from todalab.cpoly import ComplexPoly
-from todalab.solution import Grid, Rings, SolutionParams, normalize_lambdas, sample_params
-
-finite_c = st.complex_numbers(
-    max_magnitude=10.0, allow_nan=False, allow_infinity=False
-)
-
-
-def poly_strategy(max_deg=5):
-    return st.lists(finite_c, min_size=0, max_size=max_deg + 1).map(
-        ComplexPoly.from_coeffs
-    )
-
-
-def test_from_coeffs_trims_trailing_zeros():
-    p = ComplexPoly.from_coeffs([1, 2, 0, 0])
-    assert p.degree == 1
-    assert ComplexPoly.from_coeffs([0, 0]).is_zero()
+from todalab.solution import (ComplexPoly, Grid, Rings, SolutionParams, normalize_lambdas,
+                              sample_params)
 
 
 def test_degree_of_zero_poly():
@@ -43,12 +25,6 @@ def test_eval_into_out_on_one_and_many_points():
         assert got[0] is out[0] and got[1] is out[1]
         fresh = solution._log_dets(sp, (1, 2), points, ("alpha_1",))
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-
-
-@given(p=poly_strategy(), s=finite_c, z=finite_c)
-def test_scale_matches_pointwise(p, s, z):
-    tol = 1e-6 * (1 + abs(z)) ** 6 * (1 + abs(s))
-    assert abs(np.polyval(p.scale(s).coeffs[::-1], z) - s * np.polyval(p.coeffs[::-1], z)) <= tol
 
 
 def rows_times_columns(points, coeffs):
@@ -91,10 +67,10 @@ def test_every_kind_of_rows_times_columns_evaluates_a_polynomial(degree):
 
 def test_wronskian_vandermonde():
     # Wronskian of (1, z, z^2, z^3) is the constant prod k! = 0!1!2!3! = 12.
-    monomials = tuple(ComplexPoly.from_coeffs([0] * k + [1]) for k in range(1, 4))
+    monomials = tuple(ComplexPoly((0j,) * k + (1 + 0j,)) for k in range(1, 4))
     sp = SolutionParams(n=3, lambdas=normalize_lambdas([1.0] * 4, 3), polys=monomials)
     per_k, table = solution._wronskian_minors(sp)
-    assert [(subset, w.coeffs) for subset, _, w in per_k[3][0]] == [((0, 1, 2, 3), (12 + 0j,))]
+    assert [(subset, w) for subset, _, w in per_k[3][0]] == [((0, 1, 2, 3), (12 + 0j,))]
     # The coefficient matrix is the identity: each row set has one nonzero minor, itself.
     assert len(table) == 2**4 - 1
     assert all(minors == {rows: 1} for rows, minors in table.items())

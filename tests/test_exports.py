@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["todalab"] + [
     f"todalab.{name}"
-    for name in ("cartan", "cpoly", "solution", "residual", "asymptotics", "mass",
+    for name in ("cartan", "solution", "residual", "asymptotics", "mass",
                  "identities", "suites", "cli")
 ]
 

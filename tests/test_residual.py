@@ -374,7 +374,7 @@ def test_residuals_never_evaluate_a_whole_grid(monkeypatch):
     original = solution._log_dets
 
     def counted(sp, ks, z, directions=(), **kwargs):
-        calls.append((np.size(z), tuple(directions)))
+        calls.append((math.prod(z.shape), tuple(directions)))
         return original(sp, ks, z, directions, **kwargs)
 
     monkeypatch.setattr(solution, "_log_dets", counted)
@@ -406,7 +406,7 @@ def test_grid_suites_share_one_walk_per_parameter_set(monkeypatch, order):
     original = solution._log_dets
 
     def counted(sp, ks, z, directions=(), **kwargs):
-        calls.append((sp, np.size(z), tuple(directions)))
+        calls.append((sp, math.prod(z.shape), tuple(directions)))
         return original(sp, ks, z, directions, **kwargs)
 
     windows = len(kernel_points(monkeypatch, _two_grid_peaks, sample_params(2, 0, 0.3), g))

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from todalab import solution
 from todalab.asymptotics import circle, sphere_rule
-from todalab.cpoly import ComplexPoly
 from todalab.solution import (
+    ComplexPoly,
     PositivityError,
     SolutionParams,
     frequency_directions,
@@ -162,12 +162,13 @@ def test_minors_match_plain_laplace_expansion(n):
         for k, (minors, *_) in enumerate(per_k, start=1):
             for subset, _, w in minors:
                 rows = [[cols[t][p] for t in subset] for p in range(k)]
-                assert _relative_error(w.coeffs, laplace_det(rows)) <= 1e-14, (seed, subset)
+                assert _relative_error(w, laplace_det(rows)) <= 1e-14, (seed, subset)
         for i, j in coefficient_slots(n):
             column = [derivative([0] * j + [1], p) for p in range(n + 1)]
             tangents = solution._tangent_minors(sp, (i, j), per_k, table)
-            for k, (_, share, polys) in enumerate(tangents, start=1):
-                nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
+            for k, (_, share, *tangent) in enumerate(tangents, start=1):
+                nonconstant = [m for m in per_k[k - 1][0] if len(m[2]) > 1]
+                polys = _tangent_rows(*tangent, len(nonconstant))
                 for position, (subset, lam, _) in enumerate(nonconstant):
                     if i not in subset:
                         assert position not in polys
@@ -176,11 +177,16 @@ def test_minors_match_plain_laplace_expansion(n):
                             for p in range(k)]
                     dw = 2.0 * math.sqrt(lam) * np.array(laplace_det(rows) or [0j])
                     if position in polys:
-                        assert _relative_error(polys[position].coeffs, dw) <= 1e-14
+                        assert _relative_error(polys[position], dw) <= 1e-14
                     else:
                         assert np.max(np.abs(dw)) <= 1e-14 * 2.0 * math.sqrt(lam)
                 # The constant minor's columns are P_0..P_{k-1}: it has no c_ij tangent.
                 assert share == 0.0
+
+
+def _tangent_rows(positions, rows, count: int) -> dict:
+    """{position: coefficients of dq_S} from one k of _tangent_minors, of `count` q_S."""
+    return dict(zip(np.arange(count)[positions].tolist(), rows))
 
 
 def _exact_minor(cols, r, subset, table) -> list:
@@ -213,12 +219,12 @@ def _exact_columns(coeffs, n) -> list:
     return cols
 
 
-def _assert_matches_exact(got: ComplexPoly, exact: list, scale: int, what) -> None:
-    """got equals exact / scale to 2e-15 of the largest coefficient, with the same degree."""
+def _assert_matches_exact(got, exact: list, scale: int, what) -> None:
+    """The coefficients got equal exact / scale to 2e-15 of the largest, the last nonzero."""
     nonzero = [d for d, c in enumerate(exact) if c != (0, 0)]
-    assert got.degree == nonzero[-1], what
-    ref = [complex(Fraction(re, scale), Fraction(im, scale)) for re, im in exact[: got.degree + 1]]
-    assert _relative_error(got.coeffs, ref) <= 2e-15, what
+    assert len(got) - 1 == nonzero[-1] and got[-1] != 0, what
+    ref = [complex(Fraction(re, scale), Fraction(im, scale)) for re, im in exact[: len(got)]]
+    assert _relative_error(got, ref) <= 2e-15, what
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -248,15 +254,16 @@ def test_tangent_minor_degrees_match_exact_expansion(n):
             swapped[i] = _exact_columns([(0, 0)] * j + [(1, 0)], n)
             table = {key: w for key, w in base.items() if i not in key[1]}
             tangents = solution._tangent_minors(sp, (i, j), per_k, minor_table)
-            for k, (*_, polys) in enumerate(tangents, start=1):
+            for k, (_, _, *tangent) in enumerate(tangents, start=1):
                 expected = set()
-                nonconstant = [m for m in per_k[k - 1][0] if m[2].degree > 0]
+                nonconstant = [m for m in per_k[k - 1][0] if len(m[2]) > 1]
+                polys = _tangent_rows(*tangent, len(nonconstant))
                 for position, (subset, lam, _) in enumerate(nonconstant):
                     if i in subset:
                         dw = _exact_minor(swapped, 0, subset, table)
                         if any(c != (0, 0) for c in dw):
                             expected.add(position)
-                            got = polys[position].scale(0.5 / math.sqrt(lam))
+                            got = np.trim_zeros(polys[position] * (0.5 / math.sqrt(lam)), "b")
                             power = sum(t > 0 for t in subset if t != i)
                             _assert_matches_exact(got, dw, scale**power, (seed, i, j, subset))
                 assert set(polys) == expected, (seed, i, j, k)
@@ -286,38 +293,39 @@ def test_minor_builds_share_sub_determinants(monkeypatch):
 
 
 def test_kernel_evaluates_each_minor_once_for_every_direction(monkeypatch):
-    # One matrix-product row per point for Re and one for Im of each
-    # non-constant q_S of the requested rows, which feeds det_k; each slot adds
-    # its dq_S once, which alpha_1 and beta_1 share, and each direction a copy
-    # of the q_S at its slot's positions (times -i for beta_1), unless it has
-    # unit 1 and they are a run of the q_S, which it reads in place.
+    # One matrix-product row per point row for Re and one for Im of each
+    # non-constant q_S of the requested k, which feeds det_k, and of each
+    # distinct slot's dq_S, which alpha_1 and beta_1 share; no row more.  A
+    # slot's q_S are read in place at a run of positions and taken from the
+    # products' rows otherwise: at k = 2 alpha_1 and beta_1 read rows taken
+    # once for their slot, and beta_1 reads a run at k = 1 and 3.
     n = 3
     sp = sample_params(n, 0, 0.5)
-    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_0", "radial")
-    ks = (1, 3)
-    z = np.array([0.5, 3.0 + 1.0j])
-    rows, original = [0], np.matmul
-
-    def counted(a, b, **kwargs):
-        rows[0] += len(a)
-        return original(a, b, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", counted)
-    solution._log_dets(sp, ks, z, directions)
-    monkeypatch.undo()
+    directions = ("alpha_1", "beta_1", "alpha2_3", "loglambda_2", "radial")
+    ks = (1, 2, 3)
     per_k, table = solution._wronskian_minors(sp)
-    minors = sum(len(per_k[k - 1][3]) for k in ks)
     moves = [solution._coefficient_slot(n, which) for which in directions]
-    slots = {slot for slot, _ in moves}
+    slots = dict.fromkeys(slot for slot, _ in moves)
     assert len(slots) == len(directions) - 1
-    positions = {slot: [list(solution._tangent_minors(sp, slot, per_k, table)[k - 1][2])
-                        for k in ks] for slot in slots}
-    assert all(positions[slot][-1] for slot in slots)
-    terms = sum(len(p) for per_slot in positions.values() for p in per_slot)
-    copies = sum(len(p) for slot, unit in moves for p in positions[slot]
-                 if unit != 1 or p != list(range(p[0], p[0] + len(p)) if p else []))
-    assert 0 < copies < sum(len(p) for slot, _ in moves for p in positions[slot])
-    assert rows[0] == 2 * len(z) * (minors + terms + copies)
+    tangents = {slot: solution._tangent_minors(sp, slot, per_k, table) for slot in slots}
+    gathers = {unit for slot, unit in moves for k in ks
+               if not isinstance(tangents[slot][k - 1][2], slice)}
+    assert gathers == {1, 1j}
+    polys = sum(len(per_k[k - 1][3]) + sum(len(tangents[slot][k - 1][-1]) for slot in slots)
+                for k in ks)
+    x, y = np.array([0.5, -1.0, 3.0]), np.array([-0.25, 1.0])
+    for points, point_rows in ((np.array([0.5, 3.0 + 1.0j]), 2), (solution.Grid(x, y), 3),
+                               (solution.Rings(np.array([0.5, 4.0]), np.arange(5.0)), 2)):
+        rows, original = [0], np.matmul
+
+        def counted(a, b, **kwargs):
+            rows[0] += len(a)
+            return original(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        solution._log_dets(sp, ks, points, directions)
+        monkeypatch.undo()
+        assert rows[0] == 2 * point_rows * polys, type(points).__name__
 
 
 def test_kernel_reads_each_minor_table_once_per_call(monkeypatch):
@@ -410,6 +418,20 @@ def test_breakdown_names_the_span_of_a_grids_rows():
     z = np.array([[1.0, 1.0], [1e16, 1e16]]) + 1j * y
     assert dets[0] == pytest.approx(np.array([log_det_k(sp, 3, row) for row in z]), rel=1e-14)
     assert not np.isnan(work).any()
+
+
+def test_empty_point_sets_give_empty_arrays():
+    # No points is nothing to check, not an error: scattered z, a Grid with no
+    # rows or no columns and Rings with no radii or no angles give arrays of
+    # their shape.
+    sp = sample_params(2, 1, 0.5)
+    assert log_det_k(sp, 1, np.array([])).shape == (0,)
+    y, angles, none = np.array([0.0, 1.0]), np.arange(4.0), np.array([])
+    for points, shape in ((solution.Grid(none, y), (0, 2)), (solution.Grid(y, none), (2, 0)),
+                          (solution.Rings(none, angles), (0, 4)), (solution.Rings(y, none), (2, 0))):
+        upper, tangents = log_det_k_tangent(sp, ("alpha_1", "beta_1"), points)
+        assert upper.shape == (2,) + shape and tangents.shape == (2, 2) + shape
+        assert lower_components(sp, points).shape == (2,) + shape
 
 
 def _point_sets(sp) -> dict:
